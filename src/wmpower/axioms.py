@@ -26,7 +26,7 @@ from .games import (
     simple_union,
 )
 from .indices import PowerIndexVector, colomer_martinez, hcm
-from .merging import check_wm_mergeability, wm_union
+from .merging import check_wm_mergeability
 
 IndexFunction = Callable[[Game], PowerIndexVector]
 
@@ -180,18 +180,18 @@ def check_symw(f: IndexFunction, game: WeightedMajorityGame) -> AxiomVerdict:
     return _verdict("SYMw", True)
 
 
-def _require_wm_mergeable(games: Sequence[WeightedMajorityGame]) -> None:
+def _wm_mergeable_union(games: Sequence[WeightedMajorityGame]) -> WeightedMajorityGame:
     report = check_wm_mergeability(games)
     if not report.overall:
         raise NotWMMergeable("the axiom is stated for WM-mergeable families", report)
+    return report.union
 
 
 def check_dpmw(
     f: IndexFunction, games: Sequence[WeightedMajorityGame]
 ) -> AxiomVerdict:
     """Weighted DP-mergeability: f(union) is the mwc-count weighted average."""
-    _require_wm_mergeable(games)
-    union = wm_union(games)
+    union = _wm_mergeable_union(games)
     union_count = len(minimal_winning_coalitions(union).mwc)
     left = f(union).values
     parts = [
@@ -224,8 +224,7 @@ def check_hcmw(
     f: IndexFunction, games: Sequence[WeightedMajorityGame]
 ) -> AxiomVerdict:
     """Weighted HCM-mergeability: f(union) is the sum-|M_i|w_i weighted average."""
-    _require_wm_mergeable(games)
-    union = wm_union(games)
+    union = _wm_mergeable_union(games)
     union_total = _weighted_membership_total(union)
     left = f(union).values
     parts = [(_weighted_membership_total(g), f(g).values) for g in games]

@@ -28,7 +28,8 @@ from .documents import GameDocument, load_game
 from .errors import GameError
 from .games import minimal_winning_coalitions, simple_mergeable
 from .indices import INDEX_FUNCTIONS
-from .merging import check_wm_mergeability, single_mwc_decomposition, wm_union
+from .merging import check_wm_mergeability, single_mwc_decomposition
+from .merging import wm_union  # noqa: F401 - bench/traced_cli.py spans this name
 from .sampling import random_weighted_game
 from .tables import render_table
 
@@ -103,7 +104,7 @@ def cmd_merge(args) -> int:
     for line in report.describe():
         print(line)
     if report.overall and not args.check_only:
-        print(f"union: {wm_union(games)}")
+        print(f"union: {report.union}")
     return 0
 
 

@@ -55,12 +55,13 @@ class GameDocument:
             raise ParseError(
                 f"{len(self.players)} player names for {len(self.weights)} weights"
             )
-        # Surface construction errors (bad quota, negative weight, ...) now.
-        self.game()
+        # Build the game now, so construction errors (bad quota, negative
+        # weight, ...) surface here, and later calls share its cached mwcs.
+        object.__setattr__(self, "_game", WeightedMajorityGame(self.quota, self.weights))
 
     def game(self) -> WeightedMajorityGame:
-        """The validated game this document describes."""
-        return WeightedMajorityGame(self.quota, self.weights)
+        """The validated game this document describes, built once."""
+        return self._game
 
     def to_json_obj(self) -> dict:
         obj: dict = {

@@ -45,10 +45,6 @@ class WeightsRequired(GameError):
     """The operation is defined on weighted games only, not bare simple games."""
 
 
-class AllZeroSwings(GameError):
-    """No player has a swing; unreachable for validly constructed games."""
-
-
 class NotUnanimityLike(GameError):
     """The game does not have exactly one minimal winning coalition."""
 

@@ -3,20 +3,22 @@
 A simple game is stored canonically as the antichain of its minimal winning
 coalitions, so games built by different routes compare equal exactly when
 they have the same winning structure. A weighted majority game keeps its
-quota and weight vector as exact rationals; the induced simple game is
-computed on demand and cached.
+quota and weight vector as exact rationals; its integer form and its induced
+simple game are computed on demand and cached.
 
-No floating point is used anywhere: weights, quotas, and all derived
-quantities are ``fractions.Fraction`` values compared exactly.
+No floating point is used anywhere: weights and quotas are
+``fractions.Fraction`` values, and winning tests compare the integers of the
+game's integer form, so every comparison is exact.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from .coalitions import MAX_PLAYERS, Coalition, as_coalition, minimal_antichain
 from .errors import (
@@ -88,6 +90,16 @@ class SimpleGame:
                 )
         object.__setattr__(self, "mwc", tuple(coalitions))
 
+    @classmethod
+    def _trusted(cls, n_players: int, masks: Iterable[int]) -> "SimpleGame":
+        # For masks the library itself produced as an antichain of non-empty
+        # coalitions within 0..n-1: sort canonically, skip the O(m**2) checks.
+        game = object.__new__(cls)
+        ordered = sorted(masks, key=lambda m: (m.bit_count(), m))
+        object.__setattr__(game, "n_players", n_players)
+        object.__setattr__(game, "mwc", tuple(map(Coalition.from_mask, ordered)))
+        return game
+
     def is_winning(self, coalition) -> bool:
         """True iff the coalition contains some minimal winning coalition."""
         mask = _checked_mask(coalition, self.n_players)
@@ -124,34 +136,44 @@ class WeightedMajorityGame:
         for i, w in enumerate(weights):
             if w < 0:
                 raise NegativeWeight(f"weight of player {i} is negative ({w})")
-        if sum(weights) < quota:
+        scaled_weights, scaled_quota, scale = self.integer_form
+        if sum(scaled_weights) < scaled_quota:
             raise GrandCoalitionLoses(
-                f"total weight {sum(weights)} is below the quota {quota}"
+                f"total weight {Fraction(sum(scaled_weights), scale)} "
+                f"is below the quota {quota}"
             )
 
     @property
     def n_players(self) -> int:
         return len(self.weights)
 
+    @cached_property
+    def integer_form(self) -> tuple[tuple[int, ...], int, int]:
+        """``(weights, quota, scale)``: weights and quota times ``scale``, as integers.
+
+        ``scale`` is the LCM of their denominators. Scaling by a positive
+        number keeps every winning test, so all winning tests run on these.
+        """
+        scale = math.lcm(self.quota.denominator, *(w.denominator for w in self.weights))
+        weights = tuple(w.numerator * (scale // w.denominator) for w in self.weights)
+        return weights, self.quota.numerator * (scale // self.quota.denominator), scale
+
     def coalition_weight(self, coalition) -> Fraction:
         """Sum of the members' weights; the empty coalition weighs 0."""
         mask = _checked_mask(coalition, self.n_players)
-        total = Fraction(0)
-        while mask:
-            low = mask & -mask
-            total += self.weights[low.bit_length() - 1]
-            mask ^= low
-        return total
+        weights, _, scale = self.integer_form
+        return Fraction(_mask_weight(weights, mask), scale)
 
     def is_winning(self, coalition) -> bool:
         """True iff the coalition's weight is at least the quota (exact comparison)."""
-        return self.coalition_weight(coalition) >= self.quota
+        weights, quota, _ = self.integer_form
+        return _mask_weight(weights, _checked_mask(coalition, self.n_players)) >= quota
 
     @cached_property
     def induced_simple_game(self) -> SimpleGame:
         """The simple game of this weighted game: its minimal winning coalitions."""
-        masks = _enumerate_mwc_masks(self.weights, self.quota)
-        return SimpleGame(self.n_players, tuple(Coalition.from_mask(m) for m in masks))
+        weights, quota, _ = self.integer_form
+        return SimpleGame._trusted(self.n_players, _enumerate_mwc_masks(weights, quota))
 
     def __str__(self) -> str:
         return f"[{self.quota}; " + ", ".join(str(w) for w in self.weights) + "]"
@@ -174,39 +196,48 @@ class SwingSet:
         return iter(self.swings)
 
 
-def _enumerate_mwc_masks(weights: tuple[Fraction, ...], quota: Fraction) -> list[int]:
-    # Increasing cardinality with monotone pruning: a winning coalition that
-    # contains no previously found (smaller) minimal coalition is itself minimal.
-    n = len(weights)
+def _mask_weight(weights: tuple[int, ...], mask: int) -> int:
+    total = 0
+    while mask:
+        low = mask & -mask
+        total += weights[low.bit_length() - 1]
+        mask ^= low
+    return total
+
+
+def _enumerate_mwc_masks(weights: tuple[int, ...], quota: int) -> list[int]:
+    # Depth-first over the nonzero-weight players in descending weight. A
+    # branch is pruned once the players left cannot lift its total to the
+    # quota. The player that first lifts the total to the quota is the
+    # coalition's lightest member, so dropping any member loses: the
+    # coalition is minimal, and no extension of it is.
+    order = sorted((i for i, w in enumerate(weights) if w), key=lambda i: -weights[i])
+    heavy = [weights[i] for i in order]
+    bits = [1 << i for i in order]
+    reach = list(itertools.accumulate(reversed(heavy)))[::-1]
     found: list[int] = []
-    for size in range(1, n + 1):
-        for combo in itertools.combinations(range(n), size):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            if any(f & mask == f for f in found):
-                continue
-            total = Fraction(0)
-            for i in combo:
-                total += weights[i]
-            if total >= quota:
-                found.append(mask)
+
+    def extend(start: int, mask: int, total: int) -> None:
+        for k in range(start, len(order)):
+            if total + reach[k] < quota:
+                return
+            grown = total + heavy[k]
+            if grown >= quota:
+                found.append(mask | bits[k])
+            else:
+                extend(k + 1, mask | bits[k], grown)
+
+    extend(0, 0, 0)
     return found
 
 
 def mask_winning_test(game: Game) -> Callable[[int], bool]:
     """A fast mask-level winning predicate for inner enumeration loops."""
     if isinstance(game, WeightedMajorityGame):
-        weights = game.weights
-        quota = game.quota
+        weights, quota, _ = game.integer_form
 
         def win(mask: int) -> bool:
-            total = Fraction(0)
-            while mask:
-                low = mask & -mask
-                total += weights[low.bit_length() - 1]
-                mask ^= low
-            return total >= quota
+            return _mask_weight(weights, mask) >= quota
 
     else:
         mwc_masks = [c.mask for c in game.mwc]
@@ -224,24 +255,30 @@ def minimal_winning_coalitions(game: Game) -> SimpleGame:
     return game.induced_simple_game
 
 
-def swings(game: Game, player: int) -> SwingSet:
-    """Losing coalitions S (excluding the player) such that S plus the player wins."""
+def _losing_submasks(win: Callable[[int], bool], rest: int) -> Iterator[int]:
+    # Every submask of rest that loses, from rest down to the empty mask.
+    sub = rest
+    while True:
+        if not win(sub):
+            yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & rest
+
+
+def swing_masks(game: Game, player: int) -> Iterator[int]:
+    """Masks of the player's swings, in decreasing mask order."""
     _check_player(player, game.n_players)
     win = mask_winning_test(game)
     bit = 1 << player
     rest = ((1 << game.n_players) - 1) ^ bit
-    out = []
-    sub = rest
-    while True:
-        if not win(sub) and win(sub | bit):
-            out.append(sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & rest
-    coalitions = sorted(
-        (Coalition.from_mask(m) for m in out), key=lambda c: (len(c), c.mask)
-    )
-    return SwingSet(player, tuple(coalitions))
+    return (sub for sub in _losing_submasks(win, rest) if win(sub | bit))
+
+
+def swings(game: Game, player: int) -> SwingSet:
+    """Losing coalitions S (excluding the player) such that S plus the player wins."""
+    masks = sorted(swing_masks(game, player), key=lambda m: (m.bit_count(), m))
+    return SwingSet(player, tuple(map(Coalition.from_mask, masks)))
 
 
 def is_null_player(game: Game, player: int) -> bool:
@@ -259,13 +296,7 @@ def are_symmetric(game: Game, i: int, j: int) -> bool:
     win = mask_winning_test(game)
     bi, bj = 1 << i, 1 << j
     rest = ((1 << game.n_players) - 1) ^ bi ^ bj
-    sub = rest
-    while True:
-        if not win(sub) and win(sub | bi) != win(sub | bj):
-            return False
-        if sub == 0:
-            return True
-        sub = (sub - 1) & rest
+    return all(win(sub | bi) == win(sub | bj) for sub in _losing_submasks(win, rest))
 
 
 def unanimity_game(n_players: int, coalition) -> SimpleGame:

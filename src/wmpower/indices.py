@@ -13,18 +13,13 @@ Banzhaf form sums to exactly 1.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import AllZeroSwings, WeightsRequired
-from .games import (
-    Game,
-    SimpleGame,
-    WeightedMajorityGame,
-    mask_winning_test,
-    minimal_winning_coalitions,
-)
+from .errors import WeightsRequired
+from .games import Game, WeightedMajorityGame, minimal_winning_coalitions, swing_masks
 
 
 @dataclass(frozen=True)
@@ -53,25 +48,10 @@ class PowerIndexVector:
 
 def _efficient(kind: str, values) -> PowerIndexVector:
     vector = PowerIndexVector(kind, tuple(values))
-    assert vector.total == 1, f"{kind} vector must sum to 1, got {vector.total}"
+    if vector.total != 1:
+        # A broken invariant, not bad input: callers map it to an internal error.
+        raise AssertionError(f"{kind} vector must sum to 1, got {vector.total}")
     return vector
-
-
-def _swing_size_tallies(game: Game, player: int) -> list[int]:
-    # tallies[s] = number of swings S of the player with |S| = s
-    n = game.n_players
-    win = mask_winning_test(game)
-    bit = 1 << player
-    rest = ((1 << n) - 1) ^ bit
-    tallies = [0] * n
-    sub = rest
-    while True:
-        if not win(sub) and win(sub | bit):
-            tallies[sub.bit_count()] += 1
-        if sub == 0:
-            break
-        sub = (sub - 1) & rest
-    return tallies
 
 
 def _shapley_from_swings(game: Game) -> list[Fraction]:
@@ -79,30 +59,19 @@ def _shapley_from_swings(game: Game) -> list[Fraction]:
     fact = [math.factorial(k) for k in range(n + 1)]
     values = []
     for i in range(n):
-        numerator = 0
-        for size, count in enumerate(_swing_size_tallies(game, i)):
-            if count:
-                numerator += count * fact[size] * fact[n - size - 1]
+        sizes = Counter(m.bit_count() for m in swing_masks(game, i))
+        numerator = sum(
+            count * fact[size] * fact[n - size - 1] for size, count in sizes.items()
+        )
         values.append(Fraction(numerator, fact[n]))
     return values
-
-
-def _scaled_integer_form(game: WeightedMajorityGame) -> tuple[list[int], int]:
-    # Scale weights and quota by the common denominator; the induced game is
-    # unchanged, and all comparisons become integer comparisons.
-    scale = math.lcm(
-        game.quota.denominator, *(w.denominator for w in game.weights)
-    )
-    weights = [int(w * scale) for w in game.weights]
-    quota = int(game.quota * scale)
-    return weights, quota
 
 
 def _shapley_by_counting(game: WeightedMajorityGame) -> list[Fraction]:
     # For each player, tally the other players' coalitions by (size, weight),
     # saturating weights at the quota; swings are the tallies whose weight
     # lies in [quota - own weight, quota).
-    weights, quota = _scaled_integer_form(game)
+    weights, quota, _ = game.integer_form
     n = len(weights)
     fact = [math.factorial(k) for k in range(n + 1)]
     values = []
@@ -163,11 +132,11 @@ def shapley_shubik(game: Game, method: str = "auto") -> PowerIndexVector:
 def banzhaf(game: Game, normalized: bool = True) -> PowerIndexVector:
     """Banzhaf index: swing counts over 2**(n-1), or normalized to sum 1."""
     n = game.n_players
-    counts = [sum(_swing_size_tallies(game, i)) for i in range(n)]
+    counts = [sum(1 for _ in swing_masks(game, i)) for i in range(n)]
     if normalized:
+        # Never zero: the empty coalition loses and the grand coalition wins,
+        # so some player swings.
         total = sum(counts)
-        if total == 0:
-            raise AllZeroSwings("no player has a swing")
         return _efficient("BZ", (Fraction(c, total) for c in counts))
     denominator = 1 << (n - 1)
     return PowerIndexVector("BZ", tuple(Fraction(c, denominator) for c in counts))

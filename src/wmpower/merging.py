@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .coalitions import Coalition
 from .errors import FewerThanTwoGames, GameError, NotWMMergeable, PlayerCountMismatch
-from .games import WeightedMajorityGame, minimal_winning_coalitions
+from .games import WeightedMajorityGame, mask_winning_test, minimal_winning_coalitions
 
 
 @dataclass(frozen=True)
@@ -24,10 +24,10 @@ class MergeabilityReport:
     """Per-condition verdicts of the mergeability check.
 
     Counterexample data is populated only for failed conditions: offending
-    players for the weight-compatibility condition, and the first jointly
-    losing coalition whose max-weight total reaches the minimum quota for
-    the losing-preservation condition. The two coalition counts for the
-    final condition are always recorded.
+    players for the weight-compatibility condition, and for the
+    losing-preservation condition a minimal proper coalition that loses in
+    every game yet wins in the union. The two coalition counts for the final
+    condition, and the union game itself, are always recorded.
     """
 
     equal_quotas: bool
@@ -38,6 +38,7 @@ class MergeabilityReport:
     mwc_count_additive: bool
     union_mwc_count: int
     component_mwc_count: int
+    union: WeightedMajorityGame
 
     @property
     def overall(self) -> bool:
@@ -92,33 +93,19 @@ def wm_union(games: Sequence[WeightedMajorityGame]) -> WeightedMajorityGame:
 
 
 def _losing_counterexample(
-    games: Sequence[WeightedMajorityGame], union: WeightedMajorityGame
+    games: Sequence[WeightedMajorityGame], union_mwc: Sequence[Coalition]
 ) -> Coalition | None:
-    # Scan all proper subsets with Gray-code running sums: each step flips one
-    # player in or out, so every weight row updates in O(1) exact additions.
-    n = union.n_players
+    # A proper coalition that wins in the union and loses in every game
+    # contains a union mwc that does the same, since the games are monotone.
+    # So the first such mwc in (cardinality, mask) order is a counterexample,
+    # and a minimal one: its proper subsets lose in the union.
+    n = games[0].n_players
     full = (1 << n) - 1
-    quotas = [g.quota for g in games]
-    rows = [g.weights for g in games] + [union.weights]
-    sums = [Fraction(0)] * len(rows)
-    gray = 0
-    for index in range(1, 1 << n):
-        next_gray = index ^ (index >> 1)
-        flipped = gray ^ next_gray
-        j = flipped.bit_length() - 1
-        if next_gray & flipped:
-            for r, row in enumerate(rows):
-                sums[r] += row[j]
-        else:
-            for r, row in enumerate(rows):
-                sums[r] -= row[j]
-        gray = next_gray
-        if gray == full:
-            continue
-        if sums[-1] >= union.quota and all(
-            sums[k] < quotas[k] for k in range(len(games))
-        ):
-            return Coalition.from_mask(gray)
+    tests = [mask_winning_test(g) for g in games]
+    for coalition in union_mwc:
+        mask = coalition.mask
+        if mask != full and not any(win(mask) for win in tests):
+            return coalition
     return None
 
 
@@ -130,8 +117,11 @@ def check_wm_mergeability(
     1. every game has the same quota;
     2. each player's nonzero weights agree across all games;
     3. every proper coalition losing in every game stays below the minimum
-       quota even under the componentwise maximum weights (exhaustive scan
-       over the 2**n - 1 proper subsets);
+       quota even under the componentwise maximum weights; on failure the
+       report carries the first of the union's minimal winning coalitions,
+       in (cardinality, mask) order, that is proper and loses in every
+       game: a minimal counterexample, found without scanning all 2**n
+       coalitions;
     4. the union has exactly as many minimal winning coalitions as the
        components combined.
     """
@@ -141,8 +131,8 @@ def check_wm_mergeability(
     offending = tuple(
         i for i in range(n) if len({g.weights[i] for g in games} - {0}) > 1
     )
-    counterexample = _losing_counterexample(games, union)
-    union_count = len(minimal_winning_coalitions(union).mwc)
+    union_mwc = minimal_winning_coalitions(union).mwc
+    counterexample = _losing_counterexample(games, union_mwc)
     component_count = sum(len(minimal_winning_coalitions(g).mwc) for g in games)
     return MergeabilityReport(
         equal_quotas=equal_quotas,
@@ -150,9 +140,10 @@ def check_wm_mergeability(
         offending_players=offending,
         losing_preserved=counterexample is None,
         losing_counterexample=counterexample,
-        mwc_count_additive=union_count == component_count,
-        union_mwc_count=union_count,
+        mwc_count_additive=len(union_mwc) == component_count,
+        union_mwc_count=len(union_mwc),
         component_mwc_count=component_count,
+        union=union,
     )
 
 
@@ -165,7 +156,7 @@ def merged_game(games: Sequence[WeightedMajorityGame]) -> WeightedMajorityGame:
     report = check_wm_mergeability(games)
     if not report.overall:
         raise NotWMMergeable("games are not WM-mergeable", report)
-    return wm_union(games)
+    return report.union
 
 
 def mwc_group_decomposition(

@@ -45,6 +45,22 @@ def brute_force_mwcs(game: WeightedMajorityGame) -> set[frozenset[int]]:
     return minimal
 
 
+def brute_force_losing_counterexamples(games) -> set[frozenset[int]]:
+    """Proper coalitions losing in every game that win under min quota and max weights."""
+    n = games[0].n_players
+    union_quota = min(g.quota for g in games)
+    union_weights = [max(g.weights[i] for g in games) for i in range(n)]
+    out = set()
+    for size in range(n):
+        for combo in itertools.combinations(range(n), size):
+            union_total = sum((union_weights[i] for i in combo), Fraction(0))
+            if union_total >= union_quota and not any(
+                winning_by_definition(g, combo) for g in games
+            ):
+                out.add(frozenset(combo))
+    return out
+
+
 def brute_force_swings(game: WeightedMajorityGame, player: int) -> set[frozenset[int]]:
     others = [i for i in range(game.n_players) if i != player]
     out = set()

@@ -2,9 +2,19 @@
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 from hypothesis import strategies as st
 
-from wmpower import Coalition, SimpleGame, WeightedMajorityGame, minimal_antichain
+from wmpower import (
+    Coalition,
+    SimpleGame,
+    WeightedMajorityGame,
+    minimal_antichain,
+    minimal_winning_coalitions,
+    single_mwc_decomposition,
+)
 
 
 @st.composite
@@ -17,6 +27,46 @@ def weighted_games(draw, min_players=2, max_players=8, max_weight=9):
     )
     quota = draw(st.integers(1, sum(weights)))
     return WeightedMajorityGame(quota, weights)
+
+
+@st.composite
+def rational_weighted_games(draw, min_players=1, max_players=8):
+    """Rational weights and quota with denominators up to 12.
+
+    Weights repeat from a small pool (ties) and include zeros; the quota is
+    often the total weight, so only the grand coalition wins.
+    """
+    n = draw(st.integers(min_players, max_players))
+    rational = st.fractions(min_value=0, max_value=5, max_denominator=12)
+    pool = draw(st.lists(rational, min_size=1, max_size=3))
+    weight = st.one_of(st.just(Fraction(0)), st.sampled_from(pool), rational)
+    weights = draw(
+        st.lists(weight, min_size=n, max_size=n).filter(lambda w: sum(w) > 0)
+    )
+    total = sum(weights)
+    denominator = draw(st.integers(1, 12))
+    top = math.floor(total * denominator)
+    if top == 0 or draw(st.booleans()):
+        return WeightedMajorityGame(total, weights)
+    return WeightedMajorityGame(Fraction(draw(st.integers(1, top)), denominator), weights)
+
+
+@st.composite
+def weighted_game_families(draw, min_players=1, max_players=9):
+    """Two or three weighted games on one player count, or a game's decomposition.
+
+    Decompositions pass every mergeability condition; free families mostly
+    fail condition 3, often with a counterexample below the grand coalition.
+    """
+    n = draw(st.integers(min_players, max_players))
+    games = st.one_of(
+        weighted_games(min_players=n, max_players=n),
+        rational_weighted_games(min_players=n, max_players=n),
+    )
+    game = draw(games)
+    if len(minimal_winning_coalitions(game).mwc) >= 2 and draw(st.booleans()):
+        return single_mwc_decomposition(game)
+    return [game, *draw(st.lists(games, min_size=1, max_size=2))]
 
 
 @st.composite

@@ -55,6 +55,10 @@ class TestParseGame:
         assert doc.game() == WeightedMajorityGame(3, (2, 2))
         assert doc.players == ("A", "B")
 
+    def test_game_is_built_once(self):
+        doc = parse_game(json.dumps({"quota": "3", "weights": ["2", "2"]}))
+        assert doc.game() is doc.game()
+
     def test_integer_weights_and_default_names(self):
         doc = parse_game(
             json.dumps({"quota": "70", "weights": [49, 27, 18, 18, 12, 13]})

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from strategies import weighted_games
+from strategies import rational_weighted_games, weighted_games
 from wmpower import (
     Coalition,
     SimpleGame,
@@ -359,14 +360,23 @@ def test_monotonicity(game):
                 break
 
 
-@given(weighted_games(max_players=8))
-@settings(max_examples=60, deadline=None)
+@given(st.one_of(weighted_games(max_players=8), rational_weighted_games(max_players=8)))
+@settings(max_examples=120, deadline=None)
 def test_mwc_agrees_with_brute_force(game):
     assert mwc_sets(game) == oracles.brute_force_mwcs(game)
 
 
-@given(weighted_games(max_players=7))
-@settings(max_examples=40, deadline=None)
+@given(rational_weighted_games(max_players=10))
+@settings(max_examples=60, deadline=None)
+def test_trusted_mwc_construction_matches_validating_constructor(game):
+    induced = minimal_winning_coalitions(game)
+    validated = SimpleGame(game.n_players, tuple(reversed(induced.mwc)))
+    assert induced == validated
+    assert induced.mwc == validated.mwc
+
+
+@given(st.one_of(weighted_games(max_players=7), rational_weighted_games(max_players=7)))
+@settings(max_examples=60, deadline=None)
 def test_swings_empty_iff_null(game):
     for i in range(game.n_players):
         assert (len(swings(game, i)) == 0) == is_null_player(game, i)

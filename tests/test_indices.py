@@ -1,5 +1,8 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +26,7 @@ from wmpower import (
     shapley_shubik,
     unanimity_game,
 )
+import wmpower
 from wmpower.errors import WeightsRequired
 
 F = Fraction
@@ -42,6 +46,36 @@ def test_power_index_vector_container():
     assert vector[0] == F(1, 2)
     assert list(vector) == [F(1, 2), F(1, 2)]
     assert vector.total == 1
+
+
+def test_efficiency_check_survives_optimize_flag():
+    # The check must not be an assert statement, which -O strips; and it must
+    # not be a GameError, which the CLI would report as bad input (exit 2).
+    code = "\n".join([
+        "import sys",
+        "from fractions import Fraction",
+        "from wmpower.errors import GameError",
+        "from wmpower.indices import _efficient",
+        "assert sys.flags.optimize",
+        "try:",
+        "    _efficient('X', [Fraction(1, 2)])",
+        "except GameError:",
+        "    sys.exit('GameError raised')",
+        "except Exception as err:",
+        "    print(type(err).__name__, err)",
+        "else:",
+        "    sys.exit('accepted a vector summing to 1/2')",
+    ])
+    src = Path(wmpower.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "X vector must sum to 1, got 1/2" in result.stdout
 
 
 class TestShapleyShubik:

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from strategies import weighted_games
+import oracles
+from strategies import weighted_game_families, weighted_games
 from wmpower import (
     Coalition,
     WeightedMajorityGame,
@@ -234,6 +235,18 @@ def test_condition3_failure_implies_new_or_coarser_mwc():
         )
         assert fresh or coarser
         found += 1
+
+
+@given(weighted_game_families(max_players=9))
+@settings(max_examples=80, deadline=None)
+def test_condition3_counterexample_matches_brute_force(games):
+    expected = oracles.brute_force_losing_counterexamples(games)
+    report = check_wm_mergeability(games)
+    assert report.losing_preserved == (not expected)
+    if expected:
+        found = frozenset(report.losing_counterexample)
+        assert found in expected
+        assert not any(other < found for other in expected)
 
 
 def test_random_mergeable_family_helper_is_seeded():
