@@ -58,7 +58,7 @@ from .merging import (
     single_mwc_decomposition,
     wm_union,
 )
-from .sampling import random_mergeable_family, random_simple_game, random_weighted_game
+from .sampling import random_mergeable_family, random_weighted_game
 from .tables import decimal_string, render_table
 
 __version__ = "0.1.0"
@@ -111,7 +111,6 @@ __all__ = [
     "parse_rational",
     "public_good",
     "random_mergeable_family",
-    "random_simple_game",
     "random_weighted_game",
     "render_table",
     "shapley_shubik",

@@ -102,47 +102,55 @@ def _require_simple_mergeable(v: SimpleGame, v_prime: SimpleGame) -> None:
         )
 
 
+def _averaging_verdict(
+    axiom: str,
+    f: IndexFunction,
+    theta: Callable[[Game], "int | Fraction"],
+    whole: Game,
+    parts: Sequence[Game],
+) -> AxiomVerdict:
+    """f(whole) against the theta-weighted average of f over the parts."""
+    left = f(whole).values
+    weighted = [(theta(g), f(g).values) for g in parts]
+    total = theta(whole)
+    right = [
+        sum((t * values[i] for t, values in weighted), Fraction(0)) / total
+        for i in range(whole.n_players)
+    ]
+    return _verdict(
+        axiom,
+        _vectors_equal(left, right),
+        {"games": tuple(parts), "left": tuple(left), "right": tuple(right)},
+    )
+
+
+def _mwc_count(game: Game) -> int:
+    return len(minimal_winning_coalitions(game).mwc)
+
+
+def _membership_total(game: Game) -> int:
+    # sum over players of |M_i|, i.e. the total size of all mwcs
+    return sum(len(c) for c in minimal_winning_coalitions(game).mwc)
+
+
+def _weighted_membership_total(game: WeightedMajorityGame) -> Fraction:
+    # sum over players of |M_i| * w_i, i.e. the total weight of all mwcs
+    mwcs = minimal_winning_coalitions(game).mwc
+    return sum(map(game.coalition_weight, mwcs), Fraction(0))
+
+
 def check_dpm(f: IndexFunction, v: SimpleGame, v_prime: SimpleGame) -> AxiomVerdict:
     """Mergeability with mwc-count weights: f(join) is the |M|-weighted average."""
     _require_simple_mergeable(v, v_prime)
     join = simple_union(v, v_prime)
-    m_v = len(v.mwc)
-    m_vp = len(v_prime.mwc)
-    m_join = len(join.mwc)
-    left = f(join).values
-    right = [
-        (m_v * a + m_vp * b) / m_join
-        for a, b in zip(f(v).values, f(v_prime).values, strict=True)
-    ]
-    return _verdict(
-        "DPM",
-        _vectors_equal(left, right),
-        {"games": (v, v_prime), "left": tuple(left), "right": tuple(right)},
-    )
-
-
-def _membership_total(game: SimpleGame) -> int:
-    # sum over players of |M_i|, i.e. the total size of all mwcs
-    return sum(len(c) for c in game.mwc)
+    return _averaging_verdict("DPM", f, _mwc_count, join, (v, v_prime))
 
 
 def check_pgm(f: IndexFunction, v: SimpleGame, v_prime: SimpleGame) -> AxiomVerdict:
     """Mergeability with membership-count weights: f(join) is the sum-|M_i| average."""
     _require_simple_mergeable(v, v_prime)
     join = simple_union(v, v_prime)
-    t_v = _membership_total(v)
-    t_vp = _membership_total(v_prime)
-    t_join = _membership_total(join)
-    left = f(join).values
-    right = [
-        (t_v * a + t_vp * b) / t_join
-        for a, b in zip(f(v).values, f(v_prime).values, strict=True)
-    ]
-    return _verdict(
-        "PGM",
-        _vectors_equal(left, right),
-        {"games": (v, v_prime), "left": tuple(left), "right": tuple(right)},
-    )
+    return _averaging_verdict("PGM", f, _membership_total, join, (v, v_prime))
 
 
 def check_symw(f: IndexFunction, game: WeightedMajorityGame) -> AxiomVerdict:
@@ -191,33 +199,7 @@ def check_dpmw(
     f: IndexFunction, games: Sequence[WeightedMajorityGame]
 ) -> AxiomVerdict:
     """Weighted DP-mergeability: f(union) is the mwc-count weighted average."""
-    union = _wm_mergeable_union(games)
-    union_count = len(minimal_winning_coalitions(union).mwc)
-    left = f(union).values
-    parts = [
-        (len(minimal_winning_coalitions(g).mwc), f(g).values) for g in games
-    ]
-    right = [
-        sum((count * values[i] for count, values in parts), Fraction(0)) / union_count
-        for i in range(union.n_players)
-    ]
-    return _verdict(
-        "DPMw",
-        _vectors_equal(left, right),
-        {"games": tuple(games), "left": tuple(left), "right": tuple(right)},
-    )
-
-
-def _weighted_membership_total(game: WeightedMajorityGame) -> Fraction:
-    # sum over players of |M_i| * w_i
-    induced = minimal_winning_coalitions(game)
-    return sum(
-        (
-            len(induced.mwc_containing(i)) * game.weights[i]
-            for i in range(game.n_players)
-        ),
-        Fraction(0),
-    )
+    return _averaging_verdict("DPMw", f, _mwc_count, _wm_mergeable_union(games), games)
 
 
 def check_hcmw(
@@ -225,18 +207,7 @@ def check_hcmw(
 ) -> AxiomVerdict:
     """Weighted HCM-mergeability: f(union) is the sum-|M_i|w_i weighted average."""
     union = _wm_mergeable_union(games)
-    union_total = _weighted_membership_total(union)
-    left = f(union).values
-    parts = [(_weighted_membership_total(g), f(g).values) for g in games]
-    right = [
-        sum((t * values[i] for t, values in parts), Fraction(0)) / union_total
-        for i in range(union.n_players)
-    ]
-    return _verdict(
-        "HCMw",
-        _vectors_equal(left, right),
-        {"games": tuple(games), "left": tuple(left), "right": tuple(right)},
-    )
+    return _averaging_verdict("HCMw", f, _weighted_membership_total, union, games)
 
 
 _PATCH_FIXTURE = WeightedMajorityGame(Fraction(4), (Fraction(2), Fraction(2), Fraction(1)))

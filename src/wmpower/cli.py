@@ -53,14 +53,19 @@ def _single_index(text: str) -> str:
     return keys[0]
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _render_vectors(document: GameDocument, args) -> str:
@@ -137,15 +142,6 @@ def _load_games_dir(path: str) -> list:
     return [load_game(p).game() for p in files]
 
 
-def _families_from(games) -> list:
-    families = [
-        single_mwc_decomposition(g)
-        for g in games
-        if len(minimal_winning_coalitions(g).mwc) >= 2
-    ]
-    return families
-
-
 def _report_axiom(name: str, outcomes, unit: str) -> tuple[str, bool]:
     total = len(outcomes)
     failures = [(subject, verdict) for subject, verdict in outcomes if not verdict.holds]
@@ -159,31 +155,27 @@ def _report_axiom(name: str, outcomes, unit: str) -> tuple[str, bool]:
     )
 
 
-def _run_weighted_suite(f, axiom_name, games, families) -> list[tuple[str, bool]]:
-    pair_check = check_dpmw if axiom_name == "DPMw" else check_hcmw
-    lines = []
-    lines.append(_report_axiom("EFF", [(str(g), check_eff(f, g)) for g in games], "games"))
-    lines.append(_report_axiom("NP", [(str(g), check_np(f, g)) for g in games], "games"))
-    single = [g for g in games if len(minimal_winning_coalitions(g).mwc) == 1]
+def _report_each(name: str, check, f, games, unit: str) -> tuple[str, bool]:
+    return _report_axiom(name, [(str(g), check(f, g)) for g in games], unit)
+
+
+def _run_weighted_suite(f, axiom_name, pair_check, games) -> list[tuple[str, bool]]:
+    mwc_counts = [len(minimal_winning_coalitions(g).mwc) for g in games]
+    families = [single_mwc_decomposition(g) for g, m in zip(games, mwc_counts) if m >= 2]
+    single = [g for g, m in zip(games, mwc_counts) if m == 1]
     single.extend(g for family in families for g in family)
-    lines.append(
-        _report_axiom(
-            "SYMw", [(str(g), check_symw(f, g)) for g in single], "single-mwc games"
-        )
-    )
     family_outcomes = [
         (" + ".join(str(g) for g in family), pair_check(f, family))
         for family in families
     ]
-    lines.append(_report_axiom(axiom_name, family_outcomes, "families"))
-    return lines
+    return [
+        _report_each("SYMw", check_symw, f, single, "single-mwc games"),
+        _report_axiom(axiom_name, family_outcomes, "families"),
+    ]
 
 
 def _run_classic_suite(f, games) -> list[tuple[str, bool]]:
-    lines = []
-    lines.append(_report_axiom("EFF", [(str(g), check_eff(f, g)) for g in games], "games"))
-    lines.append(_report_axiom("NP", [(str(g), check_np(f, g)) for g in games], "games"))
-    lines.append(_report_axiom("SYM", [(str(g), check_sym(f, g)) for g in games], "games"))
+    lines = [_report_each("SYM", check_sym, f, games, "games")]
     simple_games = [minimal_winning_coalitions(g) for g in games]
     pairs = [
         (a, b)
@@ -216,11 +208,16 @@ def cmd_axioms(args) -> int:
         rng = random.Random(args.seed)
         games = games + [random_weighted_game(rng) for _ in range(args.samples)]
     print(f"index: {args.index}  suite: {args.suite}  games: {len(games)}")
-    if args.suite in ("thm1", "thm2"):
-        axiom = "DPMw" if args.suite == "thm1" else "HCMw"
-        lines = _run_weighted_suite(f, axiom, games, _families_from(games))
+    lines = [
+        _report_each("EFF", check_eff, f, games, "games"),
+        _report_each("NP", check_np, f, games, "games"),
+    ]
+    if args.suite == "classic":
+        lines += _run_classic_suite(f, games)
     else:
-        lines = _run_classic_suite(f, games)
+        # Built per call, so a check replaced as a module attribute is the one run.
+        pair_axiom = {"thm1": ("DPMw", check_dpmw), "thm2": ("HCMw", check_hcmw)}
+        lines += _run_weighted_suite(f, *pair_axiom[args.suite], games)
     for text, _ in lines:
         print(text)
     satisfied = [text.split()[0] for text, ok in lines if ok]
@@ -257,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=list(INDEX_FUNCTIONS),
         help="comma-separated index names (default: all)",
     )
-    power.add_argument("--digits", type=_positive_int, default=4)
+    power.add_argument("--digits", type=_int_at_least(1), default=4)
     power.add_argument("--exact", action="store_true", help="also print exact p/q values")
     power.add_argument("--format", choices=("table", "csv", "json"), default="table")
     power.set_defaults(handler=cmd_power)
@@ -281,7 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="builtin",
         help="'builtin' or a directory of game documents",
     )
-    axioms.add_argument("--samples", type=int, default=0, help="extra random games")
+    axioms.add_argument(
+        "--samples", type=_int_at_least(0), default=0, help="extra random games"
+    )
     axioms.add_argument("--seed", type=int, default=0, help="seed for --samples")
     axioms.set_defaults(handler=cmd_axioms)
 
@@ -296,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=["ss", "dp", "pg", "cm", "hcm"],
         help="comma-separated index names",
     )
-    demo.add_argument("--digits", type=_positive_int, default=4)
+    demo.add_argument("--digits", type=_int_at_least(1), default=4)
     demo.add_argument("--exact", action="store_true")
     demo.add_argument("--format", choices=("table", "csv", "json"), default="table")
     demo.set_defaults(handler=cmd_demo)

@@ -115,6 +115,8 @@ class GameDocument:
             obj = json.loads(text)
         except json.JSONDecodeError as err:
             raise ParseError(f"invalid JSON: {err}") from err
+        except RecursionError as err:
+            raise ParseError("invalid JSON: nested too deeply") from err
         return cls.from_json_obj(obj)
 
 
@@ -124,5 +126,9 @@ def parse_game(text: str) -> GameDocument:
 
 
 def load_game(path: "str | Path") -> GameDocument:
-    """Load a document from a JSON file."""
-    return parse_game(Path(path).read_text())
+    """Load a document from a JSON file (UTF-8 text)."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: not UTF-8 ({err.reason} at byte {err.start})") from err
+    return parse_game(text)

@@ -142,23 +142,33 @@ def banzhaf(game: Game, normalized: bool = True) -> PowerIndexVector:
     return PowerIndexVector("BZ", tuple(Fraction(c, denominator) for c in counts))
 
 
+def _mwc_tally(game: Game, key) -> tuple[int, list[Counter]]:
+    # One pass over the mwc list: the mwc count m, and per player i a Counter
+    # c_i of key(S) over the mwcs S that contain i. DP, PG, CM and HCM read
+    # only this tally, so a backend that counts mwcs without listing them
+    # need only produce it.
+    induced = minimal_winning_coalitions(game)
+    tallies = [Counter() for _ in range(induced.n_players)]
+    for coalition in induced.mwc:
+        k = key(coalition)
+        for i in coalition:
+            tallies[i][k] += 1
+    return len(induced.mwc), tallies
+
+
 def deegan_packel(game: Game) -> PowerIndexVector:
     """Deegan-Packel index: average over a player's mwcs of the equal split 1/|S|."""
-    induced = minimal_winning_coalitions(game)
-    m = len(induced.mwc)
-    values = []
-    for i in range(induced.n_players):
-        share = sum(
-            (Fraction(1, len(c)) for c in induced.mwc if i in c), Fraction(0)
-        )
-        values.append(share / m)
-    return _efficient("DP", values)
+    m, tallies = _mwc_tally(game, len)
+    return _efficient(
+        "DP",
+        (sum(Fraction(c, s * m) for s, c in t.items()) for t in tallies),
+    )
 
 
 def public_good(game: Game) -> PowerIndexVector:
     """Public Good index: a player's mwc count over the total of all players' counts."""
-    induced = minimal_winning_coalitions(game)
-    counts = [len(induced.mwc_containing(i)) for i in range(induced.n_players)]
+    _, tallies = _mwc_tally(game, len)
+    counts = [t.total() for t in tallies]
     total = sum(counts)
     return _efficient("PG", (Fraction(c, total) for c in counts))
 
@@ -175,28 +185,21 @@ def _require_weights(game: Game, index_name: str) -> WeightedMajorityGame:
 def colomer_martinez(game: Game) -> PowerIndexVector:
     """Colomer-Martinez index: average over a player's mwcs of his weight share w_i/w_S."""
     weighted = _require_weights(game, "colomer_martinez")
-    induced = weighted.induced_simple_game
-    m = len(induced.mwc)
-    coalition_weights = {c: weighted.coalition_weight(c) for c in induced.mwc}
-    values = []
-    for i in range(weighted.n_players):
-        w_i = weighted.weights[i]
-        share = sum(
-            (w_i / coalition_weights[c] for c in induced.mwc if i in c),
-            Fraction(0),
-        )
-        values.append(share / m)
-    return _efficient("CM", values)
+    m, tallies = _mwc_tally(weighted, weighted.coalition_weight)
+    return _efficient(
+        "CM",
+        (
+            w_i / m * sum((c / t for t, c in tally.items()), Fraction(0))
+            for w_i, tally in zip(weighted.weights, tallies)
+        ),
+    )
 
 
 def hcm(game: Game) -> PowerIndexVector:
     """HCM index: power proportional to (own mwc count) times (own weight)."""
     weighted = _require_weights(game, "hcm")
-    induced = weighted.induced_simple_game
-    numerators = [
-        len(induced.mwc_containing(i)) * weighted.weights[i]
-        for i in range(weighted.n_players)
-    ]
+    _, tallies = _mwc_tally(weighted, len)
+    numerators = [t.total() * w for t, w in zip(tallies, weighted.weights)]
     total = sum(numerators, Fraction(0))
     return _efficient("HCM", (v / total for v in numerators))
 

@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import random
 
-from .coalitions import Coalition, minimal_antichain
-from .games import SimpleGame, WeightedMajorityGame, minimal_winning_coalitions
+from .games import WeightedMajorityGame, minimal_winning_coalitions
 from .merging import single_mwc_decomposition
 
 
@@ -29,19 +28,6 @@ def random_weighted_game(
             break
     quota = rng.randint(1, total)
     return WeightedMajorityGame(quota, weights)
-
-
-def random_simple_game(
-    rng: random.Random, max_players: int = 6, max_mwcs: int = 4
-) -> SimpleGame:
-    """A simple game built from a random family of coalitions reduced to an antichain."""
-    n = rng.randint(2, max_players)
-    count = rng.randint(1, max_mwcs)
-    coalitions = set()
-    for _ in range(count):
-        size = rng.randint(1, n)
-        coalitions.add(Coalition(rng.sample(range(n), size)))
-    return SimpleGame(n, minimal_antichain(coalitions))
 
 
 def random_mergeable_family(

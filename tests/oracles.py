@@ -11,7 +11,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from wmpower import WeightedMajorityGame
+from wmpower import SimpleGame, WeightedMajorityGame
 
 
 def winning_by_definition(game: WeightedMajorityGame, members) -> bool:
@@ -91,3 +91,47 @@ def shapley_by_permutations(game: WeightedMajorityGame) -> list[Fraction]:
                 break
     orders = math.factorial(n)
     return [Fraction(c, orders) for c in counts]
+
+
+def _mwcs_by_definition(game) -> set[frozenset[int]]:
+    # A simple game is defined by its antichain; a weighted one by its quota.
+    if isinstance(game, SimpleGame):
+        return {frozenset(c.members) for c in game.mwc}
+    return brute_force_mwcs(game)
+
+
+def deegan_packel_by_definition(game) -> list[Fraction]:
+    """Each mwc S gives 1/|S| to each member; a player gets the mean over all mwcs."""
+    mwcs = _mwcs_by_definition(game)
+    return [
+        sum((Fraction(1, len(s)) for s in mwcs if i in s), Fraction(0)) / len(mwcs)
+        for i in range(game.n_players)
+    ]
+
+
+def public_good_by_definition(game) -> list[Fraction]:
+    """A player's number of mwcs over the sum of all players' numbers."""
+    mwcs = _mwcs_by_definition(game)
+    counts = [sum(1 for s in mwcs if i in s) for i in range(game.n_players)]
+    return [Fraction(c, sum(counts)) for c in counts]
+
+
+def colomer_martinez_by_definition(game: WeightedMajorityGame) -> list[Fraction]:
+    """Each mwc S gives w_i/w(S) to each member i; a player gets the mean over all mwcs."""
+    mwcs = brute_force_mwcs(game)
+    weight = {s: sum((game.weights[j] for j in s), Fraction(0)) for s in mwcs}
+    return [
+        sum((game.weights[i] / weight[s] for s in mwcs if i in s), Fraction(0))
+        / len(mwcs)
+        for i in range(game.n_players)
+    ]
+
+
+def hcm_by_definition(game: WeightedMajorityGame) -> list[Fraction]:
+    """A player's number of mwcs times his weight, normalized to sum 1."""
+    mwcs = brute_force_mwcs(game)
+    products = [
+        sum(1 for s in mwcs if i in s) * game.weights[i] for i in range(game.n_players)
+    ]
+    total = sum(products, Fraction(0))
+    return [p / total for p in products]

@@ -94,6 +94,19 @@ class TestMwc:
         assert "{A, B}" in out
         assert "{A, C}" in out
 
+    def test_non_utf8_document_is_validation_failure(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        text = '{"quota": "1", "weights": ["1"], "players": ["Bogotá"]}'
+        path.write_bytes(text.encode("latin-1"))
+        assert main(["mwc", "--game", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_deeply_nested_document_is_validation_failure(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["mwc", "--game", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestMerge:
     def test_mergeable_pair_prints_union(self, tmp_path, capsys):
@@ -177,6 +190,12 @@ class TestAxioms:
             == 0
         )
         assert "games: 2" in capsys.readouterr().out
+
+    def test_negative_samples_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["axioms", "--index", "dp", "--suite", "thm1", "--samples", "-3"])
+        assert exc_info.value.code == 2
+        assert "--samples: must be at least 0" in capsys.readouterr().err
 
     def test_empty_games_directory(self, tmp_path):
         assert (

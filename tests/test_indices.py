@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from strategies import weighted_games
+from strategies import rational_weighted_games, simple_games, weighted_games
 from wmpower import (
     Coalition,
     PowerIndexVector,
@@ -298,3 +298,25 @@ def test_scaling_quota_and_weights_changes_nothing(game, num, den):
     )
     for index in ALL_INDICES:
         assert index(game).values == index(scaled).values
+
+
+MWC_INDEX_ORACLES = [
+    pytest.param(deegan_packel, oracles.deegan_packel_by_definition, id="dp"),
+    pytest.param(public_good, oracles.public_good_by_definition, id="pg"),
+    pytest.param(colomer_martinez, oracles.colomer_martinez_by_definition, id="cm"),
+    pytest.param(hcm, oracles.hcm_by_definition, id="hcm"),
+]
+
+
+@pytest.mark.parametrize("index, oracle", MWC_INDEX_ORACLES)
+@settings(max_examples=100, deadline=None)
+@given(game=rational_weighted_games())
+def test_mwc_indices_match_definition(index, oracle, game):
+    assert index(game).values == tuple(oracle(game))
+
+
+@pytest.mark.parametrize("index, oracle", MWC_INDEX_ORACLES[:2])
+@settings(max_examples=100, deadline=None)
+@given(game=simple_games())
+def test_mwc_indices_match_definition_on_simple_games(index, oracle, game):
+    assert index(game).values == tuple(oracle(game))
