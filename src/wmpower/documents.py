@@ -22,17 +22,24 @@ def parse_rational(value: "int | str") -> Fraction:
     if isinstance(value, bool):
         raise ParseError(f"expected a rational, got boolean {value!r}")
     if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
+        rational = Fraction(value)
+    elif isinstance(value, float):
         raise ParseError(
             f"floats are not accepted ({value!r}); write the value as a string"
         )
-    if isinstance(value, str):
+    elif isinstance(value, str):
         try:
-            return Fraction(value.strip())
+            rational = Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as err:
             raise ParseError(f"malformed rational {value!r}") from err
-    raise ParseError(f"expected a rational, got {type(value).__name__}")
+    else:
+        raise ParseError(f"expected a rational, got {type(value).__name__}")
+    try:
+        # Outputs print every value, so refuse one that cannot be printed.
+        str(rational)
+    except ValueError as err:
+        raise ParseError(f"rational too long to print: {err}") from err
+    return rational
 
 
 def format_rational(value: Fraction) -> str:
@@ -101,6 +108,9 @@ class GameDocument:
         metadata = obj.get("metadata") or {}
         if not isinstance(metadata, dict):
             raise ParseError("'metadata' must be an object")
+        for field in ("label", "date"):
+            if not isinstance(metadata.get(field), (str, type(None))):
+                raise ParseError(f"'metadata.{field}' must be a string")
         return cls(
             quota=quota,
             weights=weights,
@@ -113,7 +123,7 @@ class GameDocument:
     def from_json(cls, text: str) -> "GameDocument":
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # JSONDecodeError, or an int literal too long
             raise ParseError(f"invalid JSON: {err}") from err
         except RecursionError as err:
             raise ParseError("invalid JSON: nested too deeply") from err

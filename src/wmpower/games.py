@@ -317,14 +317,16 @@ def _check_same_players(v: SimpleGame, v_prime: SimpleGame) -> None:
 def simple_union(v: SimpleGame, v_prime: SimpleGame) -> SimpleGame:
     """Game winning where either game wins; mwc = minimal elements of both antichains."""
     _check_same_players(v, v_prime)
-    return SimpleGame(v.n_players, minimal_antichain(v.mwc + v_prime.mwc))
+    minimal = minimal_antichain(v.mwc + v_prime.mwc)
+    return SimpleGame._trusted(v.n_players, (c.mask for c in minimal))
 
 
 def simple_intersection(v: SimpleGame, v_prime: SimpleGame) -> SimpleGame:
     """Game winning where both games win; mwc = minimal pairwise unions of their mwcs."""
     _check_same_players(v, v_prime)
     candidates = {a | b for a in v.mwc for b in v_prime.mwc}
-    return SimpleGame(v.n_players, minimal_antichain(candidates))
+    minimal = minimal_antichain(candidates)
+    return SimpleGame._trusted(v.n_players, (c.mask for c in minimal))
 
 
 def simple_mergeable(v: SimpleGame, v_prime: SimpleGame) -> bool:

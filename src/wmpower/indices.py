@@ -54,58 +54,44 @@ def _efficient(kind: str, values) -> PowerIndexVector:
     return vector
 
 
-def _shapley_from_swings(game: Game) -> list[Fraction]:
-    n = game.n_players
-    fact = [math.factorial(k) for k in range(n + 1)]
-    values = []
-    for i in range(n):
-        sizes = Counter(m.bit_count() for m in swing_masks(game, i))
-        numerator = sum(
-            count * fact[size] * fact[n - size - 1] for size, count in sizes.items()
-        )
-        values.append(Fraction(numerator, fact[n]))
-    return values
-
-
-def _shapley_by_counting(game: WeightedMajorityGame) -> list[Fraction]:
-    # For each player, tally the other players' coalitions by (size, weight),
-    # saturating weights at the quota; swings are the tallies whose weight
-    # lies in [quota - own weight, quota).
+def _swing_tally(game: Game, method: str = "auto") -> list[Counter]:
+    # Per player i, a Counter c_i of |S| over i's swings S; SS and BZ read
+    # only this tally. Its backends are those of ``shapley_shubik``.
+    if method == "auto":
+        method = "counting" if isinstance(game, WeightedMajorityGame) else "swings"
+    if method == "swings":
+        return [
+            Counter(m.bit_count() for m in swing_masks(game, i))
+            for i in range(game.n_players)
+        ]
+    if method != "counting":
+        raise ValueError(f"unknown method {method!r}")
+    if not isinstance(game, WeightedMajorityGame):
+        raise WeightsRequired("the counting backend needs a weighted game")
+    # For each player, tally the other players' losing coalitions by (size,
+    # weight); a winning one never loses again as players join, so it is
+    # dropped. Swings are the tallies whose weight reaches quota - own weight.
     weights, quota, _ = game.integer_form
     n = len(weights)
-    fact = [math.factorial(k) for k in range(n + 1)]
-    values = []
-    for i in range(n):
-        own = weights[i]
+    result = []
+    for i, own in enumerate(weights):
+        sizes: Counter = Counter()
+        result.append(sizes)
         if own == 0:
-            values.append(Fraction(0))
             continue
         tallies: list[dict[int, int]] = [{} for _ in range(n)]
         tallies[0][0] = 1
-        filled = 0
-        for j in range(n):
-            if j == i:
-                continue
-            w = weights[j]
+        for filled, w in enumerate(weights[:i] + weights[i + 1 :]):
             for size in range(filled, -1, -1):
-                row = tallies[size]
                 nxt = tallies[size + 1]
-                for total, count in row.items():
-                    key = min(total + w, quota)
-                    nxt[key] = nxt.get(key, 0) + count
-            filled += 1
+                for total, count in tallies[size].items():
+                    grown = total + w
+                    if grown < quota:
+                        nxt[grown] = nxt.get(grown, 0) + count
         lo = quota - own
-        numerator = 0
-        for size in range(n):
-            swings_at_size = sum(
-                count
-                for total, count in tallies[size].items()
-                if lo <= total < quota
-            )
-            if swings_at_size:
-                numerator += swings_at_size * fact[size] * fact[n - size - 1]
-        values.append(Fraction(numerator, fact[n]))
-    return values
+        for size, row in enumerate(tallies):
+            sizes[size] = sum(c for total, c in row.items() if total >= lo)
+    return result
 
 
 def shapley_shubik(game: Game, method: str = "auto") -> PowerIndexVector:
@@ -116,29 +102,26 @@ def shapley_shubik(game: Game, method: str = "auto") -> PowerIndexVector:
     coalitions by size and weight and needs a weighted game, but scales to
     larger player counts. ``auto`` picks ``counting`` for weighted games.
     """
-    if method == "auto":
-        method = "counting" if isinstance(game, WeightedMajorityGame) else "swings"
-    if method == "swings":
-        values = _shapley_from_swings(game)
-    elif method == "counting":
-        if not isinstance(game, WeightedMajorityGame):
-            raise WeightsRequired("the counting backend needs a weighted game")
-        values = _shapley_by_counting(game)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return _efficient("SS", values)
+    n = game.n_players
+    fact = [math.factorial(k) for k in range(n + 1)]
+    return _efficient(
+        "SS",
+        (
+            Fraction(sum(c * fact[s] * fact[n - s - 1] for s, c in t.items()), fact[n])
+            for t in _swing_tally(game, method)
+        ),
+    )
 
 
 def banzhaf(game: Game, normalized: bool = True) -> PowerIndexVector:
     """Banzhaf index: swing counts over 2**(n-1), or normalized to sum 1."""
-    n = game.n_players
-    counts = [sum(1 for _ in swing_masks(game, i)) for i in range(n)]
+    counts = [t.total() for t in _swing_tally(game)]
     if normalized:
         # Never zero: the empty coalition loses and the grand coalition wins,
         # so some player swings.
         total = sum(counts)
         return _efficient("BZ", (Fraction(c, total) for c in counts))
-    denominator = 1 << (n - 1)
+    denominator = 1 << (game.n_players - 1)
     return PowerIndexVector("BZ", tuple(Fraction(c, denominator) for c in counts))
 
 
@@ -184,13 +167,14 @@ def _require_weights(game: Game, index_name: str) -> WeightedMajorityGame:
 
 def colomer_martinez(game: Game) -> PowerIndexVector:
     """Colomer-Martinez index: average over a player's mwcs of his weight share w_i/w_S."""
-    weighted = _require_weights(game, "colomer_martinez")
-    m, tallies = _mwc_tally(weighted, weighted.coalition_weight)
+    # On the integer form: scaling every weight keeps each ratio w_i/w(S).
+    weights, _, _ = _require_weights(game, "colomer_martinez").integer_form
+    m, tallies = _mwc_tally(game, lambda s: sum(weights[i] for i in s))
     return _efficient(
         "CM",
         (
-            w_i / m * sum((c / t for t, c in tally.items()), Fraction(0))
-            for w_i, tally in zip(weighted.weights, tallies)
+            Fraction(w_i, m) * sum((Fraction(c, t) for t, c in tally.items()), Fraction(0))
+            for w_i, tally in zip(weights, tallies)
         ),
     )
 

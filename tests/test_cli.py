@@ -107,6 +107,24 @@ class TestMwc:
         assert main(["mwc", "--game", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"quota": "1e999999", "weights": ["1"]}',
+            '{"quota": "3", "weights": ["1e5000", "1"]}',
+            '{"quota": 1' + "0" * 5000 + ', "weights": ["1"]}',
+            '{"quota": "1", "weights": ["1"], "metadata": {"label": {"x": [1, 2]}, "date": 5}}',
+        ],
+        ids=["huge-quota", "huge-weight", "huge-json-int", "non-string-metadata"],
+    )
+    def test_unprintable_or_mistyped_document_is_validation_failure(
+        self, tmp_path, capsys, text
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["mwc", "--game", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestMerge:
     def test_mergeable_pair_prints_union(self, tmp_path, capsys):

@@ -99,6 +99,18 @@ class TestParseGame:
         again = parse_game(doc.to_json())
         assert again == doc
 
+    def test_metadata_fields_must_be_strings(self):
+        for metadata in ({"label": {"x": [1, 2]}}, {"date": 5}):
+            with pytest.raises(ParseError, match="must be a string"):
+                parse_game(
+                    json.dumps({"quota": "1", "weights": ["1"], "metadata": metadata})
+                )
+
+    def test_unprintable_rationals_rejected(self):
+        for value in ("1e999999", "1e5000", 10**5000):
+            with pytest.raises(ParseError, match="too long to print"):
+                parse_rational(value)
+
     def test_load_game_file(self, tmp_path):
         path = tmp_path / "g.json"
         doc = ecuador_document("may21")

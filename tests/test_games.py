@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from strategies import rational_weighted_games, weighted_games
+from strategies import rational_weighted_games, simple_game_pairs, weighted_games
 from wmpower import (
     Coalition,
     SimpleGame,
@@ -405,3 +405,13 @@ def test_unanimity_game_has_single_mwc(game):
     induced = minimal_winning_coalitions(game)
     u = unanimity_game(game.n_players, induced.mwc[0])
     assert len(u.mwc) == 1
+
+
+@given(simple_game_pairs())
+@settings(max_examples=100, deadline=None)
+def test_union_and_intersection_match_validating_constructor(pair):
+    v, v_prime = pair
+    for combined in (simple_union(v, v_prime), simple_intersection(v, v_prime)):
+        validated = SimpleGame(v.n_players, tuple(reversed(combined.mwc)))
+        assert combined == validated
+        assert combined.mwc == validated.mwc

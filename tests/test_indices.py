@@ -320,3 +320,24 @@ def test_mwc_indices_match_definition(index, oracle, game):
 @given(game=simple_games())
 def test_mwc_indices_match_definition_on_simple_games(index, oracle, game):
     assert index(game).values == tuple(oracle(game))
+
+
+@settings(max_examples=60, deadline=None)
+@given(game=rational_weighted_games(max_players=7))
+def test_swing_indices_match_definition(game):
+    n = game.n_players
+    assert list(shapley_shubik(game).values) == oracles.shapley_by_permutations(game)
+    assert banzhaf(game, normalized=False).values == tuple(
+        F(len(oracles.brute_force_swings(game, i)), 1 << (n - 1)) for i in range(n)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(game=rational_weighted_games(max_players=7))
+def test_swing_counting_matches_walk_of_induced_simple_game(game):
+    induced = game.induced_simple_game
+    assert shapley_shubik(game).values == shapley_shubik(induced).values
+    assert (
+        banzhaf(game, normalized=False).values
+        == banzhaf(induced, normalized=False).values
+    )
