@@ -7,59 +7,46 @@ axioms with independence witnesses, and a small document/CLI layer with
 bundled parliamentary datasets.
 """
 
+from importlib import import_module
+
 from . import errors
-from .axioms import (
-    AxiomVerdict,
-    IndexFunction,
-    check_dpm,
-    check_dpmw,
-    check_eff,
-    check_hcmw,
-    check_np,
-    check_pgm,
-    check_sym,
-    check_symw,
-    check_tra,
-    witness_index,
-)
-from .coalitions import MAX_PLAYERS, Coalition, all_coalitions, as_coalition, minimal_antichain
-from .datasets import ECUADOR_PERIODS, ECUADOR_QUOTA, ecuador_document, ecuador_documents
-from .documents import GameDocument, format_rational, load_game, parse_game, parse_rational
-from .games import (
-    Game,
-    SimpleGame,
-    SwingSet,
-    WeightedMajorityGame,
-    are_symmetric,
-    is_null_player,
-    minimal_winning_coalitions,
-    simple_intersection,
-    simple_mergeable,
-    simple_union,
-    swings,
-    unanimity_game,
-)
-from .indices import (
-    INDEX_FUNCTIONS,
-    INDEX_LABELS,
-    PowerIndexVector,
-    banzhaf,
-    colomer_martinez,
-    deegan_packel,
-    hcm,
-    public_good,
-    shapley_shubik,
-)
-from .merging import (
-    MergeabilityReport,
-    check_wm_mergeability,
-    merged_game,
-    mwc_group_decomposition,
-    single_mwc_decomposition,
-    wm_union,
-)
-from .sampling import random_mergeable_family, random_weighted_game
-from .tables import decimal_string, render_table
+
+# The home module of each public name. A name is imported on first access
+# (PEP 562), so importing the package, or running one CLI command, loads
+# only the modules that are used.
+_HOMES = {
+    name: module
+    for module, names in {
+        "axioms": "AxiomVerdict IndexFunction check_dpm check_dpmw check_eff check_hcmw"
+        " check_np check_pgm check_sym check_symw check_tra witness_index",
+        "coalitions": "MAX_PLAYERS Coalition all_coalitions as_coalition minimal_antichain",
+        "datasets": "ECUADOR_PERIODS ECUADOR_QUOTA ecuador_document ecuador_documents",
+        "documents": "GameDocument format_rational load_game parse_game parse_rational",
+        "games": "Game SimpleGame SwingSet WeightedMajorityGame are_symmetric is_null_player"
+        " minimal_winning_coalitions simple_intersection simple_mergeable simple_union"
+        " swings unanimity_game",
+        "indices": "INDEX_FUNCTIONS INDEX_LABELS PowerIndexVector banzhaf colomer_martinez"
+        " deegan_packel hcm public_good shapley_shubik",
+        "merging": "MergeabilityReport check_wm_mergeability merged_game"
+        " mwc_group_decomposition single_mwc_decomposition wm_union",
+        "sampling": "random_mergeable_family random_weighted_game",
+        "tables": "decimal_string render_table",
+    }.items()
+    for name in names.split()
+}
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_HOMES[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOMES})
+
 
 __version__ = "0.1.0"
 

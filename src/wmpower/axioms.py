@@ -9,15 +9,15 @@ never a universal proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
 
 from .errors import NotMergeable, NotUnanimityLike, NotWMMergeable, UnknownKind
 from .games import (
     Game,
     SimpleGame,
     WeightedMajorityGame,
+    _Frozen,
     are_symmetric,
     is_null_player,
     minimal_winning_coalitions,
@@ -31,13 +31,15 @@ from .merging import check_wm_mergeability
 IndexFunction = Callable[[Game], PowerIndexVector]
 
 
-@dataclass(frozen=True)
-class AxiomVerdict:
+class AxiomVerdict(_Frozen):
     """Outcome of one axiom check; carries a counterexample iff it failed."""
 
-    axiom: str
-    holds: bool
-    witness: Mapping[str, object] | None = field(default=None)
+    _fields = ("axiom", "holds", "witness")
+
+    def __init__(
+        self, axiom: str, holds: bool, witness: Mapping[str, object] | None = None
+    ) -> None:
+        self._set(axiom, holds, witness)
 
 
 def _verdict(axiom: str, holds: bool, witness: dict | None = None) -> AxiomVerdict:

@@ -7,31 +7,43 @@ invalid game documents), 1 on internal errors.
 from __future__ import annotations
 
 import argparse
-import random
+import os
 import sys
 from fractions import Fraction
-from pathlib import Path
 
-from .axioms import (
-    check_dpm,
-    check_dpmw,
-    check_eff,
-    check_hcmw,
-    check_np,
-    check_pgm,
-    check_sym,
-    check_symw,
-    check_tra,
-)
+import wmpower
+
 from .datasets import ECUADOR_PERIODS, ecuador_document
 from .documents import GameDocument, load_game
 from .errors import GameError
 from .games import minimal_winning_coalitions, simple_mergeable
 from .indices import INDEX_FUNCTIONS
-from .merging import check_wm_mergeability, single_mwc_decomposition
-from .merging import wm_union  # noqa: F401 - bench/traced_cli.py spans this name
-from .sampling import random_weighted_game
 from .tables import render_table
+
+# Names that only merge and axioms use, imported on first use from their
+# home modules (through the package's lazy table). A name becomes a global
+# when first read as an attribute or bound by a handler; one already bound (a
+# wrapper installed from outside) stays, and the handlers call it. No handler
+# calls wm_union: bench/traced_cli.py spans that name.
+_LAZY = (
+    *(f"check_{a}" for a in ("eff", "np", "sym", "symw", "tra", "dpm", "pgm", "dpmw", "hcmw")),
+    "check_wm_mergeability",
+    "single_mwc_decomposition",
+    "wm_union",
+    "random_weighted_game",
+)
+
+
+def _bind(*names: str) -> None:
+    for name in names:
+        globals().setdefault(name, getattr(wmpower, name))
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(name)
+    return globals()[name]
 
 
 def _index_list(text: str) -> list[str]:
@@ -103,6 +115,7 @@ def cmd_mwc(args) -> int:
 
 
 def cmd_merge(args) -> int:
+    _bind("check_wm_mergeability")
     documents = [load_game(path) for path in args.games]
     games = [doc.game() for doc in documents]
     report = check_wm_mergeability(games)
@@ -133,13 +146,12 @@ def _builtin_fixture_games() -> list:
 
 
 def _load_games_dir(path: str) -> list:
-    directory = Path(path)
-    if not directory.is_dir():
+    if not os.path.isdir(path):
         raise GameError(f"{path!r} is not a directory of game documents")
-    files = sorted(directory.glob("*.json"))
+    files = sorted(name for name in os.listdir(path) if name.endswith(".json"))
     if not files:
         raise GameError(f"no *.json game documents found in {path!r}")
-    return [load_game(p).game() for p in files]
+    return [load_game(os.path.join(path, name)).game() for name in files]
 
 
 def _report_axiom(name: str, outcomes, unit: str) -> tuple[str, bool]:
@@ -199,12 +211,15 @@ def cmd_axioms(args) -> int:
             "the classic suite evaluates the index on simple games; "
             "cm and hcm need weights, use suite thm1 or thm2"
         )
+    _bind(*_LAZY)
     f = INDEX_FUNCTIONS[args.index]
     if args.games == "builtin":
         games = _builtin_fixture_games()
     else:
         games = _load_games_dir(args.games)
     if args.samples:
+        import random
+
         rng = random.Random(args.seed)
         games = games + [random_weighted_game(rng) for _ in range(args.samples)]
     print(f"index: {args.index}  suite: {args.suite}  games: {len(games)}")

@@ -7,7 +7,7 @@ are bit operations.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .errors import PlayerOutOfRange
 

@@ -9,12 +9,12 @@ the exact rational one half, while JSON floats are rejected.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import os
+import sys
 from fractions import Fraction
-from pathlib import Path
 
 from .errors import ParseError
-from .games import WeightedMajorityGame
+from .games import WeightedMajorityGame, _Frozen
 
 
 def parse_rational(value: "int | str") -> Fraction:
@@ -28,8 +28,10 @@ def parse_rational(value: "int | str") -> Fraction:
             f"floats are not accepted ({value!r}); write the value as a string"
         )
     elif isinstance(value, str):
+        text = value.strip()
+        _check_exponent(text)
         try:
-            rational = Fraction(value.strip())
+            rational = Fraction(text)
         except (ValueError, ZeroDivisionError) as err:
             raise ParseError(f"malformed rational {value!r}") from err
     else:
@@ -42,29 +44,38 @@ def parse_rational(value: "int | str") -> Fraction:
     return rational
 
 
+def _check_exponent(text: str) -> None:
+    # Fraction("1e20000000") spends ~30 s on a number that the printable check
+    # then refuses, so first refuse an exponent beyond the printable digits.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    try:
+        magnitude = abs(int(text.lower().partition("e")[2] or 0))
+    except ValueError:  # malformed or too long: Fraction refuses it at once
+        return
+    if limit and magnitude > limit:
+        raise ParseError(f"rational too long to print: {text!r} has an exponent over {limit}")
+
+
 def format_rational(value: Fraction) -> str:
     """Render a rational compactly: ``'3'`` for integers, else ``'p/q'``."""
     return str(value)
 
 
-@dataclass(frozen=True)
-class GameDocument:
+class GameDocument(_Frozen):
     """A named weighted majority game as it appears on disk."""
 
-    quota: Fraction
-    weights: tuple[Fraction, ...]
-    players: tuple[str, ...]
-    label: str | None = None
-    date: str | None = None
+    _fields = ("quota", "weights", "players", "label", "date")
 
-    def __post_init__(self) -> None:
-        if len(self.players) != len(self.weights):
-            raise ParseError(
-                f"{len(self.players)} player names for {len(self.weights)} weights"
-            )
+    def __init__(
+        self, quota: Fraction, weights: tuple[Fraction, ...], players: tuple[str, ...],
+        label: str | None = None, date: str | None = None,
+    ) -> None:
+        self._set(quota, weights, players, label, date)
+        if len(players) != len(weights):
+            raise ParseError(f"{len(players)} player names for {len(weights)} weights")
         # Build the game now, so construction errors (bad quota, negative
         # weight, ...) surface here, and later calls share its cached mwcs.
-        object.__setattr__(self, "_game", WeightedMajorityGame(self.quota, self.weights))
+        object.__setattr__(self, "_game", WeightedMajorityGame(quota, weights))
 
     def game(self) -> WeightedMajorityGame:
         """The validated game this document describes, built once."""
@@ -135,10 +146,11 @@ def parse_game(text: str) -> GameDocument:
     return GameDocument.from_json(text)
 
 
-def load_game(path: "str | Path") -> GameDocument:
+def load_game(path: str | os.PathLike[str]) -> GameDocument:
     """Load a document from a JSON file (UTF-8 text)."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
     except UnicodeDecodeError as err:
         raise ParseError(f"{path}: not UTF-8 ({err.reason} at byte {err.start})") from err
     return parse_game(text)

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Union
 
 from .coalitions import MAX_PLAYERS, Coalition, as_coalition, minimal_antichain
 from .errors import (
@@ -57,8 +56,43 @@ def _check_player(player: int, n_players: int) -> None:
         raise PlayerOutOfRange(f"player index {player} not within 0..{n_players - 1}")
 
 
-@dataclass(frozen=True)
-class SimpleGame:
+class _Frozen:
+    """Base of the immutable records: ``==``, hash and repr over ``_fields``.
+
+    ``__init__`` stores the fields once with ``_set``; then assignment and
+    deletion raise ``AttributeError`` (``cached_property`` writes to
+    ``__dict__`` directly). Not a dataclass: importing ``dataclasses`` took
+    about a tenth of each CLI run.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        self.__dict__.update(zip(self._fields, values, strict=True))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SimpleGame(_Frozen):
     """A monotone 0/1 game given by its antichain of minimal winning coalitions.
 
     The stored ``mwc`` tuple is canonical: duplicates removed, sorted by
@@ -66,29 +100,24 @@ class SimpleGame:
     antichains, contain the empty coalition, or reach outside 0..n-1.
     """
 
-    n_players: int
-    mwc: tuple[Coalition, ...]
+    _fields = ("n_players", "mwc")
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.n_players <= MAX_PLAYERS:
-            raise TooManyPlayers(
-                f"player count {self.n_players} outside 1..{MAX_PLAYERS}"
-            )
-        coalitions = sorted(
-            {as_coalition(c) for c in self.mwc}, key=lambda c: (len(c), c.mask)
-        )
+    def __init__(self, n_players: int, mwc: Iterable[Coalition]) -> None:
+        if not 1 <= n_players <= MAX_PLAYERS:
+            raise TooManyPlayers(f"player count {n_players} outside 1..{MAX_PLAYERS}")
+        coalitions = sorted({as_coalition(c) for c in mwc}, key=lambda c: (len(c), c.mask))
         if not coalitions:
             raise GameError("a simple game needs at least one minimal winning coalition")
         for c in coalitions:
             if not c:
                 raise EmptyCoalition("the empty coalition cannot be minimal winning")
-            _checked_mask(c, self.n_players)
+            _checked_mask(c, n_players)
         for a, b in itertools.combinations(coalitions, 2):
             if a.issubset(b) or b.issubset(a):
                 raise GameError(
                     f"minimal winning coalitions must form an antichain; {a} vs {b}"
                 )
-        object.__setattr__(self, "mwc", tuple(coalitions))
+        self._set(n_players, tuple(coalitions))
 
     @classmethod
     def _trusted(cls, n_players: int, masks: Iterable[int]) -> "SimpleGame":
@@ -96,8 +125,7 @@ class SimpleGame:
         # coalitions within 0..n-1: sort canonically, skip the O(m**2) checks.
         game = object.__new__(cls)
         ordered = sorted(masks, key=lambda m: (m.bit_count(), m))
-        object.__setattr__(game, "n_players", n_players)
-        object.__setattr__(game, "mwc", tuple(map(Coalition.from_mask, ordered)))
+        game._set(n_players, tuple(map(Coalition.from_mask, ordered)))
         return game
 
     def is_winning(self, coalition) -> bool:
@@ -111,22 +139,19 @@ class SimpleGame:
         return tuple(c for c in self.mwc if player in c)
 
 
-@dataclass(frozen=True)
-class WeightedMajorityGame:
+class WeightedMajorityGame(_Frozen):
     """Quota plus non-negative weights; a coalition wins iff its weight reaches the quota.
 
     Quota and weights are exact rationals. Construction enforces quota > 0,
     weights >= 0, and that the grand coalition wins.
     """
 
-    quota: Fraction
-    weights: tuple[Fraction, ...]
+    _fields = ("quota", "weights")
 
-    def __post_init__(self) -> None:
-        quota = exact(self.quota)
-        weights = tuple(exact(w) for w in self.weights)
-        object.__setattr__(self, "quota", quota)
-        object.__setattr__(self, "weights", weights)
+    def __init__(self, quota: Fraction | int | str, weights: Iterable) -> None:
+        quota = exact(quota)
+        weights = tuple(exact(w) for w in weights)
+        self._set(quota, weights)
         if quota <= 0:
             raise NonPositiveQuota(f"quota {quota} must be positive")
         if not weights:
@@ -136,12 +161,10 @@ class WeightedMajorityGame:
         for i, w in enumerate(weights):
             if w < 0:
                 raise NegativeWeight(f"weight of player {i} is negative ({w})")
-        scaled_weights, scaled_quota, scale = self.integer_form
+        scaled_weights, scaled_quota, _ = self.integer_form
         if sum(scaled_weights) < scaled_quota:
-            raise GrandCoalitionLoses(
-                f"total weight {Fraction(sum(scaled_weights), scale)} "
-                f"is below the quota {quota}"
-            )
+            # Not the total: a sum of printable weights may be too long to print.
+            raise GrandCoalitionLoses(f"the total weight is below the quota {quota}")
 
     @property
     def n_players(self) -> int:
@@ -179,15 +202,16 @@ class WeightedMajorityGame:
         return f"[{self.quota}; " + ", ".join(str(w) for w in self.weights) + "]"
 
 
-Game = Union[SimpleGame, WeightedMajorityGame]
+Game = SimpleGame | WeightedMajorityGame
 
 
-@dataclass(frozen=True)
-class SwingSet:
+class SwingSet(_Frozen):
     """All swings of one player: losing coalitions he turns winning by joining."""
 
-    player: int
-    swings: tuple[Coalition, ...]
+    _fields = ("player", "swings")
+
+    def __init__(self, player: int, swings: tuple[Coalition, ...]) -> None:
+        self._set(player, swings)
 
     def __len__(self) -> int:
         return len(self.swings)

@@ -14,23 +14,20 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from typing import Iterator
 
 from .errors import WeightsRequired
-from .games import Game, WeightedMajorityGame, minimal_winning_coalitions, swing_masks
+from .games import Game, WeightedMajorityGame, _Frozen, minimal_winning_coalitions, swing_masks
 
 
-@dataclass(frozen=True)
-class PowerIndexVector:
+class PowerIndexVector(_Frozen):
     """One exact rational power value per player, tagged with the index kind."""
 
-    kind: str
-    values: tuple[Fraction, ...]
+    _fields = ("kind", "values")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+    def __init__(self, kind: str, values: Iterable) -> None:
+        self._set(kind, tuple(Fraction(v) for v in values))
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.values)

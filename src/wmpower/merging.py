@@ -10,17 +10,15 @@ are exactly the disjoint union of the components'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .coalitions import Coalition
 from .errors import FewerThanTwoGames, GameError, NotWMMergeable, PlayerCountMismatch
-from .games import WeightedMajorityGame, mask_winning_test, minimal_winning_coalitions
+from .games import WeightedMajorityGame, _Frozen, mask_winning_test, minimal_winning_coalitions
 
 
-@dataclass(frozen=True)
-class MergeabilityReport:
+class MergeabilityReport(_Frozen):
     """Per-condition verdicts of the mergeability check.
 
     Counterexample data is populated only for failed conditions: offending
@@ -30,15 +28,23 @@ class MergeabilityReport:
     condition, and the union game itself, are always recorded.
     """
 
-    equal_quotas: bool
-    weight_compatible: bool
-    offending_players: tuple[int, ...]
-    losing_preserved: bool
-    losing_counterexample: Coalition | None
-    mwc_count_additive: bool
-    union_mwc_count: int
-    component_mwc_count: int
-    union: WeightedMajorityGame
+    _fields = (
+        "equal_quotas", "weight_compatible", "offending_players", "losing_preserved",
+        "losing_counterexample", "mwc_count_additive", "union_mwc_count",
+        "component_mwc_count", "union",
+    )
+
+    def __init__(
+        self, equal_quotas: bool, weight_compatible: bool, offending_players: tuple[int, ...],
+        losing_preserved: bool, losing_counterexample: Coalition | None,
+        mwc_count_additive: bool, union_mwc_count: int, component_mwc_count: int,
+        union: WeightedMajorityGame,
+    ) -> None:
+        self._set(
+            equal_quotas, weight_compatible, offending_players, losing_preserved,
+            losing_counterexample, mwc_count_additive, union_mwc_count,
+            component_mwc_count, union,
+        )
 
     @property
     def overall(self) -> bool:

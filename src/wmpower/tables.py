@@ -7,11 +7,10 @@ is presentation only, all computation upstream stays rational.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import GameError
 from .indices import PowerIndexVector
@@ -68,6 +67,8 @@ def render_csv(
     digits: int = 4,
     exact: bool = False,
 ) -> str:
+    import csv  # here, not at the top: only ``--format csv`` pays for it
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["index", *names])
@@ -115,4 +116,11 @@ def render_table(
         renderer = _RENDERERS[fmt]
     except KeyError:
         raise GameError(f"unknown format {fmt!r}; use table, csv, or json") from None
-    return renderer(vectors, names, digits=digits, exact=exact)
+    try:
+        return renderer(vectors, names, digits=digits, exact=exact)
+    except GameError:
+        raise
+    except ValueError as err:
+        # An integer past Python's printable digits (sys.get_int_max_str_digits),
+        # from an exact value or a large ``digits``: bad input, not a fault.
+        raise GameError(f"value too long to print: {err}") from err

@@ -1,9 +1,18 @@
 import json
+import math
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from wmpower import ecuador_document
 from wmpower.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_game(tmp_path, name, quota, weights, players=None):
@@ -13,6 +22,24 @@ def write_game(tmp_path, name, quota, weights, players=None):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+def reciprocal_weights():
+    # Four weights 1/r for odd 1500-digit r: each prints, but their total
+    # (a denominator of about 6000 digits) does not.
+    rng = random.Random(7)
+    return [Fraction(1, rng.randrange(10**1499, 10**1500) | 1) for _ in range(4)]
+
+
+def run_cli(*argv, timeout):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-m", "wmpower.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
 
 
 @pytest.fixture
@@ -85,6 +112,25 @@ class TestPower:
         ]
 
 
+    def test_unprintable_exact_values_are_validation_failure(self, tmp_path, capsys):
+        weights = reciprocal_weights()
+        total = sum(weights)
+        # Just below the total, so only the grand coalition wins and each CM
+        # value is w_i/total, which does not print exactly.
+        quota = Fraction(math.floor(total * 10**1510), 10**1510)
+        path = write_game(tmp_path, "recip.json", quota, weights)
+        assert main(["power", "--game", path, "--index", "cm"]) == 0
+        capsys.readouterr()
+        assert main(["power", "--game", path, "--index", "cm", "--exact"]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("error:")
+
+    def test_unprintable_digits_are_validation_failure(self, reference_game, capsys):
+        assert main(["power", "--game", reference_game, "--digits", "5000"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
 class TestMwc:
     def test_lists_coalitions_with_names(self, tmp_path, capsys):
         path = write_game(tmp_path, "g.json", 4, (3, 2, 1), ("A", "B", "C"))
@@ -124,6 +170,19 @@ class TestMwc:
         path.write_text(text)
         assert main(["mwc", "--game", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_unprintable_total_weight_is_validation_failure(self, tmp_path, capsys):
+        path = write_game(tmp_path, "recip.json", 10, reciprocal_weights())
+        assert main(["mwc", "--game", path]) == 2
+        assert capsys.readouterr().err.startswith("error: the total weight is below")
+
+    def test_huge_exponent_is_refused_at_once(self, tmp_path):
+        # Fraction("1e60000000") alone would run for minutes.
+        path = write_game(tmp_path, "exp.json", "1e60000000", (1,))
+        result = run_cli("mwc", "--game", path, timeout=10)
+        assert result.returncode == 2
+        assert not result.stdout
+        assert result.stderr.startswith("error:")
 
 
 class TestMerge:
