@@ -50,63 +50,4 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AxiomVerdict",
-    "Coalition",
-    "ECUADOR_PERIODS",
-    "ECUADOR_QUOTA",
-    "Game",
-    "GameDocument",
-    "INDEX_FUNCTIONS",
-    "INDEX_LABELS",
-    "IndexFunction",
-    "MAX_PLAYERS",
-    "MergeabilityReport",
-    "PowerIndexVector",
-    "SimpleGame",
-    "SwingSet",
-    "WeightedMajorityGame",
-    "all_coalitions",
-    "are_symmetric",
-    "as_coalition",
-    "banzhaf",
-    "check_dpm",
-    "check_dpmw",
-    "check_eff",
-    "check_hcmw",
-    "check_np",
-    "check_pgm",
-    "check_sym",
-    "check_symw",
-    "check_tra",
-    "check_wm_mergeability",
-    "colomer_martinez",
-    "decimal_string",
-    "deegan_packel",
-    "ecuador_document",
-    "ecuador_documents",
-    "errors",
-    "format_rational",
-    "hcm",
-    "is_null_player",
-    "load_game",
-    "merged_game",
-    "minimal_antichain",
-    "minimal_winning_coalitions",
-    "mwc_group_decomposition",
-    "parse_game",
-    "parse_rational",
-    "public_good",
-    "random_mergeable_family",
-    "random_weighted_game",
-    "render_table",
-    "shapley_shubik",
-    "simple_intersection",
-    "simple_mergeable",
-    "simple_union",
-    "single_mwc_decomposition",
-    "swings",
-    "unanimity_game",
-    "wm_union",
-    "witness_index",
-]
+__all__ = sorted([*_HOMES, "errors"])

@@ -44,10 +44,14 @@ def parse_rational(value: "int | str") -> Fraction:
     return rational
 
 
+def _print_limit() -> int:  # the most digits str() gives an int; 0: no limit
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def _check_exponent(text: str) -> None:
     # Fraction("1e20000000") spends ~30 s on a number that the printable check
     # then refuses, so first refuse an exponent beyond the printable digits.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    limit = _print_limit()
     try:
         magnitude = abs(int(text.lower().partition("e")[2] or 0))
     except ValueError:  # malformed or too long: Fraction refuses it at once
@@ -116,7 +120,7 @@ class GameDocument(_Frozen):
             players = tuple(players)
         else:
             raise ParseError("'players' must be a list of strings")
-        metadata = obj.get("metadata") or {}
+        metadata = {} if obj.get("metadata") is None else obj["metadata"]
         if not isinstance(metadata, dict):
             raise ParseError("'metadata' must be an object")
         for field in ("label", "date"):

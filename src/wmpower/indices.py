@@ -65,29 +65,27 @@ def _swing_tally(game: Game, method: str = "auto") -> list[Counter]:
         raise ValueError(f"unknown method {method!r}")
     if not isinstance(game, WeightedMajorityGame):
         raise WeightsRequired("the counting backend needs a weighted game")
-    # For each player, tally the other players' losing coalitions by (size,
-    # weight); a winning one never loses again as players join, so it is
-    # dropped. Swings are the tallies whose weight reaches quota - own weight.
+    # Tally all players' losing coalitions by (size, weight) once; a winning
+    # one never loses again as players join, so it is dropped.
     weights, quota, _ = game.integer_form
-    n = len(weights)
+    rows: list[dict[int, int]] = [{0: 1}] + [{} for _ in weights]
+    for filled, w in enumerate(weights):
+        for size in range(filled, -1, -1):
+            nxt = rows[size + 1]
+            for total, count in rows[size].items():
+                grown = total + w
+                if grown < quota:
+                    nxt[grown] = nxt.get(grown, 0) + count
     result = []
-    for i, own in enumerate(weights):
-        sizes: Counter = Counter()
+    for own in weights:
+        # Remove the player: its losing coalitions of size s are the size s - 1
+        # ones without it, plus it, so without[s][t] = rows[s][t] -
+        # without[s-1][t - own]. Its swings reach weight quota - own without it.
+        sizes, without = Counter(), {}
+        for size, row in enumerate(rows[:-1]):  # a swing has at most n - 1 players
+            without = {t: c - without.get(t - own, 0) for t, c in row.items()}
+            sizes[size] = sum(c for t, c in without.items() if t >= quota - own)
         result.append(sizes)
-        if own == 0:
-            continue
-        tallies: list[dict[int, int]] = [{} for _ in range(n)]
-        tallies[0][0] = 1
-        for filled, w in enumerate(weights[:i] + weights[i + 1 :]):
-            for size in range(filled, -1, -1):
-                nxt = tallies[size + 1]
-                for total, count in tallies[size].items():
-                    grown = total + w
-                    if grown < quota:
-                        nxt[grown] = nxt.get(grown, 0) + count
-        lo = quota - own
-        for size, row in enumerate(tallies):
-            sizes[size] = sum(c for total, c in row.items() if total >= lo)
     return result
 
 

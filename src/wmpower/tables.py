@@ -12,6 +12,7 @@ import json
 from collections.abc import Sequence
 from fractions import Fraction
 
+from .documents import _print_limit
 from .errors import GameError
 from .indices import PowerIndexVector
 
@@ -20,6 +21,10 @@ def decimal_string(value: Fraction, digits: int = 4) -> str:
     """Fixed-point decimal expansion of an exact rational, round-half-even."""
     if digits < 1:
         raise GameError(f"digits must be at least 1, got {digits}")
+    # More digits could not be printed; refuse them before the long division.
+    limit = _print_limit()
+    if limit and digits > limit:
+        raise GameError(f"digits must be at most {limit}, got {digits}")
     sign = "-" if value < 0 else ""
     magnitude = -value if value < 0 else value
     scale = 10**digits

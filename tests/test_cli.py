@@ -130,6 +130,16 @@ class TestPower:
         assert main(["power", "--game", reference_game, "--digits", "5000"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_huge_digits_are_refused_at_once(self, reference_game):
+        # The long division alone for 10**7 digits would run for seconds.
+        result = run_cli(
+            "power", "--game", reference_game, "--index", "pg", "--digits", "10000000",
+            timeout=5,
+        )
+        assert result.returncode == 2
+        assert not result.stdout
+        assert result.stderr.startswith("error: digits must be at most")
+
 
 class TestMwc:
     def test_lists_coalitions_with_names(self, tmp_path, capsys):

@@ -106,6 +106,16 @@ class TestParseGame:
                     json.dumps({"quota": "1", "weights": ["1"], "metadata": metadata})
                 )
 
+    def test_metadata_must_be_an_object_when_present(self):
+        for metadata in ([], 0, "", False, [1]):
+            with pytest.raises(ParseError, match="must be an object"):
+                parse_game(
+                    json.dumps({"quota": "1", "weights": ["1"], "metadata": metadata})
+                )
+        for obj in ({}, {"metadata": None}):
+            doc = parse_game(json.dumps({"quota": "1", "weights": ["1"], **obj}))
+            assert (doc.label, doc.date) == (None, None)
+
     def test_unprintable_rationals_rejected(self):
         for value in ("1e999999", "1e5000", 10**5000):
             with pytest.raises(ParseError, match="too long to print"):
@@ -182,6 +192,11 @@ class TestDecimalString:
     def test_digits_must_be_positive(self):
         with pytest.raises(GameError):
             decimal_string(F(1, 2), 0)
+
+    def test_digits_must_be_printable(self):
+        # Refused at once: the long division alone would run for seconds.
+        with pytest.raises(GameError, match="at most"):
+            decimal_string(F(1, 3), 10**7)
 
 
 class TestRenderTable:

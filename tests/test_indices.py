@@ -1,3 +1,4 @@
+import math
 import random
 import subprocess
 import sys
@@ -5,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -225,6 +226,7 @@ class TestHcm:
 
 
 @given(weighted_games(max_players=7))
+@example(wmg(5, 3, 0, 2, 2))  # a zero weight: null, so 0 under every index
 @settings(max_examples=40, deadline=None)
 def test_efficiency_and_null_player(game):
     raw = banzhaf(game, normalized=False)
@@ -322,8 +324,13 @@ def test_mwc_indices_match_definition_on_simple_games(index, oracle, game):
     assert index(game).values == tuple(oracle(game))
 
 
+# Examples: zero weights among rational ones; one player, then two, at or
+# above the quota next to lighter players.
 @settings(max_examples=60, deadline=None)
 @given(game=rational_weighted_games(max_players=7))
+@example(game=wmg("5/2", "3/2", 0, 1, "1/2", 0, "1/3"))
+@example(game=wmg(4, 5, 1, 0, 3))
+@example(game=wmg(2, 2, 3, 1))
 def test_swing_indices_match_definition(game):
     n = game.n_players
     assert list(shapley_shubik(game).values) == oracles.shapley_by_permutations(game)
@@ -334,6 +341,9 @@ def test_swing_indices_match_definition(game):
 
 @settings(max_examples=100, deadline=None)
 @given(game=rational_weighted_games(max_players=7))
+@example(game=wmg("5/2", "3/2", 0, 1, "1/2", 0, "1/3"))
+@example(game=wmg(4, 5, 1, 0, 3))
+@example(game=wmg(2, 2, 3, 1))
 def test_swing_counting_matches_walk_of_induced_simple_game(game):
     induced = game.induced_simple_game
     assert shapley_shubik(game).values == shapley_shubik(induced).values
@@ -341,3 +351,13 @@ def test_swing_counting_matches_walk_of_induced_simple_game(game):
         banzhaf(game, normalized=False).values
         == banzhaf(induced, normalized=False).values
     )
+
+
+@pytest.mark.parametrize("weight, k", [(1, 1), (3, 33), (F(5, 2), 50), (7, 64)])
+def test_equal_weights_at_64_players_match_closed_forms(weight, k):
+    # Quota k*w: a swing of i is k - 1 of the other 63 players.
+    game = WeightedMajorityGame(k * weight, (weight,) * 64)
+    assert shapley_shubik(game).values == (F(1, 64),) * 64
+    assert banzhaf(game, normalized=False).values == (
+        F(math.comb(63, k - 1), 1 << 63),
+    ) * 64
