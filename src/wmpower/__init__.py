@@ -25,8 +25,8 @@ _HOMES = {
         "games": "Game SimpleGame SwingSet WeightedMajorityGame are_symmetric is_null_player"
         " minimal_winning_coalitions simple_intersection simple_mergeable simple_union"
         " swings unanimity_game",
-        "indices": "INDEX_FUNCTIONS INDEX_LABELS PowerIndexVector banzhaf colomer_martinez"
-        " deegan_packel hcm public_good shapley_shubik",
+        "indices": "INDEX_FUNCTIONS PowerIndexVector banzhaf colomer_martinez deegan_packel"
+        " hcm public_good shapley_shubik",
         "merging": "MergeabilityReport check_wm_mergeability merged_game"
         " mwc_group_decomposition single_mwc_decomposition wm_union",
         "sampling": "random_mergeable_family random_weighted_game",

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 
-from .errors import NotMergeable, NotUnanimityLike, NotWMMergeable, UnknownKind
+from .errors import NotMergeable, NotUnanimityLike, UnknownKind
 from .games import (
     Game,
     SimpleGame,
@@ -26,7 +26,7 @@ from .games import (
     simple_union,
 )
 from .indices import PowerIndexVector, colomer_martinez, hcm
-from .merging import check_wm_mergeability
+from .merging import merged_game
 
 IndexFunction = Callable[[Game], PowerIndexVector]
 
@@ -54,10 +54,13 @@ def check_eff(f: IndexFunction, game: Game) -> AxiomVerdict:
 
 
 def check_np(f: IndexFunction, game: Game) -> AxiomVerdict:
-    """Null player: every player outside all minimal winning coalitions gets 0."""
+    """Null player: every player outside all minimal winning coalitions gets 0.
+
+    A player is asked whether it is null only when its value is not 0.
+    """
     vector = f(game)
     for i in range(game.n_players):
-        if is_null_player(game, i) and vector[i] != 0:
+        if vector[i] != 0 and is_null_player(game, i):
             return _verdict(
                 "NP", False, {"game": game, "player": i, "value": vector[i]}
             )
@@ -65,12 +68,16 @@ def check_np(f: IndexFunction, game: Game) -> AxiomVerdict:
 
 
 def check_sym(f: IndexFunction, game: Game) -> AxiomVerdict:
-    """Symmetry: interchangeable players receive equal power."""
+    """Symmetry: interchangeable players receive equal power.
+
+    A pair is asked whether it is symmetric only when its values differ, so
+    the 2**(n-2) walk of ``are_symmetric`` runs only on candidate witnesses.
+    """
     vector = f(game)
     n = game.n_players
     for i in range(n):
         for j in range(i + 1, n):
-            if are_symmetric(game, i, j) and vector[i] != vector[j]:
+            if vector[i] != vector[j] and are_symmetric(game, i, j):
                 return _verdict(
                     "SYM",
                     False,
@@ -137,8 +144,9 @@ def _membership_total(game: Game) -> int:
 
 def _weighted_membership_total(game: WeightedMajorityGame) -> Fraction:
     # sum over players of |M_i| * w_i, i.e. the total weight of all mwcs
+    weights, _, scale = game.integer_form
     mwcs = minimal_winning_coalitions(game).mwc
-    return sum(map(game.coalition_weight, mwcs), Fraction(0))
+    return Fraction(sum(weights[i] for c in mwcs for i in c), scale)
 
 
 def check_dpm(f: IndexFunction, v: SimpleGame, v_prime: SimpleGame) -> AxiomVerdict:
@@ -190,25 +198,18 @@ def check_symw(f: IndexFunction, game: WeightedMajorityGame) -> AxiomVerdict:
     return _verdict("SYMw", True)
 
 
-def _wm_mergeable_union(games: Sequence[WeightedMajorityGame]) -> WeightedMajorityGame:
-    report = check_wm_mergeability(games)
-    if not report.overall:
-        raise NotWMMergeable("the axiom is stated for WM-mergeable families", report)
-    return report.union
-
-
 def check_dpmw(
     f: IndexFunction, games: Sequence[WeightedMajorityGame]
 ) -> AxiomVerdict:
     """Weighted DP-mergeability: f(union) is the mwc-count weighted average."""
-    return _averaging_verdict("DPMw", f, _mwc_count, _wm_mergeable_union(games), games)
+    return _averaging_verdict("DPMw", f, _mwc_count, merged_game(games), games)
 
 
 def check_hcmw(
     f: IndexFunction, games: Sequence[WeightedMajorityGame]
 ) -> AxiomVerdict:
     """Weighted HCM-mergeability: f(union) is the sum-|M_i|w_i weighted average."""
-    union = _wm_mergeable_union(games)
+    union = merged_game(games)
     return _averaging_verdict("HCMw", f, _weighted_membership_total, union, games)
 
 

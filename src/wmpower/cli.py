@@ -9,14 +9,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 import wmpower
 
 from .datasets import ECUADOR_PERIODS, ecuador_document
 from .documents import GameDocument, load_game
 from .errors import GameError
-from .games import minimal_winning_coalitions, simple_mergeable
+from .games import WeightedMajorityGame, minimal_winning_coalitions, simple_mergeable
 from .indices import INDEX_FUNCTIONS
 from .tables import render_table
 
@@ -128,11 +127,7 @@ def cmd_merge(args) -> int:
 
 def _builtin_fixture_games() -> list:
     games = [
-        GameDocument(
-            quota=Fraction(q),
-            weights=tuple(Fraction(w) for w in weights),
-            players=tuple(f"P{k + 1}" for k in range(len(weights))),
-        ).game()
+        WeightedMajorityGame(q, weights)
         for q, weights in (
             (51, (50, 46, 4, 1)),
             (4, (2, 2, 1)),

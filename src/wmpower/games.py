@@ -308,7 +308,8 @@ def swings(game: Game, player: int) -> SwingSet:
 def is_null_player(game: Game, player: int) -> bool:
     """True iff the player belongs to no minimal winning coalition."""
     _check_player(player, game.n_players)
-    return not minimal_winning_coalitions(game).mwc_containing(player)
+    bit = 1 << player
+    return not any(c.mask & bit for c in minimal_winning_coalitions(game).mwc)
 
 
 def are_symmetric(game: Game, i: int, j: int) -> bool:

@@ -51,20 +51,15 @@ def _efficient(kind: str, values) -> PowerIndexVector:
     return vector
 
 
-def _swing_tally(game: Game, method: str = "auto") -> list[Counter]:
+def _swing_tally(game: Game) -> list[Counter]:
     # Per player i, a Counter c_i of |S| over i's swings S; SS and BZ read
-    # only this tally. Its backends are those of ``shapley_shubik``.
-    if method == "auto":
-        method = "counting" if isinstance(game, WeightedMajorityGame) else "swings"
-    if method == "swings":
+    # only this tally. A bare simple game walks each player's 2**(n-1)
+    # coalitions; a weighted game counts them by size and weight.
+    if not isinstance(game, WeightedMajorityGame):
         return [
             Counter(m.bit_count() for m in swing_masks(game, i))
             for i in range(game.n_players)
         ]
-    if method != "counting":
-        raise ValueError(f"unknown method {method!r}")
-    if not isinstance(game, WeightedMajorityGame):
-        raise WeightsRequired("the counting backend needs a weighted game")
     # Tally all players' losing coalitions by (size, weight) once; a winning
     # one never loses again as players join, so it is dropped.
     weights, quota, _ = game.integer_form
@@ -89,21 +84,15 @@ def _swing_tally(game: Game, method: str = "auto") -> list[Counter]:
     return result
 
 
-def shapley_shubik(game: Game, method: str = "auto") -> PowerIndexVector:
-    """Shapley-Shubik index: each swing S of player i contributes |S|!(n-|S|-1)!/n!.
-
-    Two exact backends are available: ``swings`` enumerates the 2**(n-1)
-    coalitions per player and works for any game; ``counting`` tallies
-    coalitions by size and weight and needs a weighted game, but scales to
-    larger player counts. ``auto`` picks ``counting`` for weighted games.
-    """
+def shapley_shubik(game: Game) -> PowerIndexVector:
+    """Shapley-Shubik index: each swing S of player i contributes |S|!(n-|S|-1)!/n!."""
     n = game.n_players
     fact = [math.factorial(k) for k in range(n + 1)]
     return _efficient(
         "SS",
         (
             Fraction(sum(c * fact[s] * fact[n - s - 1] for s, c in t.items()), fact[n])
-            for t in _swing_tally(game, method)
+            for t in _swing_tally(game)
         ),
     )
 
@@ -176,11 +165,12 @@ def colomer_martinez(game: Game) -> PowerIndexVector:
 
 def hcm(game: Game) -> PowerIndexVector:
     """HCM index: power proportional to (own mwc count) times (own weight)."""
-    weighted = _require_weights(game, "hcm")
-    _, tallies = _mwc_tally(weighted, len)
-    numerators = [t.total() * w for t, w in zip(tallies, weighted.weights)]
-    total = sum(numerators, Fraction(0))
-    return _efficient("HCM", (v / total for v in numerators))
+    # On the integer form, as in colomer_martinez: the scale cancels.
+    weights, _, _ = _require_weights(game, "hcm").integer_form
+    _, tallies = _mwc_tally(game, len)
+    numerators = [t.total() * w for t, w in zip(tallies, weights)]
+    total = sum(numerators)
+    return _efficient("HCM", (Fraction(v, total) for v in numerators))
 
 
 INDEX_FUNCTIONS = {
@@ -190,13 +180,4 @@ INDEX_FUNCTIONS = {
     "pg": public_good,
     "cm": colomer_martinez,
     "hcm": hcm,
-}
-
-INDEX_LABELS = {
-    "ss": "SS",
-    "bz": "BZ",
-    "dp": "DP",
-    "pg": "PG",
-    "cm": "CM",
-    "hcm": "HCM",
 }

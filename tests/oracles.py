@@ -73,6 +73,16 @@ def brute_force_swings(game: WeightedMajorityGame, player: int) -> set[frozenset
     return out
 
 
+def symmetric_by_definition(game: WeightedMajorityGame, i: int, j: int) -> bool:
+    """Adding i or adding j to any coalition of the other players wins alike."""
+    others = [k for k in range(game.n_players) if k not in (i, j)]
+    return all(
+        winning_by_definition(game, (*combo, i)) == winning_by_definition(game, (*combo, j))
+        for size in range(len(others) + 1)
+        for combo in itertools.combinations(others, size)
+    )
+
+
 def shapley_by_permutations(game: WeightedMajorityGame) -> list[Fraction]:
     """Walk every player order and credit the pivot (who first reaches the quota)."""
     scale = math.lcm(

@@ -303,8 +303,8 @@ def test_criterion_9_oracle_equivalence_within_time_budget():
     for _ in range(100):
         game = random_weighted_game(rng, max_players=8)
         expected = oracles.shapley_by_permutations(game)
-        assert list(shapley_shubik(game, method="swings").values) == expected
-        assert list(shapley_shubik(game, method="counting").values) == expected
+        assert list(shapley_shubik(game.induced_simple_game).values) == expected
+        assert list(shapley_shubik(game).values) == expected
 
     rng = random.Random(1982)
     for _ in range(60):

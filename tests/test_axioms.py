@@ -1,10 +1,12 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
-from strategies import simple_game_pairs, weighted_games
+import oracles
+from strategies import rational_weighted_games, simple_game_pairs, weighted_games
 from wmpower import (
     Coalition,
     SimpleGame,
@@ -369,3 +371,42 @@ def test_overview_conformance_per_game(game):
         assert check_eff(index_fn, game).holds
         assert check_np(index_fn, game).holds
         assert check_sym(index_fn, game).holds
+
+
+WITNESS_KINDS = ("scaled_cm", "scaled_hcm", "np_patch_cm", "np_patch_hcm", "symw_patch_hcm")
+SIX_INDICES = (shapley_shubik, banzhaf, deegan_packel, public_good, colomer_martinez, hcm)
+
+
+@given(rational_weighted_games(max_players=7))
+@example(GAME_221)  # the patch fixture: np_patch_* and symw_patch_hcm fail here
+@example(wmg(3, 2, 2, 1, 0, 0))  # zero weights: null, and symmetric to each other
+@settings(max_examples=40, deadline=None)
+def test_sym_and_np_match_predicate_first_reference(game):
+    # The reference asks the definitional predicate first, on every pair and
+    # player in order; the checks compare values first. Both must agree on
+    # the verdict and on the first witness.
+    n = game.n_players
+    mwcs = oracles.brute_force_mwcs(game)
+    nulls = [i for i in range(n) if not any(i in s for s in mwcs)]
+    for f in (*SIX_INDICES, *map(witness_index, WITNESS_KINDS)):
+        vector = f(game)
+        sym_witness = next(
+            (
+                {"game": game, "players": (i, j), "values": (vector[i], vector[j])}
+                for i, j in itertools.combinations(range(n), 2)
+                if oracles.symmetric_by_definition(game, i, j) and vector[i] != vector[j]
+            ),
+            None,
+        )
+        np_witness = next(
+            (
+                {"game": game, "player": i, "value": vector[i]}
+                for i in nulls
+                if vector[i] != 0
+            ),
+            None,
+        )
+        sym = check_sym(f, game)
+        np = check_np(f, game)
+        assert (sym.holds, sym.witness) == (sym_witness is None, sym_witness)
+        assert (np.holds, np.witness) == (np_witness is None, np_witness)

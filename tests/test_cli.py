@@ -266,6 +266,17 @@ class TestAxioms:
         out = capsys.readouterr().out
         assert "TRA   PASS" in out
 
+    def test_classic_suite_on_many_zero_weights_finishes(self, tmp_path):
+        # 21 zero-weight players: 210 symmetric pairs with equal SS values,
+        # each a 2**22 walk if symmetry were asked before the values.
+        write_game(tmp_path, "zeros.json", 3, (2, 2, 1) + (0,) * 21)
+        result = run_cli(
+            "axioms", "--index", "ss", "--suite", "classic", "--games", str(tmp_path),
+            timeout=10,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "SYM   PASS  1/1 games" in result.stdout
+
     def test_classic_suite_rejects_weight_only_indices(self, capsys):
         assert main(["axioms", "--index", "cm", "--suite", "classic"]) == 2
 

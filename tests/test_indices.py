@@ -106,15 +106,15 @@ class TestShapleyShubik:
                 continue
             game = WeightedMajorityGame(rng.randint(1, sum(weights)), weights)
             assert (
-                shapley_shubik(game, method="swings").values
-                == shapley_shubik(game, method="counting").values
+                shapley_shubik(game.induced_simple_game).values
+                == shapley_shubik(game).values
             )
 
     def test_backends_agree_on_rational_weights(self):
         game = wmg("5/2", "3/2", 1, "1/2", "1/3")
         assert (
-            shapley_shubik(game, method="swings").values
-            == shapley_shubik(game, method="counting").values
+            shapley_shubik(game.induced_simple_game).values
+            == shapley_shubik(game).values
         )
 
     def test_matches_permutation_walk(self):
@@ -122,14 +122,6 @@ class TestShapleyShubik:
             assert list(shapley_shubik(game).values) == oracles.shapley_by_permutations(
                 game
             )
-
-    def test_counting_needs_weights(self):
-        with pytest.raises(WeightsRequired):
-            shapley_shubik(unanimity_game(2, Coalition([0])), method="counting")
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            shapley_shubik(GAME_51, method="magic")
 
 
 class TestBanzhaf:
