@@ -70,8 +70,8 @@ def check_np(f: IndexFunction, game: Game) -> AxiomVerdict:
 def check_sym(f: IndexFunction, game: Game) -> AxiomVerdict:
     """Symmetry: interchangeable players receive equal power.
 
-    A pair is asked whether it is symmetric only when its values differ, so
-    the 2**(n-2) walk of ``are_symmetric`` runs only on candidate witnesses.
+    A pair is asked whether it is symmetric only when its values differ;
+    ``are_symmetric`` then reads the game's listed minimal winning coalitions.
     """
     vector = f(game)
     n = game.n_players

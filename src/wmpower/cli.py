@@ -7,6 +7,7 @@ invalid game documents), 1 on internal errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -207,7 +208,8 @@ def cmd_axioms(args) -> int:
             "cm and hcm need weights, use suite thm1 or thm2"
         )
     _bind(*_LAZY)
-    f = INDEX_FUNCTIONS[args.index]
+    # Each game's vector is computed once and shared by every axiom line.
+    f = functools.cache(INDEX_FUNCTIONS[args.index])
     if args.games == "builtin":
         games = _builtin_fixture_games()
     else:

@@ -128,6 +128,11 @@ class SimpleGame(_Frozen):
         game._set(n_players, tuple(map(Coalition.from_mask, ordered)))
         return game
 
+    @cached_property
+    def _masks(self) -> frozenset[int]:
+        # The mwc masks as a set; not a field, so equality ignores it.
+        return frozenset(c.mask for c in self.mwc)
+
     def is_winning(self, coalition) -> bool:
         """True iff the coalition contains some minimal winning coalition."""
         mask = _checked_mask(coalition, self.n_players)
@@ -206,7 +211,7 @@ Game = SimpleGame | WeightedMajorityGame
 
 
 class SwingSet(_Frozen):
-    """All swings of one player: losing coalitions he turns winning by joining."""
+    """All swings of one player: losing coalitions it turns winning by joining."""
 
     _fields = ("player", "swings")
 
@@ -264,7 +269,7 @@ def mask_winning_test(game: Game) -> Callable[[int], bool]:
             return _mask_weight(weights, mask) >= quota
 
     else:
-        mwc_masks = [c.mask for c in game.mwc]
+        mwc_masks = game._masks
 
         def win(mask: int) -> bool:
             return any(mask & m == m for m in mwc_masks)
@@ -279,24 +284,14 @@ def minimal_winning_coalitions(game: Game) -> SimpleGame:
     return game.induced_simple_game
 
 
-def _losing_submasks(win: Callable[[int], bool], rest: int) -> Iterator[int]:
-    # Every submask of rest that loses, from rest down to the empty mask.
-    sub = rest
-    while True:
-        if not win(sub):
-            yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & rest
-
-
 def swing_masks(game: Game, player: int) -> Iterator[int]:
     """Masks of the player's swings, in decreasing mask order."""
     _check_player(player, game.n_players)
     win = mask_winning_test(game)
     bit = 1 << player
-    rest = ((1 << game.n_players) - 1) ^ bit
-    return (sub for sub in _losing_submasks(win, rest) if win(sub | bit))
+    # k + (k & -bit) puts a 0 in k at the player's bit, keeping the order.
+    others = (k + (k & -bit) for k in reversed(range(1 << (game.n_players - 1))))
+    return (sub for sub in others if not win(sub) and win(sub | bit))
 
 
 def swings(game: Game, player: int) -> SwingSet:
@@ -313,15 +308,16 @@ def is_null_player(game: Game, player: int) -> bool:
 
 
 def are_symmetric(game: Game, i: int, j: int) -> bool:
-    """True iff i and j are interchangeable on every losing coalition excluding both."""
+    """True iff swapping i and j maps the minimal winning coalitions onto themselves."""
     _check_player(i, game.n_players)
     _check_player(j, game.n_players)
     if i == j:
         raise SamePlayer(f"symmetry needs two distinct players, got {i} twice")
-    win = mask_winning_test(game)
-    bi, bj = 1 << i, 1 << j
-    rest = ((1 << game.n_players) - 1) ^ bi ^ bj
-    return all(win(sub | bi) == win(sub | bj) for sub in _losing_submasks(win, rest))
+    # The game is monotone, so the swap keeps its winning coalitions iff it
+    # keeps their minimal ones: each mwc holding one of i, j swaps into M.
+    masks = minimal_winning_coalitions(game)._masks
+    pair = 1 << i | 1 << j
+    return all(m ^ pair in masks for m in masks if 0 < m & pair != pair)
 
 
 def unanimity_game(n_players: int, coalition) -> SimpleGame:

@@ -18,7 +18,8 @@ from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 from .errors import WeightsRequired
-from .games import Game, WeightedMajorityGame, _Frozen, minimal_winning_coalitions, swing_masks
+from .games import Game, WeightedMajorityGame, _Frozen, exact, minimal_winning_coalitions
+from .games import swing_masks
 
 
 class PowerIndexVector(_Frozen):
@@ -27,7 +28,7 @@ class PowerIndexVector(_Frozen):
     _fields = ("kind", "values")
 
     def __init__(self, kind: str, values: Iterable) -> None:
-        self._set(kind, tuple(Fraction(v) for v in values))
+        self._set(kind, tuple(map(exact, values)))
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.values)
@@ -150,7 +151,7 @@ def _require_weights(game: Game, index_name: str) -> WeightedMajorityGame:
 
 
 def colomer_martinez(game: Game) -> PowerIndexVector:
-    """Colomer-Martinez index: average over a player's mwcs of his weight share w_i/w_S."""
+    """Colomer-Martinez index: average over a player's mwcs of its weight share w_i/w_S."""
     # On the integer form: scaling every weight keeps each ratio w_i/w(S).
     weights, _, _ = _require_weights(game, "colomer_martinez").integer_form
     m, tallies = _mwc_tally(game, lambda s: sum(weights[i] for i in s))

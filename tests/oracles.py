@@ -73,11 +73,19 @@ def brute_force_swings(game: WeightedMajorityGame, player: int) -> set[frozenset
     return out
 
 
-def symmetric_by_definition(game: WeightedMajorityGame, i: int, j: int) -> bool:
+def _wins_by_definition(game, members) -> bool:
+    # A simple game wins on a superset of one of its mwcs; a weighted one
+    # on reaching its quota.
+    if isinstance(game, SimpleGame):
+        return any(set(c.members) <= set(members) for c in game.mwc)
+    return winning_by_definition(game, members)
+
+
+def symmetric_by_definition(game, i: int, j: int) -> bool:
     """Adding i or adding j to any coalition of the other players wins alike."""
     others = [k for k in range(game.n_players) if k not in (i, j)]
     return all(
-        winning_by_definition(game, (*combo, i)) == winning_by_definition(game, (*combo, j))
+        _wins_by_definition(game, (*combo, i)) == _wins_by_definition(game, (*combo, j))
         for size in range(len(others) + 1)
         for combo in itertools.combinations(others, size)
     )
@@ -138,7 +146,7 @@ def colomer_martinez_by_definition(game: WeightedMajorityGame) -> list[Fraction]
 
 
 def hcm_by_definition(game: WeightedMajorityGame) -> list[Fraction]:
-    """A player's number of mwcs times his weight, normalized to sum 1."""
+    """A player's number of mwcs times its weight, normalized to sum 1."""
     mwcs = brute_force_mwcs(game)
     products = [
         sum(1 for s in mwcs if i in s) * game.weights[i] for i in range(game.n_players)

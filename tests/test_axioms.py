@@ -9,6 +9,7 @@ import oracles
 from strategies import rational_weighted_games, simple_game_pairs, weighted_games
 from wmpower import (
     Coalition,
+    PowerIndexVector,
     SimpleGame,
     WeightedMajorityGame,
     banzhaf,
@@ -34,7 +35,7 @@ from wmpower import (
     single_mwc_decomposition,
     witness_index,
 )
-from wmpower.errors import NotMergeable, NotUnanimityLike, NotWMMergeable, UnknownKind
+from wmpower.errors import GameError, NotMergeable, NotUnanimityLike, NotWMMergeable, UnknownKind
 
 F = Fraction
 
@@ -68,6 +69,11 @@ class TestEff:
         verdict = check_eff(witness_index("scaled_cm"), GAME_51)
         assert not verdict.holds
         assert verdict.witness["total"] == 2
+
+    def test_float_values_are_refused_not_summed(self):
+        # 0.5 + 0.5 is exactly 1 in binary, so only a refusal keeps floats out.
+        with pytest.raises(GameError, match="float"):
+            check_eff(lambda game: PowerIndexVector("X", [0.5, 0.5]), GAME_51)
 
     def test_ss_is_efficient_on_random_games(self):
         rng = random.Random(5)

@@ -4,12 +4,13 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from wmpower import ecuador_document
+from wmpower import cli, ecuador_document
 from wmpower.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -231,6 +232,23 @@ class TestMerge:
 
 
 class TestAxioms:
+    @pytest.mark.parametrize(
+        ("index", "suite"), [("ss", "classic"), ("dp", "thm1"), ("hcm", "thm2")]
+    )
+    def test_index_evaluated_once_per_game(self, monkeypatch, capsys, index, suite):
+        calls = Counter()
+        base = cli.INDEX_FUNCTIONS[index]
+
+        def counting(game):
+            calls[game] += 1
+            return base(game)
+
+        monkeypatch.setitem(cli.INDEX_FUNCTIONS, index, counting)
+        argv = ["axioms", "--index", index, "--suite", suite, "--samples", "6", "--seed", "3"]
+        assert main(argv) == 0
+        assert "satisfied on this evidence" in capsys.readouterr().out
+        assert calls and set(calls.values()) == {1}
+
     def test_thm1_suite_for_cm(self, capsys):
         assert main(["axioms", "--index", "cm", "--suite", "thm1"]) == 0
         out = capsys.readouterr().out

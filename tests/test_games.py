@@ -1,11 +1,15 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from strategies import rational_weighted_games, simple_game_pairs, weighted_games
+from strategies import rational_weighted_games, simple_game_pairs, simple_games, weighted_games
 from wmpower import (
     Coalition,
     SimpleGame,
@@ -31,6 +35,7 @@ from wmpower.errors import (
     SamePlayer,
     TooManyPlayers,
 )
+from wmpower.games import swing_masks
 
 
 def game_51() -> WeightedMajorityGame:
@@ -258,6 +263,32 @@ class TestSymmetry:
         with pytest.raises(PlayerOutOfRange):
             are_symmetric(game_51(), 0, 17)
 
+    def test_listed_masks_stay_out_of_equality(self):
+        game = SimpleGame(3, [Coalition({0, 1}), Coalition({2})])
+        assert are_symmetric(game, 0, 1)
+        assert game == SimpleGame(3, [Coalition({2}), Coalition({0, 1})])
+        assert "_masks" not in repr(game)
+
+    def test_sixty_four_players_read_off_the_mwcs(self):
+        # 61 zero-weight players: a walk over the coalitions without the
+        # pair 3, 4 would visit 2**62 of them. Players 0, 1, 2 form a
+        # majority of three, so 0 and 2 are symmetric; 0 and 3 are not.
+        code = (
+            "from wmpower import WeightedMajorityGame, are_symmetric\n"
+            "game = WeightedMajorityGame(3, [2, 2, 1] + [0] * 61)\n"
+            "print(*(are_symmetric(game, i, j) for i, j in ((3, 4), (0, 2), (0, 3))))\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["True", "True", "False"]
+
 
 class TestUnanimity:
     def test_full_coalition(self):
@@ -415,3 +446,25 @@ def test_union_and_intersection_match_validating_constructor(pair):
         validated = SimpleGame(v.n_players, tuple(reversed(combined.mwc)))
         assert combined == validated
         assert combined.mwc == validated.mwc
+
+
+@given(st.one_of(rational_weighted_games(max_players=7), simple_games(max_players=7, max_mwcs=6)))
+@example(WeightedMajorityGame(3, (2, 2, 1, 0, 0)))
+@settings(max_examples=150, deadline=None)
+def test_symmetry_matches_definition(game):
+    n = game.n_players
+    for i in range(n):
+        for j in range(i + 1, n):
+            assert are_symmetric(game, i, j) == oracles.symmetric_by_definition(game, i, j)
+
+
+@given(rational_weighted_games(max_players=7))
+@settings(max_examples=40, deadline=None)
+def test_swings_match_definition_in_decreasing_mask_order(game):
+    induced = minimal_winning_coalitions(game)
+    for i in range(game.n_players):
+        masks = list(swing_masks(game, i))
+        assert masks == sorted(masks, reverse=True)
+        assert masks == list(swing_masks(induced, i))
+        expected = oracles.brute_force_swings(game, i)
+        assert {frozenset(Coalition.from_mask(m)) for m in masks} == expected

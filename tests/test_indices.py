@@ -28,7 +28,7 @@ from wmpower import (
     unanimity_game,
 )
 import wmpower
-from wmpower.errors import WeightsRequired
+from wmpower.errors import GameError, WeightsRequired
 
 F = Fraction
 
@@ -47,6 +47,14 @@ def test_power_index_vector_container():
     assert vector[0] == F(1, 2)
     assert list(vector) == [F(1, 2), F(1, 2)]
     assert vector.total == 1
+
+
+def test_power_index_vector_refuses_floats():
+    # Fraction(0.1) would keep the binary float's error: a total of
+    # 36028797018963969/36028797018963968, not 1.
+    with pytest.raises(GameError, match="float"):
+        PowerIndexVector("X", [0.1, 0.9])
+    assert PowerIndexVector("X", [1, "1/2", F(-1, 2)]).values == (1, F(1, 2), F(-1, 2))
 
 
 def test_efficiency_check_survives_optimize_flag():
