@@ -1,13 +1,13 @@
 """Command-line surface: power tables, mwc listings, merging, axiom suites, demos.
 
 Exit codes: 0 on success, 2 on validation failures (bad flags, malformed or
-invalid game documents), 1 on internal errors.
+invalid game documents), 1 on internal errors and when the reader of stdout
+closes the pipe early.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
 
@@ -16,21 +16,22 @@ import wmpower
 from .datasets import ECUADOR_PERIODS, ecuador_document
 from .documents import GameDocument, load_game
 from .errors import GameError
-from .games import WeightedMajorityGame, minimal_winning_coalitions, simple_mergeable
-from .indices import INDEX_FUNCTIONS
-from .tables import render_table
+from .games import minimal_winning_coalitions
 
-# Names that only merge and axioms use, imported on first use from their
-# home modules (through the package's lazy table). A name becomes a global
-# when first read as an attribute or bound by a handler; one already bound (a
-# wrapper installed from outside) stays, and the handlers call it. No handler
-# calls wm_union: bench/traced_cli.py spans that name.
+# Names imported on first use (through the package's lazy table), so that a
+# command compiles only the modules it runs. A name becomes a global when first
+# read as an attribute or bound by a handler; one already bound (a wrapper
+# installed from outside) stays, and the handlers call it. No handler calls
+# wm_union: bench/traced_cli.py spans that name.
 _LAZY = (
     *(f"check_{a}" for a in ("eff", "np", "sym", "symw", "tra", "dpm", "pgm", "dpmw", "hcmw")),
     "check_wm_mergeability",
     "single_mwc_decomposition",
+    "simple_mergeable",
     "wm_union",
     "random_weighted_game",
+    "INDEX_FUNCTIONS",
+    "render_table",
 )
 
 
@@ -47,6 +48,7 @@ def __getattr__(name: str):
 
 
 def _index_list(text: str) -> list[str]:
+    _bind("INDEX_FUNCTIONS")
     keys = [part.strip().lower() for part in text.split(",") if part.strip()]
     if not keys:
         raise argparse.ArgumentTypeError("no index names given")
@@ -81,8 +83,10 @@ def _int_at_least(low: int):
 
 
 def _render_vectors(document: GameDocument, args) -> str:
+    _bind("INDEX_FUNCTIONS", "render_table")
     game = document.game()
-    vectors = [INDEX_FUNCTIONS[key](game) for key in args.index]
+    # power's --index defaults to None: every index, in the table's order.
+    vectors = [INDEX_FUNCTIONS[key](game) for key in args.index or INDEX_FUNCTIONS]
     return render_table(
         vectors,
         document.players,
@@ -126,115 +130,18 @@ def cmd_merge(args) -> int:
     return 0
 
 
-def _builtin_fixture_games() -> list:
-    games = [
-        WeightedMajorityGame(q, weights)
-        for q, weights in (
-            (51, (50, 46, 4, 1)),
-            (4, (2, 2, 1)),
-            (4, (3, 2, 0)),
-            (4, (3, 0, 1)),
-            (4, (3, 2, 1)),
-        )
-    ]
-    games.extend(ecuador_document(period).game() for period in ECUADOR_PERIODS)
-    return games
-
-
-def _load_games_dir(path: str) -> list:
-    if not os.path.isdir(path):
-        raise GameError(f"{path!r} is not a directory of game documents")
-    files = sorted(name for name in os.listdir(path) if name.endswith(".json"))
-    if not files:
-        raise GameError(f"no *.json game documents found in {path!r}")
-    return [load_game(os.path.join(path, name)).game() for name in files]
-
-
-def _report_axiom(name: str, outcomes, unit: str) -> tuple[str, bool]:
-    total = len(outcomes)
-    failures = [(subject, verdict) for subject, verdict in outcomes if not verdict.holds]
-    passed = total - len(failures)
-    if not failures:
-        return f"{name:5s} PASS  {passed}/{total} {unit}", True
-    subject, _ = failures[0]
-    return (
-        f"{name:5s} FAIL  {passed}/{total} {unit}; first failure on {subject}",
-        False,
-    )
-
-
-def _report_each(name: str, check, f, games, unit: str) -> tuple[str, bool]:
-    return _report_axiom(name, [(str(g), check(f, g)) for g in games], unit)
-
-
-def _run_weighted_suite(f, axiom_name, pair_check, games) -> list[tuple[str, bool]]:
-    mwc_counts = [len(minimal_winning_coalitions(g).mwc) for g in games]
-    families = [single_mwc_decomposition(g) for g, m in zip(games, mwc_counts) if m >= 2]
-    single = [g for g, m in zip(games, mwc_counts) if m == 1]
-    single.extend(g for family in families for g in family)
-    family_outcomes = [
-        (" + ".join(str(g) for g in family), pair_check(f, family))
-        for family in families
-    ]
-    return [
-        _report_each("SYMw", check_symw, f, single, "single-mwc games"),
-        _report_axiom(axiom_name, family_outcomes, "families"),
-    ]
-
-
-def _run_classic_suite(f, games) -> list[tuple[str, bool]]:
-    lines = [_report_each("SYM", check_sym, f, games, "games")]
-    simple_games = [minimal_winning_coalitions(g) for g in games]
-    pairs = [
-        (a, b)
-        for k, a in enumerate(simple_games)
-        for b in simple_games[k + 1 :]
-        if a.n_players == b.n_players
-    ]
-    tra = [(f"pair {k}", check_tra(f, a, b)) for k, (a, b) in enumerate(pairs)]
-    lines.append(_report_axiom("TRA", tra, "pairs"))
-    mergeable_pairs = [(a, b) for a, b in pairs if simple_mergeable(a, b)]
-    dpm = [(f"pair {k}", check_dpm(f, a, b)) for k, (a, b) in enumerate(mergeable_pairs)]
-    pgm = [(f"pair {k}", check_pgm(f, a, b)) for k, (a, b) in enumerate(mergeable_pairs)]
-    lines.append(_report_axiom("DPM", dpm, "mergeable pairs"))
-    lines.append(_report_axiom("PGM", pgm, "mergeable pairs"))
-    return lines
-
-
 def cmd_axioms(args) -> int:
     if args.suite == "classic" and args.index in ("cm", "hcm"):
         raise GameError(
             "the classic suite evaluates the index on simple games; "
             "cm and hcm need weights, use suite thm1 or thm2"
         )
-    _bind(*_LAZY)
-    # Each game's vector is computed once and shared by every axiom line.
-    f = functools.cache(INDEX_FUNCTIONS[args.index])
-    if args.games == "builtin":
-        games = _builtin_fixture_games()
-    else:
-        games = _load_games_dir(args.games)
-    if args.samples:
-        import random
+    from ._suites import run_axioms
 
-        rng = random.Random(args.seed)
-        games = games + [random_weighted_game(rng) for _ in range(args.samples)]
-    print(f"index: {args.index}  suite: {args.suite}  games: {len(games)}")
-    lines = [
-        _report_each("EFF", check_eff, f, games, "games"),
-        _report_each("NP", check_np, f, games, "games"),
-    ]
-    if args.suite == "classic":
-        lines += _run_classic_suite(f, games)
-    else:
-        # Built per call, so a check replaced as a module attribute is the one run.
-        pair_axiom = {"thm1": ("DPMw", check_dpmw), "thm2": ("HCMw", check_hcmw)}
-        lines += _run_weighted_suite(f, *pair_axiom[args.suite], games)
-    for text, _ in lines:
-        print(text)
-    satisfied = [text.split()[0] for text, ok in lines if ok]
-    print(f"satisfied on this evidence: {', '.join(satisfied) if satisfied else 'none'}")
-    return 0
+    _bind("INDEX_FUNCTIONS")
+    # The runner calls wmpower through this module's attributes, so a
+    # replacement set on them is the one run.
+    return run_axioms(sys.modules[__name__], INDEX_FUNCTIONS[args.index], args)
 
 
 def cmd_demo(args) -> int:
@@ -263,7 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     power.add_argument(
         "--index",
         type=_index_list,
-        default=list(INDEX_FUNCTIONS),
         help="comma-separated index names (default: all)",
     )
     power.add_argument("--digits", type=_int_at_least(1), default=4)
@@ -320,10 +226,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except GameError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except BrokenPipeError:
+        # The reader of stdout went away (as with `| head`): stop quietly, and
+        # send what is still buffered to devnull so the exit flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except (GameError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception as err:  # noqa: BLE001 - last-resort guard for exit code 1

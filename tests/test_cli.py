@@ -87,9 +87,27 @@ class TestPower:
 
     def test_defaults_to_all_indices(self, reference_game, capsys):
         assert main(["power", "--game", reference_game]) == 0
-        out = capsys.readouterr().out
-        for label in ("SS", "BZ", "DP", "PG", "CM", "HCM"):
-            assert any(line.startswith(label + " ") for line in out.splitlines())
+        rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert list(cli.INDEX_FUNCTIONS) == ["ss", "bz", "dp", "pg", "cm", "hcm"]
+        assert rows == [key.upper() for key in cli.INDEX_FUNCTIONS]
+
+    def test_help_text(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc_info:
+            main(["power", "--help"])
+        assert exc_info.value.code == 0
+        assert capsys.readouterr().out == (
+            "usage: wmpower power [-h] --game GAME [--index INDEX] [--digits DIGITS]\n"
+            "                     [--exact] [--format {table,csv,json}]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --game GAME           game document (JSON)\n"
+            "  --index INDEX         comma-separated index names (default: all)\n"
+            "  --digits DIGITS\n"
+            "  --exact               also print exact p/q values\n"
+            "  --format {table,csv,json}\n"
+        )
 
     def test_missing_file_is_validation_failure(self, capsys):
         assert main(["power", "--game", "/does/not/exist.json"]) == 2
@@ -186,6 +204,21 @@ class TestMwc:
         path = write_game(tmp_path, "recip.json", 10, reciprocal_weights())
         assert main(["mwc", "--game", path]) == 2
         assert capsys.readouterr().err.startswith("error: the total weight is below")
+
+    def test_closed_pipe_ends_quietly_with_exit_1(self, tmp_path):
+        # 11,440 mwcs, about 0.5 MB: more than a pipe buffers, so the CLI is
+        # still writing when the reader closes its end.
+        game = write_game(tmp_path, "g.json", 9, [1] * 16)
+        with subprocess.Popen(
+            [sys.executable, "-m", "wmpower.cli", "mwc", "--game", game],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        ) as proc:
+            assert proc.stdout.readline().startswith(b"game [9; 1, 1,")
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 1
+            assert proc.stderr.read() == b""
 
     def test_huge_exponent_is_refused_at_once(self, tmp_path):
         # Fraction("1e60000000") alone would run for minutes.

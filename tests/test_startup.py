@@ -1,11 +1,14 @@
 """What a CLI process loads, and the package's lazily resolved names."""
 
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import wmpower
 from wmpower import cli
@@ -52,6 +55,63 @@ def test_power_mwc_and_demo_load_only_what_they_run(tmp_path):
     assert result.stdout.strip() == "[0, 0, 0] []"
 
 
+# Runs the CLI the way `python -m wmpower.cli` does, as __main__, and prints
+# its exit code and the wmpower modules loaded.
+RUN_AS_MAIN = """
+import io, runpy, sys
+stdout, sys.stdout = sys.stdout, io.StringIO()
+try:
+    runpy.run_module("wmpower.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exit:
+    code = exit.code
+sys.stdout = stdout
+print(code, *sorted(m for m in sys.modules if m.partition(".")[0] == "wmpower"))
+"""
+
+BASE = ("coalitions", "datasets", "documents", "errors", "games")
+RENDER = ("indices", "tables")
+SUITE = ("_suites", "axioms", "indices", "merging")
+
+
+@pytest.mark.parametrize(
+    "argv, code, modules",
+    [
+        (["power", "--game", "{game}"], 0, RENDER),
+        (["power", "--game", "{refused}"], 2, ()),
+        (["mwc", "--game", "{game}"], 0, ()),
+        (["mwc", "--game", "{refused}"], 2, ()),
+        (["merge", "{a}", "{b}"], 0, ("merging",)),
+        (["demo", "ecuador"], 0, RENDER),
+        (["axioms", "--index", "dp", "--suite", "thm1"], 0, SUITE),
+        (["axioms", "--index", "ss", "--suite", "classic", "--samples", "2"], 0, (*SUITE, "sampling")),
+    ],
+    ids=["power", "power-refused", "mwc", "mwc-refused", "merge", "demo", "axioms", "axioms-samples"],
+)
+def test_each_command_loads_exactly_its_modules(tmp_path, argv, code, modules):
+    paths = {}
+    for name, obj in (
+        ("game", {"quota": "51", "weights": ["50", "46", "4", "1"]}),
+        ("refused", {"quota": "51", "weights": ["50", "-46"]}),
+        ("a", {"quota": "4", "weights": ["3", "2", "0"]}),
+        ("b", {"quota": "4", "weights": ["3", "0", "1"]}),
+    ):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(obj))
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", RUN_AS_MAIN, *(arg.format(**paths) for arg in argv)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = result.stdout.split()
+    assert loaded[0] == str(code)
+    # Never wmpower.cli: importing it under `python -m` would run cli.py twice.
+    expected = {"wmpower", *(f"wmpower.{m}" for m in (*BASE, *modules))}
+    assert loaded[1:] == sorted(expected)
+
+
 def test_every_exported_name_resolves_to_its_home_module():
     assert set(wmpower.__all__) == {*wmpower._HOMES, "errors"}
     for name in wmpower.__all__:
@@ -61,25 +121,44 @@ def test_every_exported_name_resolves_to_its_home_module():
     assert set(wmpower.__all__) <= set(dir(wmpower))
 
 
+def traced_cli_names() -> set[str]:
+    """Every cli attribute that bench/traced_cli.py reads and replaces."""
+    path = SRC.parent / "bench" / "traced_cli.py"
+    spec = importlib.util.spec_from_file_location("traced_cli", path)
+    traced_cli = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced_cli)
+    return {*traced_cli.SPANS, "INDEX_FUNCTIONS", "check_wm_mergeability", "render_table"}
+
+
 def test_lazy_cli_names_are_attributes_and_replacements_are_called(
     tmp_path, monkeypatch, capsys
 ):
-    for name in cli._LAZY:
+    for name in {*cli._LAZY, *traced_cli_names()}:
         home = importlib.import_module(f"wmpower.{wmpower._HOMES[name]}")
-        assert getattr(cli, name) is getattr(home, name)
-    home_check = importlib.import_module("wmpower.merging").check_wm_mergeability
+        assert getattr(cli, name) is getattr(home, name), name
     calls = []
 
-    def traced(games):
-        calls.append(len(games))
-        return home_check(games)
+    def replace(name):
+        home = getattr(cli, name)
 
-    monkeypatch.setattr(cli, "check_wm_mergeability", traced)
+        def replacement(*args, **kwargs):
+            calls.append(name)
+            return home(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, replacement)
+
+    for name in ("check_wm_mergeability", "check_sym", "render_table"):
+        replace(name)
     paths = []
     for name, weights in (("a.json", ["3", "2", "0"]), ("b.json", ["3", "0", "1"])):
         path = tmp_path / name
         path.write_text(json.dumps({"quota": "4", "weights": weights}))
         paths.append(str(path))
     assert cli.main(["merge", *paths]) == 0
-    assert calls == [2]
+    assert calls == ["check_wm_mergeability"]
     assert "union: [4; 3, 2, 1]" in capsys.readouterr().out
+    assert cli.main(["axioms", "--index", "ss", "--suite", "classic"]) == 0
+    assert calls[1:] == ["check_sym"] * 11
+    assert cli.main(["power", "--game", paths[0]]) == 0
+    assert calls[12:] == ["render_table"]
+    assert capsys.readouterr().out.startswith("index: ss  suite: classic  games: 11\n")
