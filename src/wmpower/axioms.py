@@ -13,20 +13,11 @@ from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 
 from .errors import NotMergeable, NotUnanimityLike, UnknownKind
-from .games import (
-    Game,
-    SimpleGame,
-    WeightedMajorityGame,
-    _Frozen,
-    are_symmetric,
-    is_null_player,
-    minimal_winning_coalitions,
-    simple_intersection,
-    simple_mergeable,
-    simple_union,
-)
+from .games import Game, SimpleGame, WeightedMajorityGame, _Frozen, minimal_winning_coalitions
 from .indices import PowerIndexVector, colomer_martinez, hcm
 from .merging import merged_game
+from .simple import are_symmetric, is_null_player, simple_intersection, simple_mergeable
+from .simple import simple_union
 
 IndexFunction = Callable[[Game], PowerIndexVector]
 

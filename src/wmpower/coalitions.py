@@ -113,26 +113,3 @@ class Coalition:
 def as_coalition(value: "Coalition | Iterable[int]") -> Coalition:
     """Coerce an iterable of player indices to a Coalition (pass-through for Coalitions)."""
     return value if isinstance(value, Coalition) else Coalition(value)
-
-
-def all_coalitions(n_players: int) -> Iterator[Coalition]:
-    """All 2**n coalitions over players 0..n-1, in increasing mask order."""
-    if not 0 <= n_players <= MAX_PLAYERS:
-        raise PlayerOutOfRange(f"player count {n_players} outside 0..{MAX_PLAYERS}")
-    for mask in range(1 << n_players):
-        yield Coalition.from_mask(mask)
-
-
-def minimal_antichain(coalitions: Iterable[Coalition]) -> tuple[Coalition, ...]:
-    """Minimal elements of a family of coalitions, sorted by (cardinality, mask).
-
-    Duplicates collapse; a coalition survives iff no distinct member of the
-    family is a proper subset of it.
-    """
-    distinct = set(coalitions)
-    kept = [
-        c
-        for c in distinct
-        if not any(other != c and other.issubset(c) for other in distinct)
-    ]
-    return tuple(sorted(kept, key=lambda c: (len(c), c.mask)))

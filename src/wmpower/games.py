@@ -1,4 +1,4 @@
-"""Simple games and weighted majority games, with their structural predicates.
+"""Simple games and weighted majority games, and their mwc enumeration.
 
 A simple game is stored canonically as the antichain of its minimal winning
 coalitions, so games built by different routes compare equal exactly when
@@ -19,18 +19,9 @@ from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from functools import cached_property
 
-from .coalitions import MAX_PLAYERS, Coalition, as_coalition, minimal_antichain
-from .errors import (
-    EmptyCoalition,
-    GameError,
-    GrandCoalitionLoses,
-    NegativeWeight,
-    NonPositiveQuota,
-    PlayerCountMismatch,
-    PlayerOutOfRange,
-    SamePlayer,
-    TooManyPlayers,
-)
+from .coalitions import MAX_PLAYERS, Coalition, as_coalition
+from .errors import EmptyCoalition, GameError, GrandCoalitionLoses, NegativeWeight
+from .errors import NonPositiveQuota, PlayerOutOfRange, TooManyPlayers
 
 
 def exact(value: "Fraction | int | str") -> Fraction:
@@ -112,8 +103,9 @@ class SimpleGame(_Frozen):
             if not c:
                 raise EmptyCoalition("the empty coalition cannot be minimal winning")
             _checked_mask(c, n_players)
+        # Sorted by size: no coalition holds a later one.
         for a, b in itertools.combinations(coalitions, 2):
-            if a.issubset(b) or b.issubset(a):
+            if a.issubset(b):
                 raise GameError(
                     f"minimal winning coalitions must form an antichain; {a} vs {b}"
                 )
@@ -135,8 +127,7 @@ class SimpleGame(_Frozen):
 
     def is_winning(self, coalition) -> bool:
         """True iff the coalition contains some minimal winning coalition."""
-        mask = _checked_mask(coalition, self.n_players)
-        return any(m.mask & mask == m.mask for m in self.mwc)
+        return mask_winning_test(self)(_checked_mask(coalition, self.n_players))
 
     def mwc_containing(self, player: int) -> tuple[Coalition, ...]:
         """The minimal winning coalitions the player belongs to."""
@@ -194,8 +185,7 @@ class WeightedMajorityGame(_Frozen):
 
     def is_winning(self, coalition) -> bool:
         """True iff the coalition's weight is at least the quota (exact comparison)."""
-        weights, quota, _ = self.integer_form
-        return _mask_weight(weights, _checked_mask(coalition, self.n_players)) >= quota
+        return mask_winning_test(self)(_checked_mask(coalition, self.n_players))
 
     @cached_property
     def induced_simple_game(self) -> SimpleGame:
@@ -208,21 +198,6 @@ class WeightedMajorityGame(_Frozen):
 
 
 Game = SimpleGame | WeightedMajorityGame
-
-
-class SwingSet(_Frozen):
-    """All swings of one player: losing coalitions it turns winning by joining."""
-
-    _fields = ("player", "swings")
-
-    def __init__(self, player: int, swings: tuple[Coalition, ...]) -> None:
-        self._set(player, swings)
-
-    def __len__(self) -> int:
-        return len(self.swings)
-
-    def __iter__(self):
-        return iter(self.swings)
 
 
 def _mask_weight(weights: tuple[int, ...], mask: int) -> int:
@@ -292,69 +267,3 @@ def swing_masks(game: Game, player: int) -> Iterator[int]:
     # k + (k & -bit) puts a 0 in k at the player's bit, keeping the order.
     others = (k + (k & -bit) for k in reversed(range(1 << (game.n_players - 1))))
     return (sub for sub in others if not win(sub) and win(sub | bit))
-
-
-def swings(game: Game, player: int) -> SwingSet:
-    """Losing coalitions S (excluding the player) such that S plus the player wins."""
-    masks = sorted(swing_masks(game, player), key=lambda m: (m.bit_count(), m))
-    return SwingSet(player, tuple(map(Coalition.from_mask, masks)))
-
-
-def is_null_player(game: Game, player: int) -> bool:
-    """True iff the player belongs to no minimal winning coalition."""
-    _check_player(player, game.n_players)
-    bit = 1 << player
-    return not any(c.mask & bit for c in minimal_winning_coalitions(game).mwc)
-
-
-def are_symmetric(game: Game, i: int, j: int) -> bool:
-    """True iff swapping i and j maps the minimal winning coalitions onto themselves."""
-    _check_player(i, game.n_players)
-    _check_player(j, game.n_players)
-    if i == j:
-        raise SamePlayer(f"symmetry needs two distinct players, got {i} twice")
-    # The game is monotone, so the swap keeps its winning coalitions iff it
-    # keeps their minimal ones: each mwc holding one of i, j swaps into M.
-    masks = minimal_winning_coalitions(game)._masks
-    pair = 1 << i | 1 << j
-    return all(m ^ pair in masks for m in masks if 0 < m & pair != pair)
-
-
-def unanimity_game(n_players: int, coalition) -> SimpleGame:
-    """The simple game whose only minimal winning coalition is the given one."""
-    c = as_coalition(coalition)
-    if not c:
-        raise EmptyCoalition("a unanimity game needs a non-empty coalition")
-    return SimpleGame(n_players, (c,))
-
-
-def _check_same_players(v: SimpleGame, v_prime: SimpleGame) -> None:
-    if v.n_players != v_prime.n_players:
-        raise PlayerCountMismatch(
-            f"player counts differ: {v.n_players} vs {v_prime.n_players}"
-        )
-
-
-def simple_union(v: SimpleGame, v_prime: SimpleGame) -> SimpleGame:
-    """Game winning where either game wins; mwc = minimal elements of both antichains."""
-    _check_same_players(v, v_prime)
-    minimal = minimal_antichain(v.mwc + v_prime.mwc)
-    return SimpleGame._trusted(v.n_players, (c.mask for c in minimal))
-
-
-def simple_intersection(v: SimpleGame, v_prime: SimpleGame) -> SimpleGame:
-    """Game winning where both games win; mwc = minimal pairwise unions of their mwcs."""
-    _check_same_players(v, v_prime)
-    candidates = {a | b for a in v.mwc for b in v_prime.mwc}
-    minimal = minimal_antichain(candidates)
-    return SimpleGame._trusted(v.n_players, (c.mask for c in minimal))
-
-
-def simple_mergeable(v: SimpleGame, v_prime: SimpleGame) -> bool:
-    """True iff no minimal winning coalition of one game contains one of the other."""
-    _check_same_players(v, v_prime)
-    return all(
-        not a.issubset(b) and not b.issubset(a)
-        for a in v.mwc
-        for b in v_prime.mwc
-    )

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 
 from .games import WeightedMajorityGame, minimal_winning_coalitions
-from .merging import single_mwc_decomposition
+from .decompositions import single_mwc_decomposition
 
 
 def random_weighted_game(

@@ -45,6 +45,18 @@ def brute_force_mwcs(game: WeightedMajorityGame) -> set[frozenset[int]]:
     return minimal
 
 
+def minimal_by_definition(family) -> set[frozenset[int]]:
+    """The members of a family of sets that no other distinct member is a subset of."""
+    distinct = set(family)
+    return {c for c in distinct if not any(o != c and o.issubset(c) for o in distinct)}
+
+
+def mergeable_by_definition(v: SimpleGame, v_prime: SimpleGame) -> bool:
+    """No mwc of one simple game is a subset of an mwc of the other."""
+    mwcs, mwcs_prime = ([frozenset(c) for c in g.mwc] for g in (v, v_prime))
+    return all(not a.issubset(b) and not b.issubset(a) for a in mwcs for b in mwcs_prime)
+
+
 def brute_force_losing_counterexamples(games) -> set[frozenset[int]]:
     """Proper coalitions losing in every game that win under min quota and max weights."""
     n = games[0].n_players

@@ -1,7 +1,8 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import oracles
 from wmpower import Coalition, all_coalitions, as_coalition, minimal_antichain
 from wmpower.errors import PlayerOutOfRange
 
@@ -97,6 +98,30 @@ def test_minimal_antichain_sorted_by_size_then_mask():
         Coalition([0, 1]),
         Coalition([1, 2]),
     )
+
+
+@st.composite
+def families(draw):
+    """Lists of sets over at most 5 players: duplicates, nested sets and equal sizes abound."""
+    n = draw(st.integers(1, 5))
+    return draw(st.lists(st.frozensets(st.integers(0, n - 1)), max_size=12))
+
+
+def sets(*members):
+    return [frozenset(m) for m in members]
+
+
+@given(families())
+@example([])
+@example(sets({0, 1}, {0, 1}, {2}, {2}))  # duplicates
+@example(sets({0, 1, 2}, {1, 2}, {2}, {0, 1, 2, 3}))  # a chain
+@example(sets({0, 1}, {2}, {0, 2}, {1, 3}))  # mask order is not size order
+def test_minimal_antichain_matches_definition(family):
+    minimal = minimal_antichain(Coalition(s) for s in family)
+    expected = sorted(
+        oracles.minimal_by_definition(family), key=lambda s: (len(s), sum(1 << i for i in s))
+    )
+    assert [frozenset(c) for c in minimal] == expected
 
 
 players_sets = st.sets(st.integers(0, 63), max_size=10)

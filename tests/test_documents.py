@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from strategies import rational_weighted_games
 from wmpower import (
     ECUADOR_PERIODS,
     GameDocument,
@@ -17,6 +22,7 @@ from wmpower import (
     parse_rational,
     render_table,
 )
+from wmpower.cli import main
 from wmpower.errors import GameError, NonPositiveQuota, ParseError
 
 F = Fraction
@@ -248,3 +254,49 @@ class TestRenderTable:
     def test_unknown_format(self):
         with pytest.raises(GameError):
             render_table(self.VECTORS, self.NAMES, fmt="xml")
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+# Weights a document may hold, some negative or with a zero denominator.
+rationals = st.one_of(
+    st.integers(-2, 20),
+    st.builds("{}/{}".format, st.integers(-2, 20), st.integers(0, 12)),
+    st.builds("{}e{}".format, st.integers(0, 9), st.integers(-3, 3)),
+)
+documents = st.fixed_dictionaries(
+    {"quota": rationals | json_values, "weights": st.lists(rationals, max_size=6)},
+    optional={
+        "players": st.lists(st.text(max_size=4), max_size=6) | json_values,
+        "metadata": st.fixed_dictionaries(
+            {}, optional={"label": json_values, "date": json_values}
+        )
+        | json_values,
+    },
+)
+# Valid documents, so that the listing runs too.
+games = st.builds(
+    lambda g: {"quota": str(g.quota), "weights": [str(w) for w in g.weights]},
+    rational_weighted_games(max_players=6),
+)
+
+
+@given(st.one_of(json_values, documents, games))
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_any_json_is_a_document_or_a_game_error(tmp_path, obj):
+    try:
+        GameDocument.from_json_obj(obj)
+    except GameError:
+        pass
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(obj))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["mwc", "--game", str(path)])
+    assert code in (0, 2), err.getvalue()

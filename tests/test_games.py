@@ -448,6 +448,20 @@ def test_union_and_intersection_match_validating_constructor(pair):
         assert combined.mwc == validated.mwc
 
 
+@given(simple_game_pairs())
+@example((SimpleGame(3, [[0, 1]]), SimpleGame(3, [[2]])))  # mergeable
+@example((SimpleGame(3, [[0, 1]]), SimpleGame(3, [[0, 1, 2]])))  # nested
+@settings(max_examples=100, deadline=None)
+def test_union_intersection_and_mergeability_match_definitions(pair):
+    v, v_prime = pair
+    mwcs, mwcs_prime = ([frozenset(c) for c in g.mwc] for g in pair)
+    union = oracles.minimal_by_definition(mwcs + mwcs_prime)
+    meet = oracles.minimal_by_definition(a | b for a in mwcs for b in mwcs_prime)
+    assert {frozenset(c) for c in simple_union(v, v_prime).mwc} == union
+    assert {frozenset(c) for c in simple_intersection(v, v_prime).mwc} == meet
+    assert simple_mergeable(v, v_prime) == oracles.mergeable_by_definition(v, v_prime)
+
+
 @given(st.one_of(rational_weighted_games(max_players=7), simple_games(max_players=7, max_mwcs=6)))
 @example(WeightedMajorityGame(3, (2, 2, 1, 0, 0)))
 @settings(max_examples=150, deadline=None)

@@ -70,7 +70,7 @@ print(code, *sorted(m for m in sys.modules if m.partition(".")[0] == "wmpower"))
 
 BASE = ("coalitions", "datasets", "documents", "errors", "games")
 RENDER = ("indices", "tables")
-SUITE = ("_suites", "axioms", "indices", "merging")
+SUITE = ("_suites", "axioms", "indices", "merging", "simple")
 
 
 @pytest.mark.parametrize(
@@ -82,8 +82,12 @@ SUITE = ("_suites", "axioms", "indices", "merging")
         (["mwc", "--game", "{refused}"], 2, ()),
         (["merge", "{a}", "{b}"], 0, ("merging",)),
         (["demo", "ecuador"], 0, RENDER),
-        (["axioms", "--index", "dp", "--suite", "thm1"], 0, SUITE),
-        (["axioms", "--index", "ss", "--suite", "classic", "--samples", "2"], 0, (*SUITE, "sampling")),
+        (["axioms", "--index", "dp", "--suite", "thm1"], 0, (*SUITE, "decompositions")),
+        (
+            ["axioms", "--index", "ss", "--suite", "classic", "--samples", "2"],
+            0,
+            (*SUITE, "decompositions", "sampling"),
+        ),
     ],
     ids=["power", "power-refused", "mwc", "mwc-refused", "merge", "demo", "axioms", "axioms-samples"],
 )
