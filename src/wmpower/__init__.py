@@ -28,7 +28,7 @@ _HOMES = {
         " hcm public_good shapley_shubik",
         "merging": "MergeabilityReport check_wm_mergeability merged_game wm_union",
         "sampling": "random_mergeable_family random_weighted_game",
-        "simple": "SwingSet all_coalitions are_symmetric is_null_player minimal_antichain"
+        "simple": "SwingSet are_symmetric is_null_player minimal_antichain"
         " simple_intersection simple_mergeable simple_union swings unanimity_game",
         "tables": "decimal_string render_table",
     }.items()

@@ -56,7 +56,7 @@ def _report_each(name: str, check, f, games, unit: str) -> tuple[str, bool]:
 
 
 def _run_weighted_suite(cli, f, axiom_name, pair_check, games) -> list[tuple[str, bool]]:
-    mwc_counts = [len(minimal_winning_coalitions(g).mwc) for g in games]
+    mwc_counts = [len(minimal_winning_coalitions(g).masks) for g in games]
     families = [cli.single_mwc_decomposition(g) for g, m in zip(games, mwc_counts) if m >= 2]
     single = [g for g, m in zip(games, mwc_counts) if m == 1]
     single.extend(g for family in families for g in family)

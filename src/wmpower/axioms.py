@@ -13,7 +13,8 @@ from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 
 from .errors import NotMergeable, NotUnanimityLike, UnknownKind
-from .games import Game, SimpleGame, WeightedMajorityGame, _Frozen, minimal_winning_coalitions
+from .games import Game, SimpleGame, WeightedMajorityGame, _Frozen, _mask_weight
+from .games import minimal_winning_coalitions
 from .indices import PowerIndexVector, colomer_martinez, hcm
 from .merging import merged_game
 from .simple import are_symmetric, is_null_player, simple_intersection, simple_mergeable
@@ -125,19 +126,19 @@ def _averaging_verdict(
 
 
 def _mwc_count(game: Game) -> int:
-    return len(minimal_winning_coalitions(game).mwc)
+    return len(minimal_winning_coalitions(game).masks)
 
 
 def _membership_total(game: Game) -> int:
     # sum over players of |M_i|, i.e. the total size of all mwcs
-    return sum(len(c) for c in minimal_winning_coalitions(game).mwc)
+    return sum(m.bit_count() for m in minimal_winning_coalitions(game).masks)
 
 
 def _weighted_membership_total(game: WeightedMajorityGame) -> Fraction:
     # sum over players of |M_i| * w_i, i.e. the total weight of all mwcs
     weights, _, scale = game.integer_form
-    mwcs = minimal_winning_coalitions(game).mwc
-    return Fraction(sum(weights[i] for c in mwcs for i in c), scale)
+    masks = minimal_winning_coalitions(game).masks
+    return Fraction(sum(_mask_weight(weights, m) for m in masks), scale)
 
 
 def check_dpm(f: IndexFunction, v: SimpleGame, v_prime: SimpleGame) -> AxiomVerdict:
@@ -161,13 +162,13 @@ def check_symw(f: IndexFunction, game: WeightedMajorityGame) -> AxiomVerdict:
     member pairs with f_j != 0, so no division is needed; pairs whose
     reference value and weight are both zero are vacuous.
     """
-    induced = minimal_winning_coalitions(game)
-    if len(induced.mwc) != 1:
+    masks = minimal_winning_coalitions(game).masks
+    if len(masks) != 1:
         raise NotUnanimityLike(
             f"weighted symmetry needs exactly one minimal winning coalition, "
-            f"got {len(induced.mwc)}"
+            f"got {len(masks)}"
         )
-    members = induced.mwc[0].members
+    members = [i for i in range(game.n_players) if masks[0] >> i & 1]
     vector = f(game)
     for j in members:
         if vector[j] == 0:

@@ -96,8 +96,26 @@ def _render_vectors(document: GameDocument, args) -> str:
     )
 
 
-def _format_coalition(coalition, names) -> str:
-    return "{" + ", ".join(names[i] for i in coalition) + "}"
+def _mwc_line(names):
+    """A function from an mwc mask to its line ``  {name, ...}``, in player order."""
+    # For each 8-player chunk, the names of its members, indexed by its bits.
+    chunks = [names[low : low + 8] for low in range(0, len(names), 8)]
+    tables = [
+        [
+            tuple(name for k, name in enumerate(chunk) if bits >> k & 1)
+            for bits in range(1 << len(chunk))
+        ]
+        for chunk in chunks
+    ]
+
+    def line(mask: int) -> str:
+        members: list[str] = []
+        for table in tables:
+            members += table[mask & 255]
+            mask >>= 8
+        return "  {" + ", ".join(members) + "}\n"
+
+    return line
 
 
 def cmd_power(args) -> int:
@@ -109,12 +127,13 @@ def cmd_power(args) -> int:
 def cmd_mwc(args) -> int:
     document = load_game(args.game)
     game = document.game()
-    induced = minimal_winning_coalitions(game)
+    masks = minimal_winning_coalitions(game).masks
     print(f"{document.label or 'game'} {game}")
-    plural = "s" if len(induced.mwc) != 1 else ""
-    print(f"{len(induced.mwc)} minimal winning coalition{plural}:")
-    for coalition in induced.mwc:
-        print(f"  {_format_coalition(coalition, document.players)}")
+    plural = "s" if len(masks) != 1 else ""
+    print(f"{len(masks)} minimal winning coalition{plural}:")
+    line = _mwc_line(document.players)
+    for start in range(0, len(masks), 4096):
+        sys.stdout.write("".join(map(line, masks[start : start + 4096])))
     return 0
 
 
@@ -150,9 +169,9 @@ def cmd_demo(args) -> int:
     for period in periods:
         document = ecuador_document(period)
         game = document.game()
-        induced = minimal_winning_coalitions(game)
+        masks = minimal_winning_coalitions(game).masks
         header = f"{document.label}  {game}"
-        count = f"minimal winning coalitions: {len(induced.mwc)}"
+        count = f"minimal winning coalitions: {len(masks)}"
         blocks.append("\n".join([header, count, _render_vectors(document, args)]))
     print("\n\n".join(blocks))
     return 0

@@ -1,8 +1,9 @@
 """Coalitions of players stored as fixed-width bit sets.
 
 Players are identified by indices 0..n-1 for an ambient player count n.
-A coalition is a single machine word, so set operations and subset tests
-are bit operations.
+A coalition is a single machine word, so membership and subset tests are
+bit operations. The library works on the bare int masks, and builds a
+``Coalition`` only where a caller sees one.
 """
 
 from __future__ import annotations
@@ -45,41 +46,8 @@ class Coalition:
     def members(self) -> tuple[int, ...]:
         return tuple(self)
 
-    def cardinality(self) -> int:
-        return self._mask.bit_count()
-
     def issubset(self, other: "Coalition") -> bool:
         return self._mask & other._mask == self._mask
-
-    def issuperset(self, other: "Coalition") -> bool:
-        return other.issubset(self)
-
-    def union(self, other: "Coalition") -> "Coalition":
-        return Coalition.from_mask(self._mask | other._mask)
-
-    def intersection(self, other: "Coalition") -> "Coalition":
-        return Coalition.from_mask(self._mask & other._mask)
-
-    def difference(self, other: "Coalition") -> "Coalition":
-        return Coalition.from_mask(self._mask & ~other._mask)
-
-    def with_player(self, player: int) -> "Coalition":
-        if not 0 <= player < MAX_PLAYERS:
-            raise PlayerOutOfRange(f"player index {player} out of range")
-        return Coalition.from_mask(self._mask | (1 << player))
-
-    def without_player(self, player: int) -> "Coalition":
-        return Coalition.from_mask(self._mask & ~(1 << player))
-
-    __or__ = union
-    __and__ = intersection
-    __sub__ = difference
-
-    def __le__(self, other: "Coalition") -> bool:
-        return self.issubset(other)
-
-    def __lt__(self, other: "Coalition") -> bool:
-        return self._mask != other._mask and self.issubset(other)
 
     def __contains__(self, player: int) -> bool:
         return 0 <= player < MAX_PLAYERS and bool(self._mask >> player & 1)
@@ -93,9 +61,6 @@ class Coalition:
 
     def __len__(self) -> int:
         return self._mask.bit_count()
-
-    def __bool__(self) -> bool:
-        return self._mask != 0
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Coalition) and self._mask == other._mask

@@ -8,7 +8,7 @@ how the axiom suites and the random sampler build mergeable families.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 from .errors import FewerThanTwoGames, GameError
@@ -25,21 +25,18 @@ def mwc_group_decomposition(
     everywhere); all other weights drop to zero. Groups must partition the
     indices of the game's canonical mwc tuple.
     """
-    induced = minimal_winning_coalitions(game)
-    mwcs = induced.mwc
+    masks = minimal_winning_coalitions(game).masks
     if len(groups) < 2:
         raise FewerThanTwoGames("a decomposition needs at least two groups")
     seen = [k for group in groups for k in group]
-    if sorted(seen) != list(range(len(mwcs))) or any(not group for group in groups):
+    if sorted(seen) != list(range(len(masks))) or any(not group for group in groups):
         raise GameError(
-            f"groups must partition the {len(mwcs)} minimal winning coalitions"
+            f"groups must partition the {len(masks)} minimal winning coalitions"
         )
-    null_mask = ((1 << game.n_players) - 1) ^ _support_mask(mwcs)
+    null_mask = ((1 << game.n_players) - 1) ^ _support_mask(masks)
     components = []
     for group in groups:
-        support = null_mask
-        for k in group:
-            support |= mwcs[k].mask
+        support = null_mask | _support_mask(masks[k] for k in group)
         weights = tuple(
             w if support >> i & 1 else Fraction(0)
             for i, w in enumerate(game.weights)
@@ -56,7 +53,7 @@ def single_mwc_decomposition(
     Requires at least two minimal winning coalitions. Merging the result
     recovers the original game.
     """
-    count = len(minimal_winning_coalitions(game).mwc)
+    count = len(minimal_winning_coalitions(game).masks)
     if count < 2:
         raise GameError(
             "decomposition needs a game with at least two minimal winning coalitions"
@@ -64,8 +61,8 @@ def single_mwc_decomposition(
     return mwc_group_decomposition(game, [[k] for k in range(count)])
 
 
-def _support_mask(coalitions) -> int:
-    mask = 0
-    for c in coalitions:
-        mask |= c.mask
-    return mask
+def _support_mask(masks: Iterable[int]) -> int:
+    support = 0
+    for mask in masks:
+        support |= mask
+    return support

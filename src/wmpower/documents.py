@@ -126,6 +126,13 @@ class GameDocument(_Frozen):
         for field in ("label", "date"):
             if not isinstance(metadata.get(field), (str, type(None))):
                 raise ParseError(f"'metadata.{field}' must be a string")
+        # Valid JSON may hold a lone surrogate, which no output can encode.
+        texts = [*players, metadata.get("label") or "", metadata.get("date") or ""]
+        try:
+            "".join(texts).encode("utf-8")
+        except UnicodeEncodeError as err:
+            bad = err.object[err.start : err.end]
+            raise ParseError(f"names and metadata must be UTF-8 text, not {bad!r}") from err
         return cls(
             quota=quota,
             weights=weights,

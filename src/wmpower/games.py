@@ -86,53 +86,58 @@ class _Frozen:
 class SimpleGame(_Frozen):
     """A monotone 0/1 game given by its antichain of minimal winning coalitions.
 
-    The stored ``mwc`` tuple is canonical: duplicates removed, sorted by
-    (cardinality, mask). Construction rejects families that are not
-    antichains, contain the empty coalition, or reach outside 0..n-1.
+    The stored ``masks`` tuple, the bit masks of the minimal winning
+    coalitions, is canonical: duplicates removed, sorted by (cardinality,
+    mask). ``mwc`` boxes them as ``Coalition``s on first access.
+    Construction rejects families that are not antichains, contain the
+    empty coalition, or reach outside 0..n-1.
     """
 
-    _fields = ("n_players", "mwc")
+    _fields = ("n_players", "masks")
 
     def __init__(self, n_players: int, mwc: Iterable[Coalition]) -> None:
         if not 1 <= n_players <= MAX_PLAYERS:
             raise TooManyPlayers(f"player count {n_players} outside 1..{MAX_PLAYERS}")
-        coalitions = sorted({as_coalition(c) for c in mwc}, key=lambda c: (len(c), c.mask))
-        if not coalitions:
+        masks = _canonical({as_coalition(c).mask for c in mwc})
+        if not masks:
             raise GameError("a simple game needs at least one minimal winning coalition")
-        for c in coalitions:
-            if not c:
+        for m in masks:
+            if not m:
                 raise EmptyCoalition("the empty coalition cannot be minimal winning")
-            _checked_mask(c, n_players)
-        # Sorted by size: no coalition holds a later one.
-        for a, b in itertools.combinations(coalitions, 2):
-            if a.issubset(b):
+            _checked_mask(Coalition.from_mask(m), n_players)
+        # Sorted by size: no mask holds a later one.
+        for a, b in itertools.combinations(masks, 2):
+            if a & b == a:
                 raise GameError(
-                    f"minimal winning coalitions must form an antichain; {a} vs {b}"
+                    "minimal winning coalitions must form an antichain; "
+                    f"{Coalition.from_mask(a)} vs {Coalition.from_mask(b)}"
                 )
-        self._set(n_players, tuple(coalitions))
+        self._set(n_players, tuple(masks))
 
     @classmethod
     def _trusted(cls, n_players: int, masks: Iterable[int]) -> "SimpleGame":
         # For masks the library itself produced as an antichain of non-empty
         # coalitions within 0..n-1: sort canonically, skip the O(m**2) checks.
         game = object.__new__(cls)
-        ordered = sorted(masks, key=lambda m: (m.bit_count(), m))
-        game._set(n_players, tuple(map(Coalition.from_mask, ordered)))
+        game._set(n_players, tuple(_canonical(masks)))
         return game
 
     @cached_property
-    def _masks(self) -> frozenset[int]:
-        # The mwc masks as a set; not a field, so equality ignores it.
-        return frozenset(c.mask for c in self.mwc)
+    def mwc(self) -> tuple[Coalition, ...]:
+        """The minimal winning coalitions, in the order of ``masks``."""
+        return tuple(map(Coalition.from_mask, self.masks))
+
+    @cached_property
+    def _mask_set(self) -> frozenset[int]:
+        # For membership tests; not a field, so equality ignores it.
+        return frozenset(self.masks)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(n_players={self.n_players!r}, mwc={self.mwc!r})"
 
     def is_winning(self, coalition) -> bool:
         """True iff the coalition contains some minimal winning coalition."""
         return mask_winning_test(self)(_checked_mask(coalition, self.n_players))
-
-    def mwc_containing(self, player: int) -> tuple[Coalition, ...]:
-        """The minimal winning coalitions the player belongs to."""
-        _check_player(player, self.n_players)
-        return tuple(c for c in self.mwc if player in c)
 
 
 class WeightedMajorityGame(_Frozen):
@@ -200,6 +205,11 @@ class WeightedMajorityGame(_Frozen):
 Game = SimpleGame | WeightedMajorityGame
 
 
+def _canonical(masks: Iterable[int]) -> list[int]:
+    """The masks in (popcount, mask) order: a stable sort by popcount of the sorted masks."""
+    return sorted(sorted(masks), key=int.bit_count)
+
+
 def _mask_weight(weights: tuple[int, ...], mask: int) -> int:
     total = 0
     while mask:
@@ -244,7 +254,7 @@ def mask_winning_test(game: Game) -> Callable[[int], bool]:
             return _mask_weight(weights, mask) >= quota
 
     else:
-        mwc_masks = game._masks
+        mwc_masks = game.masks
 
         def win(mask: int) -> bool:
             return any(mask & m == m for m in mwc_masks)

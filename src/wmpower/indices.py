@@ -18,8 +18,8 @@ from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 from .errors import WeightsRequired
-from .games import Game, WeightedMajorityGame, _Frozen, exact, minimal_winning_coalitions
-from .games import swing_masks
+from .games import Game, WeightedMajorityGame, _Frozen, _mask_weight, exact
+from .games import minimal_winning_coalitions, swing_masks
 
 
 class PowerIndexVector(_Frozen):
@@ -111,22 +111,24 @@ def banzhaf(game: Game, normalized: bool = True) -> PowerIndexVector:
 
 
 def _mwc_tally(game: Game, key) -> tuple[int, list[Counter]]:
-    # One pass over the mwc list: the mwc count m, and per player i a Counter
+    # One pass over the mwc masks: the mwc count m, and per player i a Counter
     # c_i of key(S) over the mwcs S that contain i. DP, PG, CM and HCM read
     # only this tally, so a backend that counts mwcs without listing them
     # need only produce it.
-    induced = minimal_winning_coalitions(game)
-    tallies = [Counter() for _ in range(induced.n_players)]
-    for coalition in induced.mwc:
-        k = key(coalition)
-        for i in coalition:
-            tallies[i][k] += 1
-    return len(induced.mwc), tallies
+    masks = minimal_winning_coalitions(game).masks
+    tallies = [Counter() for _ in range(game.n_players)]
+    for mask in masks:
+        k = key(mask)
+        while mask:
+            low = mask & -mask
+            tallies[low.bit_length() - 1][k] += 1
+            mask ^= low
+    return len(masks), tallies
 
 
 def deegan_packel(game: Game) -> PowerIndexVector:
     """Deegan-Packel index: average over a player's mwcs of the equal split 1/|S|."""
-    m, tallies = _mwc_tally(game, len)
+    m, tallies = _mwc_tally(game, int.bit_count)
     return _efficient(
         "DP",
         (sum(Fraction(c, s * m) for s, c in t.items()) for t in tallies),
@@ -135,7 +137,7 @@ def deegan_packel(game: Game) -> PowerIndexVector:
 
 def public_good(game: Game) -> PowerIndexVector:
     """Public Good index: a player's mwc count over the total of all players' counts."""
-    _, tallies = _mwc_tally(game, len)
+    _, tallies = _mwc_tally(game, int.bit_count)
     counts = [t.total() for t in tallies]
     total = sum(counts)
     return _efficient("PG", (Fraction(c, total) for c in counts))
@@ -154,7 +156,7 @@ def colomer_martinez(game: Game) -> PowerIndexVector:
     """Colomer-Martinez index: average over a player's mwcs of its weight share w_i/w_S."""
     # On the integer form: scaling every weight keeps each ratio w_i/w(S).
     weights, _, _ = _require_weights(game, "colomer_martinez").integer_form
-    m, tallies = _mwc_tally(game, lambda s: sum(weights[i] for i in s))
+    m, tallies = _mwc_tally(game, lambda mask: _mask_weight(weights, mask))
     return _efficient(
         "CM",
         (
@@ -168,7 +170,7 @@ def hcm(game: Game) -> PowerIndexVector:
     """HCM index: power proportional to (own mwc count) times (own weight)."""
     # On the integer form, as in colomer_martinez: the scale cancels.
     weights, _, _ = _require_weights(game, "hcm").integer_form
-    _, tallies = _mwc_tally(game, len)
+    _, tallies = _mwc_tally(game, int.bit_count)
     numerators = [t.total() * w for t, w in zip(tallies, weights)]
     total = sum(numerators)
     return _efficient("HCM", (Fraction(v, total) for v in numerators))

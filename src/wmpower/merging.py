@@ -98,7 +98,7 @@ def wm_union(games: Sequence[WeightedMajorityGame]) -> WeightedMajorityGame:
 
 
 def _losing_counterexample(
-    games: Sequence[WeightedMajorityGame], union_mwc: Sequence[Coalition]
+    games: Sequence[WeightedMajorityGame], union_masks: Sequence[int]
 ) -> Coalition | None:
     # A proper coalition that wins in the union and loses in every game
     # contains a union mwc that does the same, since the games are monotone.
@@ -107,10 +107,9 @@ def _losing_counterexample(
     n = games[0].n_players
     full = (1 << n) - 1
     tests = [mask_winning_test(g) for g in games]
-    for coalition in union_mwc:
-        mask = coalition.mask
+    for mask in union_masks:
         if mask != full and not any(win(mask) for win in tests):
-            return coalition
+            return Coalition.from_mask(mask)
     return None
 
 
@@ -136,17 +135,17 @@ def check_wm_mergeability(
     offending = tuple(
         i for i in range(n) if len({g.weights[i] for g in games} - {0}) > 1
     )
-    union_mwc = minimal_winning_coalitions(union).mwc
-    counterexample = _losing_counterexample(games, union_mwc)
-    component_count = sum(len(minimal_winning_coalitions(g).mwc) for g in games)
+    union_masks = minimal_winning_coalitions(union).masks
+    counterexample = _losing_counterexample(games, union_masks)
+    component_count = sum(len(minimal_winning_coalitions(g).masks) for g in games)
     return MergeabilityReport(
         equal_quotas=equal_quotas,
         weight_compatible=not offending,
         offending_players=offending,
         losing_preserved=counterexample is None,
         losing_counterexample=counterexample,
-        mwc_count_additive=len(union_mwc) == component_count,
-        union_mwc_count=len(union_mwc),
+        mwc_count_additive=len(union_masks) == component_count,
+        union_mwc_count=len(union_masks),
         component_mwc_count=component_count,
         union=union,
     )

@@ -36,5 +36,5 @@ def random_mergeable_family(
     """A mergeable family: the per-mwc decomposition of a random multi-mwc game."""
     while True:
         game = random_weighted_game(rng, max_players, max_weight)
-        if len(minimal_winning_coalitions(game).mwc) >= 2:
+        if len(minimal_winning_coalitions(game).masks) >= 2:
             return single_mwc_decomposition(game)

@@ -9,12 +9,12 @@ the integer masks of the coalitions.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
-from .coalitions import MAX_PLAYERS, Coalition, as_coalition
-from .errors import EmptyCoalition, PlayerCountMismatch, PlayerOutOfRange, SamePlayer
-from .games import Game, SimpleGame, _check_player, _Frozen, minimal_winning_coalitions
-from .games import swing_masks
+from .coalitions import Coalition, as_coalition
+from .errors import EmptyCoalition, PlayerCountMismatch, SamePlayer
+from .games import Game, SimpleGame, _canonical, _check_player, _Frozen
+from .games import minimal_winning_coalitions, swing_masks
 
 
 class SwingSet(_Frozen):
@@ -32,19 +32,11 @@ class SwingSet(_Frozen):
         return iter(self.swings)
 
 
-def all_coalitions(n_players: int) -> Iterator[Coalition]:
-    """All 2**n coalitions over players 0..n-1, in increasing mask order."""
-    if not 0 <= n_players <= MAX_PLAYERS:
-        raise PlayerOutOfRange(f"player count {n_players} outside 0..{MAX_PLAYERS}")
-    for mask in range(1 << n_players):
-        yield Coalition.from_mask(mask)
-
-
 def _minimal_masks(masks: Iterable[int]) -> list[int]:
     # In (popcount, mask) order every proper subset of a mask comes before
     # it, so a mask is minimal iff no mask kept so far lies inside it.
     kept: list[int] = []
-    for m in sorted(set(masks), key=lambda m: (m.bit_count(), m)):
+    for m in _canonical(set(masks)):
         if all(k & m != k for k in kept):
             kept.append(m)
     return kept
@@ -61,7 +53,7 @@ def minimal_antichain(coalitions: Iterable[Coalition]) -> tuple[Coalition, ...]:
 
 def swings(game: Game, player: int) -> SwingSet:
     """Losing coalitions S (excluding the player) such that S plus the player wins."""
-    masks = sorted(swing_masks(game, player), key=lambda m: (m.bit_count(), m))
+    masks = _canonical(swing_masks(game, player))
     return SwingSet(player, tuple(map(Coalition.from_mask, masks)))
 
 
@@ -69,7 +61,7 @@ def is_null_player(game: Game, player: int) -> bool:
     """True iff the player belongs to no minimal winning coalition."""
     _check_player(player, game.n_players)
     bit = 1 << player
-    return not any(c.mask & bit for c in minimal_winning_coalitions(game).mwc)
+    return not any(m & bit for m in minimal_winning_coalitions(game).masks)
 
 
 def are_symmetric(game: Game, i: int, j: int) -> bool:
@@ -80,7 +72,7 @@ def are_symmetric(game: Game, i: int, j: int) -> bool:
         raise SamePlayer(f"symmetry needs two distinct players, got {i} twice")
     # The game is monotone, so the swap keeps its winning coalitions iff it
     # keeps their minimal ones: each mwc holding one of i, j swaps into M.
-    masks = minimal_winning_coalitions(game)._masks
+    masks = minimal_winning_coalitions(game)._mask_set
     pair = 1 << i | 1 << j
     return all(m ^ pair in masks for m in masks if 0 < m & pair != pair)
 
@@ -103,13 +95,13 @@ def _check_same_players(v: SimpleGame, v_prime: SimpleGame) -> None:
 def simple_union(v: SimpleGame, v_prime: SimpleGame) -> SimpleGame:
     """Game winning where either game wins; mwc = minimal elements of both antichains."""
     _check_same_players(v, v_prime)
-    return SimpleGame._trusted(v.n_players, _minimal_masks(v._masks | v_prime._masks))
+    return SimpleGame._trusted(v.n_players, _minimal_masks(v.masks + v_prime.masks))
 
 
 def simple_intersection(v: SimpleGame, v_prime: SimpleGame) -> SimpleGame:
     """Game winning where both games win; mwc = minimal pairwise unions of their mwcs."""
     _check_same_players(v, v_prime)
-    candidates = {a | b for a in v._masks for b in v_prime._masks}
+    candidates = {a | b for a in v.masks for b in v_prime.masks}
     return SimpleGame._trusted(v.n_players, _minimal_masks(candidates))
 
 
@@ -117,4 +109,4 @@ def simple_mergeable(v: SimpleGame, v_prime: SimpleGame) -> bool:
     """True iff no minimal winning coalition of one game contains one of the other."""
     _check_same_players(v, v_prime)
     # a & b is a iff a lies inside b, and b iff b lies inside a.
-    return all(a & b not in (a, b) for a in v._masks for b in v_prime._masks)
+    return all(a & b not in (a, b) for a in v.masks for b in v_prime.masks)

@@ -243,10 +243,10 @@ class TestHcmw:
         union_vector = hcm(GAME_51).values
         # recompute the averaging rule by hand
         def membership_weight_total(game):
-            induced = minimal_winning_coalitions(game)
+            mwcs = minimal_winning_coalitions(game).mwc
             return sum(
                 (
-                    len(induced.mwc_containing(i)) * game.weights[i]
+                    sum(i in c for c in mwcs) * game.weights[i]
                     for i in range(game.n_players)
                 ),
                 F(0),

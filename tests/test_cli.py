@@ -1,16 +1,23 @@
+import contextlib
+import io
+import itertools
 import json
 import math
 import os
 import random
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wmpower import cli, ecuador_document
+import oracles
+from wmpower import WeightedMajorityGame, cli, ecuador_document
 from wmpower.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -200,6 +207,34 @@ class TestMwc:
         assert main(["mwc", "--game", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("command", ["mwc", "power"])
+    @pytest.mark.parametrize(
+        "fields",
+        [{"players": ["A", "\ud800"]}, {"metadata": {"label": "\udc80"}}],
+        ids=["name", "label"],
+    )
+    def test_lone_surrogate_is_refused_before_any_output(
+        self, tmp_path, capsys, command, fields
+    ):
+        path = tmp_path / "surrogate.json"
+        path.write_text(json.dumps({"quota": "1", "weights": ["1", "1"], **fields}))
+        assert main([command, "--game", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    def test_lone_surrogate_exits_2_with_a_strict_stdout(self, tmp_path):
+        path = write_game(tmp_path, "surrogate.json", 1, (1, 1), ("A", "\ud800"))
+        result = subprocess.run(
+            [sys.executable, "-m", "wmpower.cli", "mwc", "--game", path],
+            env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONIOENCODING="utf-8:strict"),
+            capture_output=True,
+            timeout=60,
+        )
+        assert result.returncode == 2
+        assert result.stdout == b""
+        assert result.stderr.startswith(b"error: names and metadata must be UTF-8 text")
+
     def test_unprintable_total_weight_is_validation_failure(self, tmp_path, capsys):
         path = write_game(tmp_path, "recip.json", 10, reciprocal_weights())
         assert main(["mwc", "--game", path]) == 2
@@ -227,6 +262,51 @@ class TestMwc:
         assert result.returncode == 2
         assert not result.stdout
         assert result.stderr.startswith("error:")
+
+
+# Names with the characters the listing itself writes, and non-ASCII text.
+player_names = st.text(st.sampled_from(", {}é€日") | st.characters(codec="utf-8"), max_size=4)
+
+
+@st.composite
+def sparse_named_games(draw):
+    """Up to 24 players, at most 7 of them with weight: every 8-player chunk can hold members."""
+    n = draw(st.integers(1, 24))
+    support = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=7, unique=True))
+    weights = [0] * n
+    for i in support:
+        weights[i] = draw(st.integers(1, 9))
+    quota = draw(st.integers(1, sum(weights)))
+    names = draw(st.lists(player_names, min_size=n, max_size=n))
+    return WeightedMajorityGame(quota, weights), support, names
+
+
+@given(sparse_named_games())
+@settings(max_examples=80, deadline=None)
+def test_mwc_listing_names_each_mwc_in_canonical_order(case):
+    game, support, names = case
+    doc = {"quota": str(game.quota), "weights": [str(w) for w in game.weights], "players": names}
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "game.json")
+        with open(path, "w", encoding="utf-8") as file:
+            json.dump(doc, file)
+        with contextlib.redirect_stdout(out):
+            assert main(["mwc", "--game", path]) == 0
+    # Zero-weight players are in no mwc, so the subsets of the support suffice.
+    winning = [
+        frozenset(c)
+        for size in range(len(support) + 1)
+        for c in itertools.combinations(support, size)
+        if oracles.winning_by_definition(game, c)
+    ]
+    mwcs = sorted(
+        oracles.minimal_by_definition(winning), key=lambda s: (len(s), sum(1 << i for i in s))
+    )
+    plural = "s" if len(mwcs) != 1 else ""
+    expected = [f"game {game}", f"{len(mwcs)} minimal winning coalition{plural}:"]
+    expected += ["  {" + ", ".join(names[i] for i in sorted(s)) + "}" for s in mwcs]
+    assert out.getvalue() == "".join(line + "\n" for line in expected)
 
 
 class TestMerge:

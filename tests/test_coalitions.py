@@ -3,7 +3,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
-from wmpower import Coalition, all_coalitions, as_coalition, minimal_antichain
+from wmpower import Coalition, as_coalition, minimal_antichain
 from wmpower.errors import PlayerOutOfRange
 
 
@@ -40,27 +40,6 @@ def test_out_of_range_players_rejected():
         Coalition.from_mask(-1)
 
 
-def test_set_operations():
-    a = Coalition([0, 1])
-    b = Coalition([1, 2])
-    assert a | b == Coalition([0, 1, 2])
-    assert a & b == Coalition([1])
-    assert a - b == Coalition([0])
-    assert a.issubset(a | b)
-    assert not a.issubset(b)
-    assert (a | b).issuperset(b)
-    assert a < a | b
-    assert not a < a
-
-
-def test_with_and_without_player():
-    c = Coalition([0])
-    assert c.with_player(2) == Coalition([0, 2])
-    assert c.with_player(2).without_player(0) == Coalition([2])
-    with pytest.raises(PlayerOutOfRange):
-        c.with_player(64)
-
-
 def test_hashable_and_usable_in_sets():
     assert {Coalition([0, 1]), Coalition([1, 0])} == {Coalition.from_mask(3)}
 
@@ -76,14 +55,6 @@ def test_as_coalition_coerces_iterables():
     assert as_coalition(c) is c
     assert as_coalition([2, 1]) == c
     assert as_coalition(range(2)) == Coalition([0, 1])
-
-
-def test_all_coalitions_enumerates_in_mask_order():
-    coalitions = list(all_coalitions(3))
-    assert len(coalitions) == 8
-    assert [c.mask for c in coalitions] == list(range(8))
-    with pytest.raises(PlayerOutOfRange):
-        list(all_coalitions(65))
 
 
 def test_minimal_antichain_drops_supersets_and_duplicates():
@@ -135,5 +106,3 @@ def test_members_round_trip(players):
 @given(players_sets, players_sets)
 def test_subset_agrees_with_frozenset(a, b):
     assert Coalition(a).issubset(Coalition(b)) == frozenset(a).issubset(b)
-    assert (Coalition(a) | Coalition(b)).members == tuple(sorted(a | b))
-    assert (Coalition(a) & Coalition(b)).members == tuple(sorted(a & b))

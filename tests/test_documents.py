@@ -112,6 +112,15 @@ class TestParseGame:
                     json.dumps({"quota": "1", "weights": ["1"], "metadata": metadata})
                 )
 
+    def test_lone_surrogates_are_refused(self):
+        for fields in (
+            {"players": ["\ud800"]},
+            {"metadata": {"label": "EU \udcff"}},
+            {"metadata": {"date": "\ud83d"}},
+        ):
+            with pytest.raises(ParseError, match="must be UTF-8 text"):
+                GameDocument.from_json_obj({"quota": "1", "weights": ["1"], **fields})
+
     def test_metadata_must_be_an_object_when_present(self):
         for metadata in ([], 0, "", False, [1]):
             with pytest.raises(ParseError, match="must be an object"):

@@ -267,7 +267,7 @@ class TestSymmetry:
         game = SimpleGame(3, [Coalition({0, 1}), Coalition({2})])
         assert are_symmetric(game, 0, 1)
         assert game == SimpleGame(3, [Coalition({2}), Coalition({0, 1})])
-        assert "_masks" not in repr(game)
+        assert "_mask_set" not in repr(game)
 
     def test_sixty_four_players_read_off_the_mwcs(self):
         # 61 zero-weight players: a walk over the coalitions without the
@@ -404,6 +404,27 @@ def test_trusted_mwc_construction_matches_validating_constructor(game):
     validated = SimpleGame(game.n_players, tuple(reversed(induced.mwc)))
     assert induced == validated
     assert induced.mwc == validated.mwc
+
+
+@given(st.one_of(simple_games(max_players=7, max_mwcs=6), rational_weighted_games(max_players=9)))
+@settings(max_examples=100, deadline=None)
+def test_masks_are_canonical_and_mwc_boxes_them(game):
+    induced = minimal_winning_coalitions(game)
+    masks = induced.masks
+    keys = [(m.bit_count(), m) for m in masks]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    trusted = SimpleGame._trusted(game.n_players, reversed(masks))
+    validated = SimpleGame(game.n_players, reversed(induced.mwc))
+    assert trusted == validated and hash(trusted) == hash(validated)
+    assert trusted.masks == validated.masks == masks
+    assert induced.mwc == tuple(Coalition.from_mask(m) for m in masks)
+    assert all(type(c) is Coalition for c in induced.mwc)
+
+
+def test_repr_boxes_the_masks():
+    assert repr(SimpleGame(3, [[0, 2], [0, 1]])) == (
+        "SimpleGame(n_players=3, mwc=(Coalition([0, 1]), Coalition([0, 2])))"
+    )
 
 
 @given(st.one_of(weighted_games(max_players=7), rational_weighted_games(max_players=7)))
