@@ -13,9 +13,10 @@ Banzhaf form sums to exactly 1.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import WeightsRequired
 from .games import Game, WeightedMajorityGame, _Frozen, _mask_weight, exact
@@ -52,9 +53,10 @@ def _efficient(kind: str, values) -> PowerIndexVector:
     return vector
 
 
+@lru_cache(maxsize=1)
 def _swing_tally(game: Game) -> list[Counter]:
     # Per player i, a Counter c_i of |S| over i's swings S; SS and BZ read
-    # only this tally. A bare simple game walks each player's 2**(n-1)
+    # only this cached tally. A bare simple game walks each player's 2**(n-1)
     # coalitions; a weighted game counts them by size and weight.
     if not isinstance(game, WeightedMajorityGame):
         return [
@@ -110,34 +112,36 @@ def banzhaf(game: Game, normalized: bool = True) -> PowerIndexVector:
     return PowerIndexVector("BZ", tuple(Fraction(c, denominator) for c in counts))
 
 
-def _mwc_tally(game: Game, key) -> tuple[int, list[Counter]]:
-    # One pass over the mwc masks: the mwc count m, and per player i a Counter
-    # c_i of key(S) over the mwcs S that contain i. DP, PG, CM and HCM read
-    # only this tally, so a backend that counts mwcs without listing them
-    # need only produce it.
+@lru_cache(maxsize=1)
+def _mwc_tally(game: Game) -> tuple[int, list[Counter]]:
+    # One cached pass over the mwc masks: the mwc count m, and per player i a
+    # Counter c_i of (|S|, w(S)) over the mwcs S that contain i, w the integer
+    # weight (0 for a bare simple game). DP, PG, CM and HCM read only this
+    # tally, so a backend that counts mwcs need only produce it.
+    weights = game.integer_form[0] if isinstance(game, WeightedMajorityGame) else ()
     masks = minimal_winning_coalitions(game).masks
-    tallies = [Counter() for _ in range(game.n_players)]
+    groups = defaultdict(list)
     for mask in masks:
-        k = key(mask)
-        while mask:
-            low = mask & -mask
-            tallies[low.bit_length() - 1][k] += 1
-            mask ^= low
-    return len(masks), tallies
+        weight = _mask_weight(weights, mask) if weights else 0
+        groups[mask.bit_count(), weight].append(mask)
+    tallies = [Counter() for _ in range(game.n_players)]
+    for key, group in groups.items():
+        for i, tally in enumerate(tallies):
+            tally[key] = len([m for m in group if m >> i & 1])
+    return len(masks), [+tally for tally in tallies]  # unary + drops the zero counts
 
 
 def deegan_packel(game: Game) -> PowerIndexVector:
     """Deegan-Packel index: average over a player's mwcs of the equal split 1/|S|."""
-    m, tallies = _mwc_tally(game, int.bit_count)
-    return _efficient(
-        "DP",
-        (sum(Fraction(c, s * m) for s, c in t.items()) for t in tallies),
-    )
+    m, tallies = _mwc_tally(game)
+    lcm = math.lcm(*range(1, game.n_players + 1))  # a multiple of every size |S|
+    sums = (sum(c * lcm // s for (s, _), c in t.items()) for t in tallies)
+    return _efficient("DP", (Fraction(v, lcm * m) for v in sums))
 
 
 def public_good(game: Game) -> PowerIndexVector:
     """Public Good index: a player's mwc count over the total of all players' counts."""
-    _, tallies = _mwc_tally(game, int.bit_count)
+    _, tallies = _mwc_tally(game)
     counts = [t.total() for t in tallies]
     total = sum(counts)
     return _efficient("PG", (Fraction(c, total) for c in counts))
@@ -156,21 +160,21 @@ def colomer_martinez(game: Game) -> PowerIndexVector:
     """Colomer-Martinez index: average over a player's mwcs of its weight share w_i/w_S."""
     # On the integer form: scaling every weight keeps each ratio w_i/w(S).
     weights, _, _ = _require_weights(game, "colomer_martinez").integer_form
-    m, tallies = _mwc_tally(game, lambda mask: _mask_weight(weights, mask))
-    return _efficient(
-        "CM",
-        (
-            Fraction(w_i, m) * sum((Fraction(c, t) for t, c in tally.items()), Fraction(0))
-            for w_i, tally in zip(weights, tallies)
-        ),
-    )
+    m, tallies = _mwc_tally(game)
+    # Over a common multiple of the mwc weights t, each c/t is the integer
+    # c * (lcm // t); every player shares the quotients.
+    totals = {t for tally in tallies for _, t in tally}
+    lcm = math.lcm(*totals)
+    quotients = {t: lcm // t for t in totals}
+    sums = (sum(c * quotients[t] for (_, t), c in tally.items()) for tally in tallies)
+    return _efficient("CM", (Fraction(w * v, lcm * m) for w, v in zip(weights, sums)))
 
 
 def hcm(game: Game) -> PowerIndexVector:
     """HCM index: power proportional to (own mwc count) times (own weight)."""
     # On the integer form, as in colomer_martinez: the scale cancels.
     weights, _, _ = _require_weights(game, "hcm").integer_form
-    _, tallies = _mwc_tally(game, int.bit_count)
+    _, tallies = _mwc_tally(game)
     numerators = [t.total() * w for t, w in zip(tallies, weights)]
     total = sum(numerators)
     return _efficient("HCM", (Fraction(v, total) for v in numerators))

@@ -29,6 +29,7 @@ from wmpower import (
 )
 import wmpower
 from wmpower.errors import GameError, WeightsRequired
+from wmpower.indices import _mwc_tally, _swing_tally
 
 F = Fraction
 
@@ -310,11 +311,45 @@ MWC_INDEX_ORACLES = [
 ]
 
 
+# Examples for the tally's (size, weight) groups: all weights equal (one
+# group); ties next to zero weights (two weights at one size); the quota at
+# the total (one mwc); ten players, past the strategy's eight.
+TEN_PLAYERS = wmg("27/2", 5, 4, 4, 3, 2, 2, 1, 1, 0, "1/2")
+
+
 @pytest.mark.parametrize("index, oracle", MWC_INDEX_ORACLES)
 @settings(max_examples=100, deadline=None)
 @given(game=rational_weighted_games())
+@example(game=wmg(3, "3/2", "3/2", "3/2", "3/2"))
+@example(game=wmg("5/2", "3/2", 0, "3/2", 1, 1, 0))
+@example(game=wmg(6, 1, 0, 2, 3))
+@example(game=TEN_PLAYERS)
 def test_mwc_indices_match_definition(index, oracle, game):
     assert index(game).values == tuple(oracle(game))
+
+
+def test_one_tally_pass_per_game():
+    game = TEN_PLAYERS
+    _mwc_tally.cache_clear()
+    for index, oracle in (param.values for param in MWC_INDEX_ORACLES):
+        assert index(game).values == tuple(oracle(game))
+    assert _mwc_tally.cache_info().misses == 1
+    # The induced simple game has the same mwcs but no weights: it gets its
+    # own pass, never the weighted game's tally.
+    induced = game.induced_simple_game
+    for index, oracle in (param.values for param in MWC_INDEX_ORACLES[:2]):
+        assert index(induced).values == tuple(oracle(induced))
+    assert _mwc_tally.cache_info().misses == 2
+    swings = [oracles.brute_force_swings(game, i) for i in range(10)]
+    fact = math.factorial
+    _swing_tally.cache_clear()
+    assert shapley_shubik(game).values == tuple(
+        sum(F(fact(len(s)) * fact(9 - len(s)), fact(10)) for s in own) for own in swings
+    )
+    assert banzhaf(game, normalized=False).values == tuple(
+        F(len(own), 1 << 9) for own in swings
+    )
+    assert _swing_tally.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("index, oracle", MWC_INDEX_ORACLES[:2])
