@@ -7,13 +7,12 @@ closes the pipe early.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 import wmpower
 
-from .datasets import ECUADOR_PERIODS, ecuador_document
 from .documents import GameDocument, load_game
 from .errors import GameError
 from .games import minimal_winning_coalitions
@@ -30,6 +29,7 @@ _LAZY = (
     "simple_mergeable",
     "wm_union",
     "random_weighted_game",
+    "ecuador_document",
     "INDEX_FUNCTIONS",
     "render_table",
 )
@@ -47,14 +47,21 @@ def __getattr__(name: str):
     return globals()[name]
 
 
+def _usage_error(message: str) -> Exception:
+    """The error an argument type raises, which argparse reports as a usage error."""
+    import argparse
+
+    return argparse.ArgumentTypeError(message)
+
+
 def _index_list(text: str) -> list[str]:
     _bind("INDEX_FUNCTIONS")
     keys = [part.strip().lower() for part in text.split(",") if part.strip()]
     if not keys:
-        raise argparse.ArgumentTypeError("no index names given")
+        raise _usage_error("no index names given")
     for key in keys:
         if key not in INDEX_FUNCTIONS:
-            raise argparse.ArgumentTypeError(
+            raise _usage_error(
                 f"unknown index {key!r}; choose from {', '.join(INDEX_FUNCTIONS)}"
             )
     return keys
@@ -63,20 +70,20 @@ def _index_list(text: str) -> list[str]:
 def _single_index(text: str) -> str:
     keys = _index_list(text)
     if len(keys) != 1:
-        raise argparse.ArgumentTypeError("expected exactly one index name")
+        raise _usage_error("expected exactly one index name")
     return keys[0]
 
 
 def _int_at_least(low: int):
-    """An argparse type: an integer no smaller than ``low``."""
+    """An argument type: an integer no smaller than ``low``."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+            raise _usage_error(f"not an integer: {text!r}") from None
         if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+            raise _usage_error(f"must be at least {low}, got {value}")
         return value
 
     return parse
@@ -164,7 +171,8 @@ def cmd_axioms(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    periods = list(ECUADOR_PERIODS) if args.period == "all" else [args.period]
+    _bind("ecuador_document")
+    periods = wmpower.ECUADOR_PERIODS if args.period == "all" else [args.period]
     blocks = []
     for period in periods:
         document = ecuador_document(period)
@@ -177,72 +185,136 @@ def cmd_demo(args) -> int:
     return 0
 
 
+class _PeriodChoices:
+    """demo's --period choices: the period keys, read from datasets on first use, and 'all'."""
+
+    def __iter__(self):
+        return iter((*wmpower.ECUADOR_PERIODS, "all"))
+
+    def __contains__(self, value) -> bool:
+        return value == "all" or value in wmpower.ECUADOR_PERIODS
+
+
+_FORMATS = ("table", "csv", "json")
+_GAME = ("--game", dict(required=True, help="game document (JSON)"))
+
+# The grammar of the command line, read by both parsers. Per command: its
+# handler, its help, and each argument's name and add_argument keywords. A
+# command has at most one positional argument (_read_common assumes so).
+COMMANDS = {
+    "power": (cmd_power, "compute power indices for a game document", (
+        _GAME,
+        ("--index", dict(type=_index_list, help="comma-separated index names (default: all)")),
+        ("--digits", dict(type=_int_at_least(1), default=4)),
+        ("--exact", dict(action="store_true", help="also print exact p/q values")),
+        ("--format", dict(choices=_FORMATS, default="table")),
+    )),
+    "mwc": (cmd_mwc, "list the minimal winning coalitions of a game", (_GAME,)),
+    "merge": (cmd_merge, "check mergeability and print the union game", (
+        ("games", dict(nargs="+", metavar="FILE", help="game documents (JSON)")),
+        ("--check-only", dict(action="store_true", help="print the report, skip the union")),
+    )),
+    "axioms": (cmd_axioms, "run an axiom suite for one index", (
+        ("--index", dict(type=_single_index, required=True)),
+        ("--suite", dict(choices=("thm1", "thm2", "classic"), required=True)),
+        ("--games", dict(default="builtin", help="'builtin' or a directory of game documents")),
+        ("--samples", dict(type=_int_at_least(0), default=0, help="extra random games")),
+        ("--seed", dict(type=int, default=0, help="seed for --samples")),
+    )),
+    "demo": (cmd_demo, "reproduce the bundled parliament tables", (
+        ("topic", dict(choices=("ecuador",))),
+        ("--period", dict(choices=_PeriodChoices(), default="all")),
+        ("--index", dict(
+            type=_index_list, default=["ss", "dp", "pg", "cm", "hcm"],
+            help="comma-separated index names",
+        )),
+        ("--digits", dict(type=_int_at_least(1), default=4)),
+        ("--exact", dict(action="store_true")),
+        ("--format", dict(choices=_FORMATS, default="table")),
+    )),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of COMMANDS: the source of help, usage and error text."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="wmpower",
         description="exact power indices and merging for weighted majority games",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    power = sub.add_parser("power", help="compute power indices for a game document")
-    power.add_argument("--game", required=True, help="game document (JSON)")
-    power.add_argument(
-        "--index",
-        type=_index_list,
-        help="comma-separated index names (default: all)",
-    )
-    power.add_argument("--digits", type=_int_at_least(1), default=4)
-    power.add_argument("--exact", action="store_true", help="also print exact p/q values")
-    power.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    power.set_defaults(handler=cmd_power)
-
-    mwc = sub.add_parser("mwc", help="list the minimal winning coalitions of a game")
-    mwc.add_argument("--game", required=True, help="game document (JSON)")
-    mwc.set_defaults(handler=cmd_mwc)
-
-    merge = sub.add_parser("merge", help="check mergeability and print the union game")
-    merge.add_argument("games", nargs="+", metavar="FILE", help="game documents (JSON)")
-    merge.add_argument(
-        "--check-only", action="store_true", help="print the report, skip the union"
-    )
-    merge.set_defaults(handler=cmd_merge)
-
-    axioms = sub.add_parser("axioms", help="run an axiom suite for one index")
-    axioms.add_argument("--index", type=_single_index, required=True)
-    axioms.add_argument("--suite", choices=("thm1", "thm2", "classic"), required=True)
-    axioms.add_argument(
-        "--games",
-        default="builtin",
-        help="'builtin' or a directory of game documents",
-    )
-    axioms.add_argument(
-        "--samples", type=_int_at_least(0), default=0, help="extra random games"
-    )
-    axioms.add_argument("--seed", type=int, default=0, help="seed for --samples")
-    axioms.set_defaults(handler=cmd_axioms)
-
-    demo = sub.add_parser("demo", help="reproduce the bundled parliament tables")
-    demo.add_argument("topic", choices=("ecuador",))
-    demo.add_argument(
-        "--period", choices=(*ECUADOR_PERIODS, "all"), default="all"
-    )
-    demo.add_argument(
-        "--index",
-        type=_index_list,
-        default=["ss", "dp", "pg", "cm", "hcm"],
-        help="comma-separated index names",
-    )
-    demo.add_argument("--digits", type=_int_at_least(1), default=4)
-    demo.add_argument("--exact", action="store_true")
-    demo.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    demo.set_defaults(handler=cmd_demo)
-
+    for command, (handler, help_text, arguments) in COMMANDS.items():
+        command_parser = sub.add_parser(command, help=help_text)
+        for name, spec in arguments:
+            command_parser.add_argument(name, **spec)
+        command_parser.set_defaults(handler=handler)
     return parser
 
 
+def _read_common(argv) -> SimpleNamespace | None:
+    """The namespace argparse would return for argv, if argv has the common form.
+
+    The common form is a command, then its flags spelled in full, each at most
+    once, with each value in a token of its own that does not start with '-',
+    and its positionals in one run. Every required argument is present and
+    every value passes its type and choices. Any other argv (help,
+    abbreviations, --flag=value, '--', negative numbers, and every usage
+    error) gives None, and is left to argparse, so that argparse alone writes
+    help and errors.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    handler, _, arguments = COMMANDS[argv[0]]
+    specs = dict(arguments)
+    given: dict[str, list[str]] = {}  # argument name -> its value tokens
+    loose: list[int] = []  # the positions of positional tokens
+    tokens = enumerate(argv[1:], 1)
+    for k, token in tokens:
+        if not token.startswith("-"):
+            loose.append(k)
+        elif token not in specs or token in given:
+            return None
+        elif specs[token].get("action") == "store_true":
+            given[token] = []
+        else:
+            _, value = next(tokens, (None, "-"))
+            if value.startswith("-"):
+                return None
+            given[token] = [value]
+    if loose:
+        positional = [name for name, _ in arguments if not name.startswith("-")]
+        if not positional or loose[-1] - loose[0] != len(loose) - 1:
+            return None
+        given[positional[0]] = [argv[k] for k in loose]
+    values = {"command": argv[0], "handler": handler}
+    for name, spec in arguments:
+        dest = name.lstrip("-").replace("-", "_")
+        store_true = spec.get("action") == "store_true"
+        if name not in given:
+            if spec.get("required", not name.startswith("-")):
+                return None
+            values[dest] = spec.get("default", False if store_true else None)
+        elif store_true:
+            values[dest] = True
+        elif len(given[name]) > 1 and spec.get("nargs") != "+":
+            return None
+        else:
+            try:
+                parsed = [spec.get("type", str)(text) for text in given[name]]
+            except Exception:  # argparse reports it, or raises it, on its own pass
+                return None
+            if "choices" in spec and any(value not in spec["choices"] for value in parsed):
+                return None
+            values[dest] = parsed if spec.get("nargs") == "+" else parsed[0]
+    return SimpleNamespace(**values)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_common(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except BrokenPipeError:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -490,3 +490,110 @@ class TestUsageErrors:
 
         parser = build_parser()
         assert parser.prog == "wmpower"
+
+
+# The argv shapes of the benchmark's workloads, the README and CI: the reader
+# takes each of them without argparse.
+WELL_FORMED = [
+    ["power", "--game", "game.json"],
+    ["power", "--game", "g.json", "--index", "ss,bz,dp,pg,cm,hcm", "--format", "table"],
+    ["power", "--game", "g.json", "--index", "ss", "--format", "csv", "--digits", "3"],
+    ["power", "--game", "g.json", "--index", "bz", "--format", "json", "--exact"],
+    ["power", "--game", "g.json", "--index", "dp", "--format", "json", "--digits", "7", "--exact"],
+    ["power", "--game", "g.json", "--index", "ss", "--exact", "--format", "json"],
+    ["power", "--game", "g.json", "--index", "dp,hcm", "--format", "json"],
+    ["power", "--game", "game.json", "--index", "ss,bz,dp,pg,cm,hcm", "--digits", "4",
+     "--exact", "--format", "csv"],
+    ["mwc", "--game", "game.json"],
+    ["merge", "a.json", "b.json"],
+    ["merge", "a.json", "b.json", "--check-only"],
+    ["merge", *(f"c{k:02d}.json" for k in range(25))],
+    ["axioms", "--index", "dp", "--suite", "thm1"],
+    ["axioms", "--index", "hcm", "--suite", "thm2", "--samples", "3"],
+    ["axioms", "--index", "ss", "--suite", "classic", "--samples", "20", "--seed", "437"],
+    ["axioms", "--index", "cm", "--suite", "thm1", "--games", "games"],
+    ["axioms", "--index", "pg", "--suite", "classic", "--games", "builtin", "--samples", "5",
+     "--seed", "2"],
+    ["demo", "ecuador"],
+    ["demo", "ecuador", "--format", "csv", "--digits", "5"],
+    ["demo", "ecuador", "--format", "json", "--digits", "8", "--exact"],
+    ["demo", "ecuador", "--period", "oct26", "--format", "table"],
+    ["demo", "ecuador", "--period", "may21", "--index", "ss,dp,pg,cm,hcm", "--digits", "4"],
+    ["demo", "ecuador", "--period", "all", "--index", "hcm"],
+]
+
+# Per argument, values it takes; any argument may also draw from ANY_VALUE.
+GOOD_VALUES = {
+    "--game": ["a.json"],
+    "--index": ["ss", "dp,pg,cm", "HCM"],
+    "--digits": ["2", "8"],
+    "--format": ["csv", "json"],
+    "--suite": ["thm1", "classic"],
+    "--games": ["builtin", "games"],
+    "--samples": ["0", "20"],
+    "--seed": ["7"],
+    "--period": ["may21", "all"],
+    "topic": ["ecuador"],
+    "games": ["a.json", "b.json"],
+}
+ANY_VALUE = ["a.json", "ss,dp", "xx", ",", "0", " 3", "1e3", "-1", "table", "html", "all",
+             "sep21", "builtin", "ecuador", "power", "a=b", ""]
+HOSTILE = ["-h", "--help", "--", "-", "-5", "", "--ind", "--gam", "--ex", "--check",
+           "--index=ss", "--game=a.json", "--digits=3", "--bogus", "-x", "frobnicate"]
+
+
+@st.composite
+def argvs(draw):
+    """An argv built from the command table, then perhaps disturbed."""
+    command = draw(st.sampled_from([*cli.COMMANDS, "frobnicate", "pow", "", "-h", "--help"]))
+    arguments = cli.COMMANDS[command][2] if command in cli.COMMANDS else ()
+    chunks = []
+    for name, spec in arguments:
+        values = st.sampled_from(GOOD_VALUES.get(name, ANY_VALUE)) | st.sampled_from(ANY_VALUE)
+        if not draw(st.integers(0, 3)):
+            continue  # left out, in one draw of four
+        if not name.startswith("-"):
+            run = draw(st.lists(values, min_size=1, max_size=3))
+            cut = draw(st.integers(0, len(run)))  # a split positional run
+            chunks += [run[:cut], run[cut:]] if draw(st.booleans()) else [run]
+        elif spec.get("action") == "store_true":
+            chunks.append([name])
+        else:
+            # Now and then twice, or without its value.
+            for _ in range(1 + (draw(st.integers(0, 5)) == 0)):
+                chunks.append([name] + ([draw(values)] if draw(st.integers(0, 9)) else []))
+    argv = [command, *(token for chunk in draw(st.permutations(chunks)) for token in chunk)]
+    for _ in range(draw(st.integers(0, 4)) // 3):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(HOSTILE)))
+    return argv
+
+
+def with_common_examples(test):
+    for argv in WELL_FORMED:
+        test = example(argv)(test)
+    return test
+
+
+@with_common_examples
+@example(["demo", "ecuador", "ecuador"])
+@example(["mwc", "--game"])
+@example(["power", "--game", "--exact"])
+@example(["power", "--game", "a.json", "--digits", "0", "--digits", "3"])
+@example(["merge", "a.json", "--check-only", "b.json"])
+@given(argvs())
+@settings(max_examples=400, deadline=None)
+def test_common_reader_agrees_with_argparse(argv):
+    common = cli._read_common(argv)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            parsed = cli.build_parser().parse_args(argv)
+        except SystemExit:
+            # Help and every usage error are argparse's to write.
+            assert common is None
+            return
+    assert common is None or vars(common) == vars(parsed)
+
+
+@pytest.mark.parametrize("argv", WELL_FORMED, ids=" ".join)
+def test_common_reader_takes_the_documented_shapes(argv):
+    assert cli._read_common(argv) is not None

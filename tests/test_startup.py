@@ -15,10 +15,14 @@ from wmpower import cli
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# Loaded by merge and axioms only; dataclasses and inspect by nothing.
+# Loaded by merge and axioms only; argparse, gettext and locale only for help
+# and usage errors; dataclasses and inspect by nothing.
 NOT_LOADED = (
+    "argparse",
     "dataclasses",
+    "gettext",
     "inspect",
+    "locale",
     "random",
     "wmpower.axioms",
     "wmpower.merging",
@@ -56,7 +60,7 @@ def test_power_mwc_and_demo_load_only_what_they_run(tmp_path):
 
 
 # Runs the CLI the way `python -m wmpower.cli` does, as __main__, and prints
-# its exit code and the wmpower modules loaded.
+# its exit code and the wmpower modules loaded, and argparse if it was.
 RUN_AS_MAIN = """
 import io, runpy, sys
 stdout, sys.stdout = sys.stdout, io.StringIO()
@@ -65,10 +69,10 @@ try:
 except SystemExit as exit:
     code = exit.code
 sys.stdout = stdout
-print(code, *sorted(m for m in sys.modules if m.partition(".")[0] == "wmpower"))
+print(code, *sorted(m for m in sys.modules if m.partition(".")[0] in ("wmpower", "argparse")))
 """
 
-BASE = ("coalitions", "datasets", "documents", "errors", "games")
+BASE = ("coalitions", "documents", "errors", "games")
 RENDER = ("indices", "tables")
 SUITE = ("_suites", "axioms", "indices", "merging", "simple")
 
@@ -81,15 +85,31 @@ SUITE = ("_suites", "axioms", "indices", "merging", "simple")
         (["mwc", "--game", "{game}"], 0, ()),
         (["mwc", "--game", "{refused}"], 2, ()),
         (["merge", "{a}", "{b}"], 0, ("merging",)),
-        (["demo", "ecuador"], 0, RENDER),
-        (["axioms", "--index", "dp", "--suite", "thm1"], 0, (*SUITE, "decompositions")),
+        (["demo", "ecuador"], 0, (*RENDER, "datasets")),
+        (
+            ["axioms", "--index", "dp", "--suite", "thm1"],
+            0,
+            (*SUITE, "datasets", "decompositions"),
+        ),
         (
             ["axioms", "--index", "ss", "--suite", "classic", "--samples", "2"],
             0,
-            (*SUITE, "decompositions", "sampling"),
+            (*SUITE, "datasets", "decompositions", "sampling"),
         ),
+        # demo's --period choices are in the help, so argparse loads datasets.
+        (["power", "--help"], 0, ("datasets",)),
     ],
-    ids=["power", "power-refused", "mwc", "mwc-refused", "merge", "demo", "axioms", "axioms-samples"],
+    ids=[
+        "power",
+        "power-refused",
+        "mwc",
+        "mwc-refused",
+        "merge",
+        "demo",
+        "axioms",
+        "axioms-samples",
+        "power-help",
+    ],
 )
 def test_each_command_loads_exactly_its_modules(tmp_path, argv, code, modules):
     paths = {}
@@ -113,6 +133,8 @@ def test_each_command_loads_exactly_its_modules(tmp_path, argv, code, modules):
     assert loaded[0] == str(code)
     # Never wmpower.cli: importing it under `python -m` would run cli.py twice.
     expected = {"wmpower", *(f"wmpower.{m}" for m in (*BASE, *modules))}
+    if "--help" in argv:
+        expected.add("argparse")  # only help and usage errors reach argparse
     assert loaded[1:] == sorted(expected)
 
 
