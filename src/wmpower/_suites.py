@@ -11,7 +11,7 @@ import os
 
 from .datasets import ECUADOR_PERIODS
 from .errors import GameError
-from .games import WeightedMajorityGame, minimal_winning_coalitions
+from .games import WeightedMajorityGame, minimal_winning_coalitions, mwc_count
 
 
 def _builtin_fixture_games(cli) -> list:
@@ -56,7 +56,7 @@ def _report_each(name: str, check, f, games, unit: str) -> tuple[str, bool]:
 
 
 def _run_weighted_suite(cli, f, axiom_name, pair_check, games) -> list[tuple[str, bool]]:
-    mwc_counts = [len(minimal_winning_coalitions(g).masks) for g in games]
+    mwc_counts = [mwc_count(g) for g in games]
     families = [cli.single_mwc_decomposition(g) for g, m in zip(games, mwc_counts) if m >= 2]
     single = [g for g, m in zip(games, mwc_counts) if m == 1]
     single.extend(g for family in families for g in family)

@@ -13,9 +13,10 @@ from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 
 from .errors import NotMergeable, NotUnanimityLike, UnknownKind
-from .games import Game, SimpleGame, WeightedMajorityGame, _Frozen, _mask_weight
-from .games import minimal_winning_coalitions
-from .indices import PowerIndexVector, colomer_martinez, hcm
+from .games import Game, SimpleGame, WeightedMajorityGame, _Frozen
+from .games import minimal_winning_coalitions, mwc_count
+from .indices import PowerIndexVector, _memberships, _weighted_memberships
+from .indices import colomer_martinez, hcm
 from .merging import merged_game
 from .simple import are_symmetric, is_null_player, simple_intersection, simple_mergeable
 from .simple import simple_union
@@ -111,9 +112,10 @@ def _averaging_verdict(
     parts: Sequence[Game],
 ) -> AxiomVerdict:
     """f(whole) against the theta-weighted average of f over the parts."""
+    # theta(whole) right after f(whole): both may read the whole's cached tally.
     left = f(whole).values
-    weighted = [(theta(g), f(g).values) for g in parts]
     total = theta(whole)
+    weighted = [(theta(g), f(g).values) for g in parts]
     right = [
         sum((t * values[i] for t, values in weighted), Fraction(0)) / total
         for i in range(whole.n_players)
@@ -125,34 +127,18 @@ def _averaging_verdict(
     )
 
 
-def _mwc_count(game: Game) -> int:
-    return len(minimal_winning_coalitions(game).masks)
-
-
-def _membership_total(game: Game) -> int:
-    # sum over players of |M_i|, i.e. the total size of all mwcs
-    return sum(m.bit_count() for m in minimal_winning_coalitions(game).masks)
-
-
-def _weighted_membership_total(game: WeightedMajorityGame) -> Fraction:
-    # sum over players of |M_i| * w_i, i.e. the total weight of all mwcs
-    weights, _, scale = game.integer_form
-    masks = minimal_winning_coalitions(game).masks
-    return Fraction(sum(_mask_weight(weights, m) for m in masks), scale)
-
-
 def check_dpm(f: IndexFunction, v: SimpleGame, v_prime: SimpleGame) -> AxiomVerdict:
     """Mergeability with mwc-count weights: f(join) is the |M|-weighted average."""
     _require_simple_mergeable(v, v_prime)
     join = simple_union(v, v_prime)
-    return _averaging_verdict("DPM", f, _mwc_count, join, (v, v_prime))
+    return _averaging_verdict("DPM", f, mwc_count, join, (v, v_prime))
 
 
 def check_pgm(f: IndexFunction, v: SimpleGame, v_prime: SimpleGame) -> AxiomVerdict:
     """Mergeability with membership-count weights: f(join) is the sum-|M_i| average."""
     _require_simple_mergeable(v, v_prime)
     join = simple_union(v, v_prime)
-    return _averaging_verdict("PGM", f, _membership_total, join, (v, v_prime))
+    return _averaging_verdict("PGM", f, lambda g: sum(_memberships(g)), join, (v, v_prime))
 
 
 def check_symw(f: IndexFunction, game: WeightedMajorityGame) -> AxiomVerdict:
@@ -194,15 +180,17 @@ def check_dpmw(
     f: IndexFunction, games: Sequence[WeightedMajorityGame]
 ) -> AxiomVerdict:
     """Weighted DP-mergeability: f(union) is the mwc-count weighted average."""
-    return _averaging_verdict("DPMw", f, _mwc_count, merged_game(games), games)
+    return _averaging_verdict("DPMw", f, mwc_count, merged_game(games), games)
 
 
 def check_hcmw(
     f: IndexFunction, games: Sequence[WeightedMajorityGame]
 ) -> AxiomVerdict:
     """Weighted HCM-mergeability: f(union) is the sum-|M_i|w_i weighted average."""
-    union = merged_game(games)
-    return _averaging_verdict("HCMw", f, _weighted_membership_total, union, games)
+    def theta(g: WeightedMajorityGame) -> Fraction:  # on the integer form, over its scale
+        return Fraction(sum(_weighted_memberships(g)), g.integer_form[2])
+
+    return _averaging_verdict("HCMw", f, theta, merged_game(games), games)
 
 
 _PATCH_FIXTURE = WeightedMajorityGame(Fraction(4), (Fraction(2), Fraction(2), Fraction(1)))

@@ -15,7 +15,7 @@ import wmpower
 
 from .documents import GameDocument, load_game
 from .errors import GameError
-from .games import minimal_winning_coalitions
+from .games import minimal_winning_coalitions, mwc_count
 
 # Names imported on first use (through the package's lazy table), so that a
 # command compiles only the modules it runs. A name becomes a global when first
@@ -177,9 +177,8 @@ def cmd_demo(args) -> int:
     for period in periods:
         document = ecuador_document(period)
         game = document.game()
-        masks = minimal_winning_coalitions(game).masks
         header = f"{document.label}  {game}"
-        count = f"minimal winning coalitions: {len(masks)}"
+        count = f"minimal winning coalitions: {mwc_count(game)}"
         blocks.append("\n".join([header, count, _render_vectors(document, args)]))
     print("\n\n".join(blocks))
     return 0

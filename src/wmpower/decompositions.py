@@ -8,11 +8,11 @@ how the axiom suites and the random sampler build mergeable families.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 
 from .errors import FewerThanTwoGames, GameError
-from .games import WeightedMajorityGame, minimal_winning_coalitions
+from .games import WeightedMajorityGame, _support_mask, minimal_winning_coalitions, mwc_count
 
 
 def mwc_group_decomposition(
@@ -53,16 +53,9 @@ def single_mwc_decomposition(
     Requires at least two minimal winning coalitions. Merging the result
     recovers the original game.
     """
-    count = len(minimal_winning_coalitions(game).masks)
+    count = mwc_count(game)
     if count < 2:
         raise GameError(
             "decomposition needs a game with at least two minimal winning coalitions"
         )
     return mwc_group_decomposition(game, [[k] for k in range(count)])
-
-
-def _support_mask(masks: Iterable[int]) -> int:
-    support = 0
-    for mask in masks:
-        support |= mask
-    return support

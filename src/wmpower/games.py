@@ -219,6 +219,13 @@ def _mask_weight(weights: tuple[int, ...], mask: int) -> int:
     return total
 
 
+def _support_mask(masks: Iterable[int]) -> int:
+    support = 0
+    for mask in masks:
+        support |= mask
+    return support
+
+
 def _enumerate_mwc_masks(weights: tuple[int, ...], quota: int) -> list[int]:
     # Depth-first over the nonzero-weight players in descending weight. A
     # branch is pruned once the players left cannot lift its total to the
@@ -267,6 +274,11 @@ def minimal_winning_coalitions(game: Game) -> SimpleGame:
     if isinstance(game, SimpleGame):
         return game
     return game.induced_simple_game
+
+
+def mwc_count(game: Game) -> int:
+    """|M|, the number of minimal winning coalitions; every count-only reader asks here."""
+    return len(minimal_winning_coalitions(game).masks)
 
 
 def swing_masks(game: Game, player: int) -> Iterator[int]:

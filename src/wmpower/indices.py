@@ -19,8 +19,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import WeightsRequired
-from .games import Game, WeightedMajorityGame, _Frozen, _mask_weight, exact
-from .games import minimal_winning_coalitions, swing_masks
+from .games import Game, WeightedMajorityGame, _Frozen, _mask_weight, _support_mask, exact
+from .games import minimal_winning_coalitions, mwc_count, swing_masks
 
 
 class PowerIndexVector(_Frozen):
@@ -113,36 +113,45 @@ def banzhaf(game: Game, normalized: bool = True) -> PowerIndexVector:
 
 
 @lru_cache(maxsize=1)
-def _mwc_tally(game: Game) -> tuple[int, list[Counter]]:
-    # One cached pass over the mwc masks: the mwc count m, and per player i a
-    # Counter c_i of (|S|, w(S)) over the mwcs S that contain i, w the integer
-    # weight (0 for a bare simple game). DP, PG, CM and HCM read only this
-    # tally, so a backend that counts mwcs need only produce it.
+def _mwc_tally(game: Game) -> list[Counter]:
+    # One cached pass over the mwc masks: per player i, a Counter c_i of (|S|, w(S))
+    # over the mwcs S that contain i, w the integer weight (0 for a bare simple game).
+    # DP, PG, CM and HCM read only this and mwc_count: a counting backend replaces both.
     weights = game.integer_form[0] if isinstance(game, WeightedMajorityGame) else ()
-    masks = minimal_winning_coalitions(game).masks
     groups = defaultdict(list)
-    for mask in masks:
+    for mask in minimal_winning_coalitions(game).masks:
         weight = _mask_weight(weights, mask) if weights else 0
         groups[mask.bit_count(), weight].append(mask)
     tallies = [Counter() for _ in range(game.n_players)]
     for key, group in groups.items():
+        support = _support_mask(group)  # only these players have a nonzero count
         for i, tally in enumerate(tallies):
-            tally[key] = len([m for m in group if m >> i & 1])
-    return len(masks), [+tally for tally in tallies]  # unary + drops the zero counts
+            if support >> i & 1:
+                tally[key] = len([m for m in group if m >> i & 1])
+    return tallies
+
+
+def _memberships(game: Game) -> list[int]:
+    # c_i, the number of mwcs holding player i; their sum is the theta of PGM.
+    return [t.total() for t in _mwc_tally(game)]
+
+
+def _weighted_memberships(game: WeightedMajorityGame) -> list[int]:
+    # c_i * w_i on the integer form; their sum over the scale is the theta of HCMw.
+    return [c * w for c, w in zip(_memberships(game), game.integer_form[0])]
 
 
 def deegan_packel(game: Game) -> PowerIndexVector:
     """Deegan-Packel index: average over a player's mwcs of the equal split 1/|S|."""
-    m, tallies = _mwc_tally(game)
+    m = mwc_count(game)
     lcm = math.lcm(*range(1, game.n_players + 1))  # a multiple of every size |S|
-    sums = (sum(c * lcm // s for (s, _), c in t.items()) for t in tallies)
+    sums = (sum(c * lcm // s for (s, _), c in t.items()) for t in _mwc_tally(game))
     return _efficient("DP", (Fraction(v, lcm * m) for v in sums))
 
 
 def public_good(game: Game) -> PowerIndexVector:
     """Public Good index: a player's mwc count over the total of all players' counts."""
-    _, tallies = _mwc_tally(game)
-    counts = [t.total() for t in tallies]
+    counts = _memberships(game)
     total = sum(counts)
     return _efficient("PG", (Fraction(c, total) for c in counts))
 
@@ -160,7 +169,7 @@ def colomer_martinez(game: Game) -> PowerIndexVector:
     """Colomer-Martinez index: average over a player's mwcs of its weight share w_i/w_S."""
     # On the integer form: scaling every weight keeps each ratio w_i/w(S).
     weights, _, _ = _require_weights(game, "colomer_martinez").integer_form
-    m, tallies = _mwc_tally(game)
+    m, tallies = mwc_count(game), _mwc_tally(game)
     # Over a common multiple of the mwc weights t, each c/t is the integer
     # c * (lcm // t); every player shares the quotients.
     totals = {t for tally in tallies for _, t in tally}
@@ -173,9 +182,7 @@ def colomer_martinez(game: Game) -> PowerIndexVector:
 def hcm(game: Game) -> PowerIndexVector:
     """HCM index: power proportional to (own mwc count) times (own weight)."""
     # On the integer form, as in colomer_martinez: the scale cancels.
-    weights, _, _ = _require_weights(game, "hcm").integer_form
-    _, tallies = _mwc_tally(game)
-    numerators = [t.total() * w for t, w in zip(tallies, weights)]
+    numerators = _weighted_memberships(_require_weights(game, "hcm"))
     total = sum(numerators)
     return _efficient("HCM", (Fraction(v, total) for v in numerators))
 

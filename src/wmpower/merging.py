@@ -15,6 +15,7 @@ from collections.abc import Sequence
 from .coalitions import Coalition
 from .errors import FewerThanTwoGames, NotWMMergeable, PlayerCountMismatch
 from .games import WeightedMajorityGame, _Frozen, mask_winning_test, minimal_winning_coalitions
+from .games import mwc_count
 
 
 class MergeabilityReport(_Frozen):
@@ -129,15 +130,14 @@ def check_wm_mergeability(
     4. the union has exactly as many minimal winning coalitions as the
        components combined.
     """
-    n = _validated_family(games)
-    union = wm_union(games)
+    union = wm_union(games)  # validates the family
     equal_quotas = len({g.quota for g in games}) == 1
     offending = tuple(
-        i for i in range(n) if len({g.weights[i] for g in games} - {0}) > 1
+        i for i in range(union.n_players) if len({g.weights[i] for g in games} - {0}) > 1
     )
     union_masks = minimal_winning_coalitions(union).masks
     counterexample = _losing_counterexample(games, union_masks)
-    component_count = sum(len(minimal_winning_coalitions(g).masks) for g in games)
+    component_count = sum(map(mwc_count, games))
     return MergeabilityReport(
         equal_quotas=equal_quotas,
         weight_compatible=not offending,

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 
-from .games import WeightedMajorityGame, minimal_winning_coalitions
+from .games import WeightedMajorityGame, mwc_count
 from .decompositions import single_mwc_decomposition
 
 
@@ -36,5 +36,5 @@ def random_mergeable_family(
     """A mergeable family: the per-mwc decomposition of a random multi-mwc game."""
     while True:
         game = random_weighted_game(rng, max_players, max_weight)
-        if len(minimal_winning_coalitions(game).masks) >= 2:
+        if mwc_count(game) >= 2:
             return single_mwc_decomposition(game)

@@ -123,7 +123,7 @@ def shapley_by_permutations(game: WeightedMajorityGame) -> list[Fraction]:
     return [Fraction(c, orders) for c in counts]
 
 
-def _mwcs_by_definition(game) -> set[frozenset[int]]:
+def mwcs_by_definition(game) -> set[frozenset[int]]:
     # A simple game is defined by its antichain; a weighted one by its quota.
     if isinstance(game, SimpleGame):
         return {frozenset(c.members) for c in game.mwc}
@@ -132,7 +132,7 @@ def _mwcs_by_definition(game) -> set[frozenset[int]]:
 
 def deegan_packel_by_definition(game) -> list[Fraction]:
     """Each mwc S gives 1/|S| to each member; a player gets the mean over all mwcs."""
-    mwcs = _mwcs_by_definition(game)
+    mwcs = mwcs_by_definition(game)
     return [
         sum((Fraction(1, len(s)) for s in mwcs if i in s), Fraction(0)) / len(mwcs)
         for i in range(game.n_players)
@@ -141,7 +141,7 @@ def deegan_packel_by_definition(game) -> list[Fraction]:
 
 def public_good_by_definition(game) -> list[Fraction]:
     """A player's number of mwcs over the sum of all players' numbers."""
-    mwcs = _mwcs_by_definition(game)
+    mwcs = mwcs_by_definition(game)
     counts = [sum(1 for s in mwcs if i in s) for i in range(game.n_players)]
     return [Fraction(c, sum(counts)) for c in counts]
 

@@ -1,12 +1,14 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
-from strategies import rational_weighted_games, simple_game_pairs, weighted_games
+from strategies import rational_weighted_games, simple_game_pairs, simple_games, weighted_games
 from wmpower import (
     Coalition,
     PowerIndexVector,
@@ -35,7 +37,9 @@ from wmpower import (
     single_mwc_decomposition,
     witness_index,
 )
+from wmpower import axioms
 from wmpower.errors import GameError, NotMergeable, NotUnanimityLike, NotWMMergeable, UnknownKind
+from wmpower.games import mwc_count
 
 F = Fraction
 
@@ -416,3 +420,36 @@ def test_sym_and_np_match_predicate_first_reference(game):
         np = check_np(f, game)
         assert (sym.holds, sym.witness) == (sym_witness is None, sym_witness)
         assert (np.holds, np.witness) == (np_witness is None, np_witness)
+
+
+def _theta(check, *games):
+    """The theta that an averaging check weighs its games by, caught from one call."""
+    with mock.patch.object(axioms, "_averaging_verdict") as verdict:
+        check(deegan_packel, *games)
+    return verdict.call_args.args[2]
+
+
+PAIR = (sg(3, [0, 1]), sg(3, [1, 2]))  # mergeable: neither mwc holds the other
+FAMILY = single_mwc_decomposition(wmg(4, 3, 2, 1))  # two games, one mwc each
+THETAS = {
+    "DPM": _theta(check_dpm, *PAIR),
+    "PGM": _theta(check_pgm, *PAIR),
+    "DPMw": _theta(check_dpmw, FAMILY),
+    "HCMw": _theta(check_hcmw, FAMILY),
+}
+
+
+@given(st.one_of(rational_weighted_games(), simple_games()))
+@example(wmg("5/2", "3/2", 0, "3/2", 1, 1, 0))  # zero weights
+@example(wmg(3, "3/2", "3/2", "3/2", "3/2"))  # tied weights
+@example(wmg(6, 1, 0, 2, 3))  # the quota at the total weight: one mwc
+@example(sg(4, [0, 1], [1, 2, 3], [0, 3]))  # a bare simple game
+@settings(max_examples=100, deadline=None)
+def test_mwc_count_and_thetas_match_definition(game):
+    # |M|, the sum of |S| and the sum of w(S) over the definitional mwcs S.
+    mwcs = oracles.mwcs_by_definition(game)
+    assert mwc_count(game) == THETAS["DPM"](game) == THETAS["DPMw"](game) == len(mwcs)
+    assert THETAS["PGM"](game) == sum(len(s) for s in mwcs)
+    if isinstance(game, WeightedMajorityGame):
+        weight = sum((game.weights[i] for s in mwcs for i in s), F(0))
+        assert THETAS["HCMw"](game) == weight

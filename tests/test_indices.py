@@ -352,6 +352,15 @@ def test_one_tally_pass_per_game():
     assert _swing_tally.cache_info().misses == 1
 
 
+def test_hcmw_builds_one_tally_per_game():
+    # f(union) and theta(union) share the union's tally, and each component's
+    # f and theta share its own: three passes for a two-game family.
+    family = wmpower.single_mwc_decomposition(wmg(4, 3, 2, 1))
+    _mwc_tally.cache_clear()
+    assert wmpower.check_hcmw(hcm, family).holds
+    assert _mwc_tally.cache_info().misses == 3
+
+
 @pytest.mark.parametrize("index, oracle", MWC_INDEX_ORACLES[:2])
 @settings(max_examples=100, deadline=None)
 @given(game=simple_games())
