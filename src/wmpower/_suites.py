@@ -72,11 +72,12 @@ def _run_weighted_suite(cli, f, axiom_name, pair_check, games) -> list[tuple[str
 
 def _run_classic_suite(cli, f, games) -> list[tuple[str, bool]]:
     lines = [_report_each("SYM", cli.check_sym, f, games, "games")]
-    simple_games = [minimal_winning_coalitions(g) for g in games]
+    # Pairs of games of one size; a game lists its mwcs (once, cached on it)
+    # only if it is in a pair.
     pairs = [
-        (a, b)
-        for k, a in enumerate(simple_games)
-        for b in simple_games[k + 1 :]
+        (minimal_winning_coalitions(a), minimal_winning_coalitions(b))
+        for k, a in enumerate(games)
+        for b in games[k + 1 :]
         if a.n_players == b.n_players
     ]
     tra = [(f"pair {k}", cli.check_tra(f, a, b)) for k, (a, b) in enumerate(pairs)]

@@ -64,7 +64,8 @@ def check_sym(f: IndexFunction, game: Game) -> AxiomVerdict:
     """Symmetry: interchangeable players receive equal power.
 
     A pair is asked whether it is symmetric only when its values differ;
-    ``are_symmetric`` then reads the game's listed minimal winning coalitions.
+    ``are_symmetric`` then reads a weighted game's swing tally, or a simple
+    game's minimal winning coalitions.
     """
     vector = f(game)
     n = game.n_players
@@ -112,14 +113,10 @@ def _averaging_verdict(
     parts: Sequence[Game],
 ) -> AxiomVerdict:
     """f(whole) against the theta-weighted average of f over the parts."""
-    # theta(whole) right after f(whole): both may read the whole's cached tally.
     left = f(whole).values
     total = theta(whole)
-    weighted = [(theta(g), f(g).values) for g in parts]
-    right = [
-        sum((t * values[i] for t, values in weighted), Fraction(0)) / total
-        for i in range(whole.n_players)
-    ]
+    shares = [(Fraction(theta(g), total), f(g).values) for g in parts]
+    right = [sum(s * values[i] for s, values in shares) for i in range(whole.n_players)]
     return _verdict(
         axiom,
         _vectors_equal(left, right),

@@ -17,31 +17,17 @@ from .documents import GameDocument, load_game
 from .errors import GameError
 from .games import minimal_winning_coalitions, mwc_count
 
-# Names imported on first use (through the package's lazy table), so that a
+# Any name of the package's lazy table is imported on first use, so that a
 # command compiles only the modules it runs. A name becomes a global when first
 # read as an attribute or bound by a handler; one already bound (a wrapper
-# installed from outside) stays, and the handlers call it. No handler calls
-# wm_union: bench/traced_cli.py spans that name.
-_LAZY = (
-    *(f"check_{a}" for a in ("eff", "np", "sym", "symw", "tra", "dpm", "pgm", "dpmw", "hcmw")),
-    "check_wm_mergeability",
-    "single_mwc_decomposition",
-    "simple_mergeable",
-    "wm_union",
-    "random_weighted_game",
-    "ecuador_document",
-    "INDEX_FUNCTIONS",
-    "render_table",
-)
-
-
+# installed from outside) stays, and the handlers call it.
 def _bind(*names: str) -> None:
     for name in names:
         globals().setdefault(name, getattr(wmpower, name))
 
 
 def __getattr__(name: str):
-    if name not in _LAZY:
+    if name not in wmpower._HOMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     _bind(name)
     return globals()[name]

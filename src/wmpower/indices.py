@@ -16,7 +16,7 @@ import math
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from functools import lru_cache
+from functools import wraps
 
 from .errors import WeightsRequired
 from .games import Game, WeightedMajorityGame, _Frozen, _mask_weight, _support_mask, exact
@@ -45,18 +45,29 @@ class PowerIndexVector(_Frozen):
         return sum(self.values, Fraction(0))
 
 
-def _efficient(kind: str, values) -> PowerIndexVector:
-    vector = PowerIndexVector(kind, tuple(values))
-    if vector.total != 1:
+def _efficient(kind: str, numerators: list[int], denominator: int) -> PowerIndexVector:
+    if (total := sum(numerators)) != denominator:
         # A broken invariant, not bad input: callers map it to an internal error.
-        raise AssertionError(f"{kind} vector must sum to 1, got {vector.total}")
-    return vector
+        raise AssertionError(f"{kind} vector must sum to 1, got {Fraction(total, denominator)}")
+    return PowerIndexVector(kind, (Fraction(v, denominator) for v in numerators))
 
 
-@lru_cache(maxsize=1)
+def _kept_on_game(build):
+    # build(game) once per game object, kept in the game's own __dict__ as
+    # cached_property keeps integer_form: a tally lives as long as its game.
+    @wraps(build)
+    def tally(game: Game) -> list[Counter]:
+        if build.__name__ not in game.__dict__:
+            game.__dict__[build.__name__] = build(game)
+        return game.__dict__[build.__name__]
+
+    return tally
+
+
+@_kept_on_game
 def _swing_tally(game: Game) -> list[Counter]:
     # Per player i, a Counter c_i of |S| over i's swings S; SS and BZ read
-    # only this cached tally. A bare simple game walks each player's 2**(n-1)
+    # only this tally. A bare simple game walks each player's 2**(n-1)
     # coalitions; a weighted game counts them by size and weight.
     if not isinstance(game, WeightedMajorityGame):
         return [
@@ -91,13 +102,8 @@ def shapley_shubik(game: Game) -> PowerIndexVector:
     """Shapley-Shubik index: each swing S of player i contributes |S|!(n-|S|-1)!/n!."""
     n = game.n_players
     fact = [math.factorial(k) for k in range(n + 1)]
-    return _efficient(
-        "SS",
-        (
-            Fraction(sum(c * fact[s] * fact[n - s - 1] for s, c in t.items()), fact[n])
-            for t in _swing_tally(game)
-        ),
-    )
+    sums = [sum(c * fact[s] * fact[n - s - 1] for s, c in t.items()) for t in _swing_tally(game)]
+    return _efficient("SS", sums, fact[n])
 
 
 def banzhaf(game: Game, normalized: bool = True) -> PowerIndexVector:
@@ -106,15 +112,14 @@ def banzhaf(game: Game, normalized: bool = True) -> PowerIndexVector:
     if normalized:
         # Never zero: the empty coalition loses and the grand coalition wins,
         # so some player swings.
-        total = sum(counts)
-        return _efficient("BZ", (Fraction(c, total) for c in counts))
+        return _efficient("BZ", counts, sum(counts))
     denominator = 1 << (game.n_players - 1)
     return PowerIndexVector("BZ", tuple(Fraction(c, denominator) for c in counts))
 
 
-@lru_cache(maxsize=1)
+@_kept_on_game
 def _mwc_tally(game: Game) -> list[Counter]:
-    # One cached pass over the mwc masks: per player i, a Counter c_i of (|S|, w(S))
+    # One pass over the mwc masks: per player i, a Counter c_i of (|S|, w(S))
     # over the mwcs S that contain i, w the integer weight (0 for a bare simple game).
     # DP, PG, CM and HCM read only this and mwc_count: a counting backend replaces both.
     weights = game.integer_form[0] if isinstance(game, WeightedMajorityGame) else ()
@@ -143,17 +148,15 @@ def _weighted_memberships(game: WeightedMajorityGame) -> list[int]:
 
 def deegan_packel(game: Game) -> PowerIndexVector:
     """Deegan-Packel index: average over a player's mwcs of the equal split 1/|S|."""
-    m = mwc_count(game)
     lcm = math.lcm(*range(1, game.n_players + 1))  # a multiple of every size |S|
-    sums = (sum(c * lcm // s for (s, _), c in t.items()) for t in _mwc_tally(game))
-    return _efficient("DP", (Fraction(v, lcm * m) for v in sums))
+    sums = [sum(c * lcm // s for (s, _), c in t.items()) for t in _mwc_tally(game)]
+    return _efficient("DP", sums, lcm * mwc_count(game))
 
 
 def public_good(game: Game) -> PowerIndexVector:
     """Public Good index: a player's mwc count over the total of all players' counts."""
     counts = _memberships(game)
-    total = sum(counts)
-    return _efficient("PG", (Fraction(c, total) for c in counts))
+    return _efficient("PG", counts, sum(counts))
 
 
 def _require_weights(game: Game, index_name: str) -> WeightedMajorityGame:
@@ -176,15 +179,14 @@ def colomer_martinez(game: Game) -> PowerIndexVector:
     lcm = math.lcm(*totals)
     quotients = {t: lcm // t for t in totals}
     sums = (sum(c * quotients[t] for (_, t), c in tally.items()) for tally in tallies)
-    return _efficient("CM", (Fraction(w * v, lcm * m) for w, v in zip(weights, sums)))
+    return _efficient("CM", [w * v for w, v in zip(weights, sums)], lcm * m)
 
 
 def hcm(game: Game) -> PowerIndexVector:
     """HCM index: power proportional to (own mwc count) times (own weight)."""
     # On the integer form, as in colomer_martinez: the scale cancels.
     numerators = _weighted_memberships(_require_weights(game, "hcm"))
-    total = sum(numerators)
-    return _efficient("HCM", (Fraction(v, total) for v in numerators))
+    return _efficient("HCM", numerators, sum(numerators))
 
 
 INDEX_FUNCTIONS = {

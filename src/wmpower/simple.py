@@ -13,8 +13,9 @@ from collections.abc import Iterable
 
 from .coalitions import Coalition, as_coalition
 from .errors import EmptyCoalition, PlayerCountMismatch, SamePlayer
-from .games import Game, SimpleGame, _canonical, _check_player, _Frozen
+from .games import Game, SimpleGame, WeightedMajorityGame, _canonical, _check_player, _Frozen
 from .games import minimal_winning_coalitions, swing_masks
+from .indices import _swing_tally
 
 
 class SwingSet(_Frozen):
@@ -58,8 +59,10 @@ def swings(game: Game, player: int) -> SwingSet:
 
 
 def is_null_player(game: Game, player: int) -> bool:
-    """True iff the player belongs to no minimal winning coalition."""
+    """True iff the player belongs to no minimal winning coalition: iff it has no swing."""
     _check_player(player, game.n_players)
+    if isinstance(game, WeightedMajorityGame):
+        return _swing_tally(game)[player].total() == 0
     bit = 1 << player
     return not any(m & bit for m in minimal_winning_coalitions(game).masks)
 
@@ -70,6 +73,11 @@ def are_symmetric(game: Game, i: int, j: int) -> bool:
     _check_player(j, game.n_players)
     if i == j:
         raise SamePlayer(f"symmetry needs two distinct players, got {i} twice")
+    if isinstance(game, WeightedMajorityGame):
+        # A weighted game is complete, and of two players a strictly more desirable
+        # one has strictly more swings (Taylor & Zwicker 1999): equal counts, symmetry.
+        tally = _swing_tally(game)
+        return tally[i].total() == tally[j].total()
     # The game is monotone, so the swap keeps its winning coalitions iff it
     # keeps their minimal ones: each mwc holding one of i, j swaps into M.
     masks = minimal_winning_coalitions(game)._mask_set

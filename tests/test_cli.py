@@ -21,6 +21,7 @@ from wmpower import WeightedMajorityGame, cli, ecuador_document
 from wmpower.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+DATA = SRC.parent / "bench" / "data"
 
 
 def write_game(tmp_path, name, quota, weights, players=None):
@@ -407,6 +408,37 @@ class TestAxioms:
         )
         assert result.returncode == 0, result.stderr
         assert "SYM   PASS  1/1 games" in result.stdout
+
+    def test_classic_suite_on_one_weighted_game_lists_no_mwcs(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # One game is in no same-size pair, and SS, its null players and its
+        # symmetric pairs all read the swing tally: the EU Council's 561,645
+        # mwcs are never listed.
+        (tmp_path / "eu.json").write_text((DATA / "eu_council_nice.json").read_text())
+        games = []
+        load_game = cli.load_game
+
+        def recorded(path):
+            document = load_game(path)
+            games.append(document.game())
+            return document
+
+        monkeypatch.setattr(cli, "load_game", recorded)
+        argv = ["axioms", "--index", "ss", "--suite", "classic", "--games", str(tmp_path)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "index: ss  suite: classic  games: 1",
+            "EFF   PASS  1/1 games",
+            "NP    PASS  1/1 games",
+            "SYM   PASS  1/1 games",
+            "TRA   PASS  0/0 pairs",
+            "DPM   PASS  0/0 mergeable pairs",
+            "PGM   PASS  0/0 mergeable pairs",
+            "satisfied on this evidence: EFF, NP, SYM, TRA, DPM, PGM",
+        ]
+        assert len(games) == 1
+        assert "induced_simple_game" not in games[0].__dict__
 
     def test_classic_suite_rejects_weight_only_indices(self, capsys):
         assert main(["axioms", "--index", "cm", "--suite", "classic"]) == 2

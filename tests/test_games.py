@@ -271,8 +271,9 @@ class TestSymmetry:
 
     def test_sixty_four_players_read_off_the_mwcs(self):
         # 61 zero-weight players: a walk over the coalitions without the
-        # pair 3, 4 would visit 2**62 of them. Players 0, 1, 2 form a
-        # majority of three, so 0 and 2 are symmetric; 0 and 3 are not.
+        # pair 3, 4 would visit 2**62 of them; the swing tally counts them by
+        # size and weight. Players 0, 1, 2 form a majority of three, so 0 and
+        # 2 are symmetric; 0 and 3 are not.
         code = (
             "from wmpower import WeightedMajorityGame, are_symmetric\n"
             "game = WeightedMajorityGame(3, [2, 2, 1] + [0] * 61)\n"
@@ -491,6 +492,27 @@ def test_symmetry_matches_definition(game):
     for i in range(n):
         for j in range(i + 1, n):
             assert are_symmetric(game, i, j) == oracles.symmetric_by_definition(game, i, j)
+
+
+# Examples: tied weights (every pair symmetric); zero weights (null players,
+# symmetric with each other); the quota at the total weight (one mwc, every
+# zero-weight player null).
+@given(rational_weighted_games(max_players=7))
+@example(WeightedMajorityGame("3/2", ("1/2", "1/2", "1/2", "1/2")))
+@example(WeightedMajorityGame(2, (1, 0, 1, 0, 1)))
+@example(WeightedMajorityGame(6, (3, 2, 0, 1)))
+@settings(max_examples=150, deadline=None)
+def test_weighted_null_and_symmetric_players_read_swing_counts(game):
+    # A weighted game answers from its swing tally; its induced simple game
+    # from the mwc scans.
+    induced = minimal_winning_coalitions(game)
+    n = game.n_players
+    for i in range(n):
+        null = not oracles.brute_force_swings(game, i)
+        assert is_null_player(game, i) == null == is_null_player(induced, i)
+        for j in range(i + 1, n):
+            symmetric = oracles.symmetric_by_definition(game, i, j)
+            assert are_symmetric(game, i, j) == symmetric == are_symmetric(induced, i, j)
 
 
 @given(rational_weighted_games(max_players=7))

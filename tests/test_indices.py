@@ -28,8 +28,8 @@ from wmpower import (
     unanimity_game,
 )
 import wmpower
+from wmpower import indices
 from wmpower.errors import GameError, WeightsRequired
-from wmpower.indices import _mwc_tally, _swing_tally
 
 F = Fraction
 
@@ -63,12 +63,11 @@ def test_efficiency_check_survives_optimize_flag():
     # not be a GameError, which the CLI would report as bad input (exit 2).
     code = "\n".join([
         "import sys",
-        "from fractions import Fraction",
         "from wmpower.errors import GameError",
         "from wmpower.indices import _efficient",
         "assert sys.flags.optimize",
         "try:",
-        "    _efficient('X', [Fraction(1, 2)])",
+        "    _efficient('X', [1], 2)",
         "except GameError:",
         "    sys.exit('GameError raised')",
         "except Exception as err:",
@@ -328,37 +327,72 @@ def test_mwc_indices_match_definition(index, oracle, game):
     assert index(game).values == tuple(oracle(game))
 
 
-def test_one_tally_pass_per_game():
-    game = TEN_PLAYERS
-    _mwc_tally.cache_clear()
+def counted_builds(monkeypatch, name: str) -> list:
+    """Replace the tally ``indices.<name>`` by one that records each game it is built for.
+
+    The replacement keeps its tallies on the games the same way, under the
+    same name, so a game that already holds a tally records no build.
+    """
+    build = getattr(indices, name).__wrapped__
+    built = []
+
+    def recorded(game):
+        built.append(game)
+        return build(game)
+
+    recorded.__name__ = name
+    monkeypatch.setattr(indices, name, indices._kept_on_game(recorded))
+    return built
+
+
+def same_objects(built, expected) -> bool:
+    return list(map(id, built)) == list(map(id, expected))
+
+
+def test_one_tally_pass_per_game(monkeypatch):
+    game = wmg(TEN_PLAYERS.quota, *TEN_PLAYERS.weights)  # a new object, with no tally yet
+    mwc_builds = counted_builds(monkeypatch, "_mwc_tally")
     for index, oracle in (param.values for param in MWC_INDEX_ORACLES):
         assert index(game).values == tuple(oracle(game))
-    assert _mwc_tally.cache_info().misses == 1
+    assert same_objects(mwc_builds, [game])
     # The induced simple game has the same mwcs but no weights: it gets its
     # own pass, never the weighted game's tally.
     induced = game.induced_simple_game
     for index, oracle in (param.values for param in MWC_INDEX_ORACLES[:2]):
         assert index(induced).values == tuple(oracle(induced))
-    assert _mwc_tally.cache_info().misses == 2
+    assert same_objects(mwc_builds, [game, induced])
     swings = [oracles.brute_force_swings(game, i) for i in range(10)]
     fact = math.factorial
-    _swing_tally.cache_clear()
+    swing_builds = counted_builds(monkeypatch, "_swing_tally")
     assert shapley_shubik(game).values == tuple(
         sum(F(fact(len(s)) * fact(9 - len(s)), fact(10)) for s in own) for own in swings
     )
     assert banzhaf(game, normalized=False).values == tuple(
         F(len(own), 1 << 9) for own in swings
     )
-    assert _swing_tally.cache_info().misses == 1
+    assert same_objects(swing_builds, [game])
 
 
-def test_hcmw_builds_one_tally_per_game():
+def test_hcmw_builds_one_tally_per_game(monkeypatch):
     # f(union) and theta(union) share the union's tally, and each component's
-    # f and theta share its own: three passes for a two-game family.
+    # f and theta share its own: three passes for a two-game family, the
+    # union's first.
     family = wmpower.single_mwc_decomposition(wmg(4, 3, 2, 1))
-    _mwc_tally.cache_clear()
+    builds = counted_builds(monkeypatch, "_mwc_tally")
     assert wmpower.check_hcmw(hcm, family).holds
-    assert _mwc_tally.cache_info().misses == 3
+    assert len(builds) == 3
+    assert same_objects(builds[1:], family)
+
+
+def test_alternating_games_keep_their_tallies(monkeypatch):
+    # Each game keeps its own tally, whatever the call order: a, b, a builds
+    # two, where a cache of the last game alone would build a's twice.
+    a, b = wmg(4, 3, 2, 1), wmg(5, 3, 2, 1, 1)
+    builds = counted_builds(monkeypatch, "_mwc_tally")
+    first = public_good(a)
+    assert public_good(b).values == tuple(oracles.public_good_by_definition(b))
+    assert public_good(a) == first
+    assert same_objects(builds, [a, b])
 
 
 @pytest.mark.parametrize("index, oracle", MWC_INDEX_ORACLES[:2])

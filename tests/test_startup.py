@@ -159,7 +159,7 @@ def traced_cli_names() -> set[str]:
 def test_lazy_cli_names_are_attributes_and_replacements_are_called(
     tmp_path, monkeypatch, capsys
 ):
-    for name in {*cli._LAZY, *traced_cli_names()}:
+    for name in traced_cli_names():
         home = importlib.import_module(f"wmpower.{wmpower._HOMES[name]}")
         assert getattr(cli, name) is getattr(home, name), name
     calls = []
