@@ -64,8 +64,9 @@ def check_sym(f: IndexFunction, game: Game) -> AxiomVerdict:
     """Symmetry: interchangeable players receive equal power.
 
     A pair is asked whether it is symmetric only when its values differ;
-    ``are_symmetric`` then reads a weighted game's swing tally, or a simple
-    game's minimal winning coalitions.
+    ``are_symmetric`` then reads the sums a weighted game's coalitions
+    reach, or the minimal winning coalitions of a simple game (and of a
+    weighted game whose integer quota is over ``simple._REACH_LIMIT``).
     """
     vector = f(game)
     n = game.n_players

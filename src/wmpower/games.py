@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import cached_property
 
@@ -137,7 +137,8 @@ class SimpleGame(_Frozen):
 
     def is_winning(self, coalition) -> bool:
         """True iff the coalition contains some minimal winning coalition."""
-        return mask_winning_test(self)(_checked_mask(coalition, self.n_players))
+        mask = _checked_mask(coalition, self.n_players)
+        return any(mask & m == m for m in self.masks)
 
 
 class WeightedMajorityGame(_Frozen):
@@ -190,7 +191,8 @@ class WeightedMajorityGame(_Frozen):
 
     def is_winning(self, coalition) -> bool:
         """True iff the coalition's weight is at least the quota (exact comparison)."""
-        return mask_winning_test(self)(_checked_mask(coalition, self.n_players))
+        weights, quota, _ = self.integer_form
+        return _mask_weight(weights, _checked_mask(coalition, self.n_players)) >= quota
 
     @cached_property
     def induced_simple_game(self) -> SimpleGame:
@@ -252,23 +254,6 @@ def _enumerate_mwc_masks(weights: tuple[int, ...], quota: int) -> list[int]:
     return found
 
 
-def mask_winning_test(game: Game) -> Callable[[int], bool]:
-    """A fast mask-level winning predicate for inner enumeration loops."""
-    if isinstance(game, WeightedMajorityGame):
-        weights, quota, _ = game.integer_form
-
-        def win(mask: int) -> bool:
-            return _mask_weight(weights, mask) >= quota
-
-    else:
-        mwc_masks = game.masks
-
-        def win(mask: int) -> bool:
-            return any(mask & m == m for m in mwc_masks)
-
-    return win
-
-
 def minimal_winning_coalitions(game: Game) -> SimpleGame:
     """The induced simple game (the antichain M of minimal winning coalitions)."""
     if isinstance(game, SimpleGame):
@@ -281,11 +266,15 @@ def mwc_count(game: Game) -> int:
     return len(minimal_winning_coalitions(game).masks)
 
 
-def swing_masks(game: Game, player: int) -> Iterator[int]:
-    """Masks of the player's swings, in decreasing mask order."""
-    _check_player(player, game.n_players)
-    win = mask_winning_test(game)
-    bit = 1 << player
-    # k + (k & -bit) puts a 0 in k at the player's bit, keeping the order.
-    others = (k + (k & -bit) for k in reversed(range(1 << (game.n_players - 1))))
-    return (sub for sub in others if not win(sub) and win(sub | bit))
+def swing_pivots(game: SimpleGame) -> Iterator[tuple[int, int]]:
+    """Each losing S, by increasing mask, and its pivots: the i with M - S = {i} for an mwc M."""
+    masks = game.masks
+    for s in range(1 << game.n_players):
+        pivots, out = 0, ~s
+        for m in masks:
+            if not (rest := m & out):
+                break  # M lies in S: S wins
+            if not rest & (rest - 1):
+                pivots |= rest
+        else:
+            yield s, pivots

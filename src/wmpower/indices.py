@@ -20,7 +20,7 @@ from functools import wraps
 
 from .errors import WeightsRequired
 from .games import Game, WeightedMajorityGame, _Frozen, _mask_weight, _support_mask, exact
-from .games import minimal_winning_coalitions, mwc_count, swing_masks
+from .games import minimal_winning_coalitions, mwc_count, swing_pivots
 
 
 class PowerIndexVector(_Frozen):
@@ -67,13 +67,16 @@ def _kept_on_game(build):
 @_kept_on_game
 def _swing_tally(game: Game) -> list[Counter]:
     # Per player i, a Counter c_i of |S| over i's swings S; SS and BZ read
-    # only this tally. A bare simple game walks each player's 2**(n-1)
-    # coalitions; a weighted game counts them by size and weight.
+    # only this tally. A bare simple game counts each losing S once for each
+    # of its pivots; a weighted game counts swings by size and weight.
     if not isinstance(game, WeightedMajorityGame):
-        return [
-            Counter(m.bit_count() for m in swing_masks(game, i))
-            for i in range(game.n_players)
-        ]
+        tallies = [Counter() for _ in range(game.n_players)]
+        for s, pivots in swing_pivots(game):
+            while pivots:
+                low = pivots & -pivots
+                tallies[low.bit_length() - 1][s.bit_count()] += 1
+                pivots ^= low
+        return tallies
     # Tally all players' losing coalitions by (size, weight) once; a winning
     # one never loses again as players join, so it is dropped.
     weights, quota, _ = game.integer_form

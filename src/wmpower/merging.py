@@ -14,7 +14,7 @@ from collections.abc import Sequence
 
 from .coalitions import Coalition
 from .errors import FewerThanTwoGames, NotWMMergeable, PlayerCountMismatch
-from .games import WeightedMajorityGame, _Frozen, mask_winning_test, minimal_winning_coalitions
+from .games import WeightedMajorityGame, _Frozen, _mask_weight, minimal_winning_coalitions
 from .games import mwc_count
 
 
@@ -107,9 +107,9 @@ def _losing_counterexample(
     # and a minimal one: its proper subsets lose in the union.
     n = games[0].n_players
     full = (1 << n) - 1
-    tests = [mask_winning_test(g) for g in games]
+    forms = [g.integer_form for g in games]
     for mask in union_masks:
-        if mask != full and not any(win(mask) for win in tests):
+        if mask != full and all(_mask_weight(w, mask) < q for w, q, _ in forms):
             return Coalition.from_mask(mask)
     return None
 

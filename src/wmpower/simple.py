@@ -14,8 +14,11 @@ from collections.abc import Iterable
 from .coalitions import Coalition, as_coalition
 from .errors import EmptyCoalition, PlayerCountMismatch, SamePlayer
 from .games import Game, SimpleGame, WeightedMajorityGame, _canonical, _check_player, _Frozen
-from .games import minimal_winning_coalitions, swing_masks
-from .indices import _swing_tally
+from .games import _mask_weight, minimal_winning_coalitions, swing_pivots
+
+# The largest integer quota whose reachable sums below it are read as one int
+# (2 MB); above it, null players and symmetry fall through to the mwc scans.
+_REACH_LIMIT = 1 << 24
 
 
 class SwingSet(_Frozen):
@@ -54,15 +57,43 @@ def minimal_antichain(coalitions: Iterable[Coalition]) -> tuple[Coalition, ...]:
 
 def swings(game: Game, player: int) -> SwingSet:
     """Losing coalitions S (excluding the player) such that S plus the player wins."""
-    masks = _canonical(swing_masks(game, player))
-    return SwingSet(player, tuple(map(Coalition.from_mask, masks)))
+    _check_player(player, game.n_players)
+    if isinstance(game, WeightedMajorityGame):
+        weights, quota, _ = game.integer_form
+        window = range(quota - weights[player], quota)
+        walk = range(1 << game.n_players)
+        masks = (s for s in walk if not s >> player & 1 and _mask_weight(weights, s) in window)
+    else:
+        masks = (s for s, pivots in swing_pivots(game) if pivots >> player & 1)
+    return SwingSet(player, tuple(map(Coalition.from_mask, _canonical(masks))))
+
+
+def _weighs_between(
+    game: WeightedMajorityGame, outside: int, light: int, heavy: int
+) -> bool | None:
+    # Whether some coalition of the players not in the mask ``outside`` weighs
+    # in [q - heavy, q - light) on the integer form; None when q is over
+    # _REACH_LIMIT. Bit t of ``reach`` is set iff some such coalition weighs t.
+    weights, quota, _ = game.integer_form
+    if quota > _REACH_LIMIT:
+        return None
+    top = max(quota - light, 0)
+    below = (1 << top) - 1
+    reach = 1 & below
+    for k, w in enumerate(weights):
+        if not outside >> k & 1 and w < top:
+            reach = (reach | reach << w) & below
+    return reach >> max(quota - heavy, 0) != 0
 
 
 def is_null_player(game: Game, player: int) -> bool:
     """True iff the player belongs to no minimal winning coalition: iff it has no swing."""
     _check_player(player, game.n_players)
     if isinstance(game, WeightedMajorityGame):
-        return _swing_tally(game)[player].total() == 0
+        # A swing of i is a coalition without i weighing in [q - w_i, q).
+        swing = _weighs_between(game, 1 << player, 0, game.integer_form[0][player])
+        if swing is not None:
+            return not swing
     bit = 1 << player
     return not any(m & bit for m in minimal_winning_coalitions(game).masks)
 
@@ -74,10 +105,13 @@ def are_symmetric(game: Game, i: int, j: int) -> bool:
     if i == j:
         raise SamePlayer(f"symmetry needs two distinct players, got {i} twice")
     if isinstance(game, WeightedMajorityGame):
-        # A weighted game is complete, and of two players a strictly more desirable
-        # one has strictly more swings (Taylor & Zwicker 1999): equal counts, symmetry.
-        tally = _swing_tally(game)
-        return tally[i].total() == tally[j].total()
+        # With w_i <= w_j, S plus i wins only if S plus j does: the two differ
+        # iff some coalition S without both weighs in [q - w_j, q - w_i).
+        weights = game.integer_form[0]
+        light, heavy = sorted((weights[i], weights[j]))
+        differ = _weighs_between(game, 1 << i | 1 << j, light, heavy)
+        if differ is not None:
+            return not differ
     # The game is monotone, so the swap keeps its winning coalitions iff it
     # keeps their minimal ones: each mwc holding one of i, j swaps into M.
     masks = minimal_winning_coalitions(game)._mask_set

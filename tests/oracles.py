@@ -103,6 +103,27 @@ def symmetric_by_definition(game, i: int, j: int) -> bool:
     )
 
 
+def swings_by_definition(game, player: int) -> set[frozenset[int]]:
+    """Coalitions S without the player that lose while S plus the player wins."""
+    others = [i for i in range(game.n_players) if i != player]
+    return {
+        frozenset(combo)
+        for size in range(len(others) + 1)
+        for combo in itertools.combinations(others, size)
+        if not _wins_by_definition(game, combo) and _wins_by_definition(game, (*combo, player))
+    }
+
+
+def shapley_by_definition(game) -> list[Fraction]:
+    """Walk every player order and credit the pivot, whose joining first wins."""
+    n = game.n_players
+    counts = [0] * n
+    for perm in itertools.permutations(range(n)):
+        pivot = next(p for k, p in enumerate(perm) if _wins_by_definition(game, perm[: k + 1]))
+        counts[pivot] += 1
+    return [Fraction(c, math.factorial(n)) for c in counts]
+
+
 def shapley_by_permutations(game: WeightedMajorityGame) -> list[Fraction]:
     """Walk every player order and credit the pivot (who first reaches the quota)."""
     scale = math.lcm(

@@ -35,7 +35,7 @@ from wmpower.errors import (
     SamePlayer,
     TooManyPlayers,
 )
-from wmpower.games import swing_masks
+from wmpower.games import swing_pivots
 
 
 def game_51() -> WeightedMajorityGame:
@@ -494,17 +494,29 @@ def test_symmetry_matches_definition(game):
             assert are_symmetric(game, i, j) == oracles.symmetric_by_definition(game, i, j)
 
 
+def powers_of_two(n: int) -> WeightedMajorityGame:
+    # Distinct weights whose subsets all weigh differently; at the total,
+    # only the grand coalition wins.
+    return WeightedMajorityGame((1 << n) - 1, [1 << i for i in range(n)])
+
+
 # Examples: tied weights (every pair symmetric); zero weights (null players,
 # symmetric with each other); the quota at the total weight (one mwc, every
-# zero-weight player null).
+# zero-weight player null); weights above the quota (windows below 0); and
+# weights 1/p for the primes p up to 23, whose integer quota 111,546,435 is
+# over the reachability bound, so the weighted game takes the mwc scans.
 @given(rational_weighted_games(max_players=7))
 @example(WeightedMajorityGame("3/2", ("1/2", "1/2", "1/2", "1/2")))
 @example(WeightedMajorityGame(2, (1, 0, 1, 0, 1)))
 @example(WeightedMajorityGame(6, (3, 2, 0, 1)))
+@example(WeightedMajorityGame("1/2", (1, 1)))
+@example(WeightedMajorityGame(1, (1, 1)))
+@example(powers_of_two(8))
+@example(WeightedMajorityGame("1/2", [Fraction(1, p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)]))
 @settings(max_examples=150, deadline=None)
-def test_weighted_null_and_symmetric_players_read_swing_counts(game):
-    # A weighted game answers from its swing tally; its induced simple game
-    # from the mwc scans.
+def test_weighted_null_and_symmetric_players_match_definitions(game):
+    # A weighted game answers from its reachable sums (or, over the bound,
+    # from its mwcs); its induced simple game from the mwc scans.
     induced = minimal_winning_coalitions(game)
     n = game.n_players
     for i in range(n):
@@ -515,13 +527,28 @@ def test_weighted_null_and_symmetric_players_read_swing_counts(game):
             assert are_symmetric(game, i, j) == symmetric == are_symmetric(induced, i, j)
 
 
+def test_null_player_check_on_22_players_of_distinct_sums_is_fast():
+    # Every coalition of 2**0..2**21 weighs differently, so a tally of
+    # swings by weight would hold 2**21 sums per size.
+    code = (
+        "from wmpower import WeightedMajorityGame, check_np, deegan_packel\n"
+        "g = WeightedMajorityGame((1 << 22) - 1, [1 << i for i in range(22)])\n"
+        "assert check_np(deegan_packel, g).holds\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=10)
+
+
 @given(rational_weighted_games(max_players=7))
 @settings(max_examples=40, deadline=None)
-def test_swings_match_definition_in_decreasing_mask_order(game):
+def test_swing_pivots_match_definition_in_increasing_mask_order(game):
     induced = minimal_winning_coalitions(game)
-    for i in range(game.n_players):
-        masks = list(swing_masks(game, i))
-        assert masks == sorted(masks, reverse=True)
-        assert masks == list(swing_masks(induced, i))
-        expected = oracles.brute_force_swings(game, i)
-        assert {frozenset(Coalition.from_mask(m)) for m in masks} == expected
+    n = game.n_players
+    walked = list(swing_pivots(induced))
+    coalitions = map(Coalition.from_mask, range(1 << n))
+    losing = [c.mask for c in coalitions if not oracles.winning_by_definition(game, c)]
+    assert [s for s, _ in walked] == losing
+    swings_of = [oracles.brute_force_swings(game, i) for i in range(n)]
+    for s, pivots in walked:
+        members = frozenset(Coalition.from_mask(s))
+        assert pivots == sum(1 << i for i in range(n) if members in swings_of[i])

@@ -417,6 +417,21 @@ def test_swing_indices_match_definition(game):
     )
 
 
+# Examples: unanimity of all players (each swings once, at the rest); a
+# player in no mwc; one player.
+@settings(max_examples=100, deadline=None)
+@given(game=simple_games())
+@example(game=SimpleGame(4, [[0, 1, 2, 3]]))
+@example(game=SimpleGame(4, [[0, 1], [1, 2]]))
+@example(game=SimpleGame(1, [[0]]))
+def test_swing_indices_match_definition_on_simple_games(game):
+    n = game.n_players
+    assert list(shapley_shubik(game).values) == oracles.shapley_by_definition(game)
+    assert banzhaf(game, normalized=False).values == tuple(
+        F(len(oracles.swings_by_definition(game, i)), 1 << (n - 1)) for i in range(n)
+    )
+
+
 @settings(max_examples=100, deadline=None)
 @given(game=rational_weighted_games(max_players=7))
 @example(game=wmg("5/2", "3/2", 0, 1, "1/2", 0, "1/3"))
