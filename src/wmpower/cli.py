@@ -7,6 +7,7 @@ closes the pipe early.
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from types import SimpleNamespace
@@ -316,7 +317,12 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    code = main()
+    # The process ends here, so the interpreter's shutdown collections need not
+    # walk what lives now. main() never freezes: in-process callers keep a
+    # normal collector.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
-"""Record the golden cases of the ``axioms`` command that test_golden.py replays.
+"""Record the golden CLI cases that test_golden.py replays.
 
 Each case is one JSON file in tests/golden/: the argv after ``wmpower``, the
-exit code and the exact stdout. The command runs in process, with tests/golden
-as the working directory, so a ``--games`` directory is named relative to it.
+exit code, the exact stdout and the exact stderr. The command runs in process,
+with tests/golden as the working directory, so a ``--games`` directory and a
+game document are named relative to it; the documents other than the two
+majority games are the benchmark's fixed ones under bench/data.
 
     PYTHONPATH=src python tests/make_golden.py          # report which cases changed
     PYTHONPATH=src python tests/make_golden.py --write  # rewrite cases and documents
@@ -24,6 +26,7 @@ from pathlib import Path
 from wmpower.cli import main as cli_main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+DATA = "../../bench/data"
 MAJORITY_DIR = "majority10"
 MAJORITY_SEED = 10
 
@@ -37,6 +40,27 @@ CASES = {
     "ss_classic_majority10": ["axioms", "--index", "ss", "--suite", "classic", "--games", MAJORITY_DIR],
     "bz_classic_majority10": ["axioms", "--index", "bz", "--suite", "classic", "--games", MAJORITY_DIR],
 }
+# power (all six indices) and mwc on each fixed document; the EU Council's mwc
+# listing (561,645 lines, about 2 s) is left out.
+DOCUMENTS = [
+    "reference_game", "readme_a", "readme_b", "readme_union", "fixture_221", "nonmergeable_b",
+    *(f"ecuador/{period}" for period in ("may21", "jun21", "jul21", "oct12", "oct26", "dec21")),
+]
+for document in DOCUMENTS:
+    for command in ("power", "mwc"):
+        CASES[f"{command}_{document.replace('/', '_')}"] = [command, "--game", f"{DATA}/{document}.json"]
+CASES["power_eu_council_ss_bz_exact"] = [
+    "power", "--game", f"{DATA}/eu_council_nice.json", "--index", "ss,bz", "--exact",
+]
+for second in ("readme_b", "nonmergeable_b"):
+    pair = [f"{DATA}/readme_a.json", f"{DATA}/{second}.json"]
+    CASES[f"merge_readme_a_{second}"] = ["merge", *pair]
+    CASES[f"merge_readme_a_{second}_check_only"] = ["merge", *pair, "--check-only"]
+for fmt in ("table", "csv", "json"):
+    CASES[f"demo_ecuador_{fmt}"] = ["demo", "ecuador", "--format", fmt]
+for refused in ("float_weight", "malformed_rational", "negative_weight", "players_65"):
+    for command in ("power", "mwc"):
+        CASES[f"{command}_refused_{refused}"] = [command, "--game", f"{DATA}/bad/{refused}.json"]
 
 
 def majority_documents() -> dict[str, dict]:
@@ -54,15 +78,15 @@ def majority_documents() -> dict[str, dict]:
 
 def run_case(argv: list[str]) -> dict:
     """The case record of one in-process run of the CLI from tests/golden."""
-    out = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(GOLDEN)
     try:
-        with contextlib.redirect_stdout(out):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli_main(argv)
     finally:
         os.chdir(cwd)
-    return {"argv": argv, "exit": code, "stdout": out.getvalue()}
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
 def main() -> int:

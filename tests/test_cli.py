@@ -17,7 +17,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from wmpower import WeightedMajorityGame, cli, ecuador_document
+from wmpower import (
+    INDEX_FUNCTIONS,
+    SimpleGame,
+    WeightedMajorityGame,
+    cli,
+    ecuador_document,
+    simple_intersection,
+    simple_union,
+)
 from wmpower.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -439,6 +447,31 @@ class TestAxioms:
         ]
         assert len(games) == 1
         assert "induced_simple_game" not in games[0].__dict__
+
+    @pytest.mark.parametrize("index", ["ss", "bz", "dp", "pg"])
+    def test_classic_suite_reads_weighted_vectors_for_induced_games(
+        self, tmp_path, monkeypatch, index
+    ):
+        # An induced game has its weighted game's vector, already computed:
+        # of the pair's simple games, the index runs on the join and the meet.
+        write_game(tmp_path, "a.json", 4, (3, 2, 0))
+        write_game(tmp_path, "b.json", 4, (3, 0, 1))
+        index_function = INDEX_FUNCTIONS[index]
+        evaluated = []
+
+        def recorded(game):
+            evaluated.append(game)
+            return index_function(game)
+
+        monkeypatch.setitem(INDEX_FUNCTIONS, index, recorded)
+        argv = ["axioms", "--index", index, "--suite", "classic", "--games", str(tmp_path)]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(argv) == 0
+        assert "/1 mergeable pairs" in out.getvalue()
+        v, v_prime = (SimpleGame(3, mwc) for mwc in ([[0, 1]], [[0, 2]]))
+        simple = [g for g in evaluated if isinstance(g, SimpleGame)]
+        assert len(simple) == 2
+        assert set(simple) == {simple_union(v, v_prime), simple_intersection(v, v_prime)}
 
     def test_classic_suite_rejects_weight_only_indices(self, capsys):
         assert main(["axioms", "--index", "cm", "--suite", "classic"]) == 2

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import wmpower
+from make_golden import GOLDEN
 from wmpower import cli
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -188,3 +189,52 @@ def test_lazy_cli_names_are_attributes_and_replacements_are_called(
     assert cli.main(["power", "--game", paths[0]]) == 0
     assert calls[12:] == ["render_table"]
     assert capsys.readouterr().out.startswith("index: ss  suite: classic  games: 11\n")
+
+
+# Ends the process through cli.run(), the console script's entry point, with
+# an atexit probe that writes the count of frozen objects to stderr last.
+RUN_WITH_PROBE = """
+import atexit, gc, sys
+atexit.register(lambda: print("frozen:", gc.get_freeze_count(), file=sys.stderr))
+from wmpower import cli
+cli.run()
+"""
+
+# Runs cli.main in process and prints its exit code and the frozen count.
+MAIN_IN_PROCESS = """
+import contextlib, gc, io, sys
+from wmpower import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, gc.get_freeze_count())
+"""
+
+
+def run_golden_argv(script, name):
+    """The golden case's record and ``python -S -c script`` run on its argv."""
+    expected = json.loads((GOLDEN / f"{name}.json").read_text())
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", script, *expected["argv"]],
+        cwd=GOLDEN,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    return expected, result
+
+
+@pytest.mark.parametrize("name", ["power_reference_game", "power_refused_negative_weight"])
+def test_run_freezes_the_heap_before_the_process_exits(name):
+    # run() freezes after main() returns: stdout, stderr and the exit code are
+    # the recorded ones, and the probe sees the frozen objects.
+    expected, result = run_golden_argv(RUN_WITH_PROBE, name)
+    assert (result.returncode, result.stdout) == (expected["exit"], expected["stdout"])
+    stderr, _, probe = result.stderr.rpartition("frozen: ")
+    assert stderr == expected["stderr"]
+    assert int(probe) > 0
+
+
+def test_main_in_process_freezes_nothing():
+    _, result = run_golden_argv(MAIN_IN_PROCESS, "power_reference_game")
+    assert result.stdout.split() == ["0", "0"], result.stderr
