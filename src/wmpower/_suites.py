@@ -11,7 +11,7 @@ import os
 
 from .datasets import ECUADOR_PERIODS
 from .errors import GameError
-from .games import WeightedMajorityGame, minimal_winning_coalitions, mwc_count
+from .games import WeightedMajorityGame, mwc_count
 
 
 def _builtin_fixture_games(cli) -> list:
@@ -74,26 +74,14 @@ def _run_classic_suite(cli, f, games) -> list[tuple[str, bool]]:
     lines = [_report_each("SYM", cli.check_sym, f, games, "games")]
     # Pairs of games of one size; a game lists its mwcs (once, cached on it)
     # only if it is in a pair.
-    weighted_pairs = [
+    pairs = [
         (a, b) for k, a in enumerate(games) for b in games[k + 1 :] if a.n_players == b.n_players
     ]
-    # The suite's indices (SS, BZ, DP, PG) give an induced game the vector of
-    # its weighted game, which f has already computed: the checks read that.
-    vectors = {minimal_winning_coalitions(g): f(g) for pair in weighted_pairs for g in pair}
-
-    def f_paired(game):
-        return vectors[game] if game in vectors else f(game)
-
-    pairs = [tuple(map(minimal_winning_coalitions, pair)) for pair in weighted_pairs]
-    tra = [(f"pair {k}", cli.check_tra(f_paired, a, b)) for k, (a, b) in enumerate(pairs)]
+    tra = [(f"pair {k}", cli.check_tra(f, a, b)) for k, (a, b) in enumerate(pairs)]
     lines.append(_report_axiom("TRA", tra, "pairs"))
     mergeable_pairs = [(a, b) for a, b in pairs if cli.simple_mergeable(a, b)]
-    dpm = [
-        (f"pair {k}", cli.check_dpm(f_paired, a, b)) for k, (a, b) in enumerate(mergeable_pairs)
-    ]
-    pgm = [
-        (f"pair {k}", cli.check_pgm(f_paired, a, b)) for k, (a, b) in enumerate(mergeable_pairs)
-    ]
+    dpm = [(f"pair {k}", cli.check_dpm(f, a, b)) for k, (a, b) in enumerate(mergeable_pairs)]
+    pgm = [(f"pair {k}", cli.check_pgm(f, a, b)) for k, (a, b) in enumerate(mergeable_pairs)]
     lines.append(_report_axiom("DPM", dpm, "mergeable pairs"))
     lines.append(_report_axiom("PGM", pgm, "mergeable pairs"))
     return lines

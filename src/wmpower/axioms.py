@@ -13,7 +13,7 @@ from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 
 from .errors import NotMergeable, NotUnanimityLike, UnknownKind
-from .games import Game, SimpleGame, WeightedMajorityGame, _Frozen
+from .games import Game, WeightedMajorityGame, _Frozen
 from .games import minimal_winning_coalitions, mwc_count
 from .indices import PowerIndexVector, _memberships, _weighted_memberships
 from .indices import colomer_martinez, hcm
@@ -85,8 +85,11 @@ def _vectors_equal(a: Sequence[Fraction], b: Sequence[Fraction]) -> bool:
     return all(x == y for x, y in zip(a, b, strict=True))
 
 
-def check_tra(f: IndexFunction, v: SimpleGame, v_prime: SimpleGame) -> AxiomVerdict:
-    """Transfer: f(meet) + f(join) equals f(v) + f(v'), componentwise."""
+def check_tra(f: IndexFunction, v: Game, v_prime: Game) -> AxiomVerdict:
+    """Transfer: f(meet) + f(join) equals f(v) + f(v'), componentwise.
+
+    f must depend only on the winning structure: a weighted game is read as its induced game.
+    """
     join = simple_union(v, v_prime)
     meet = simple_intersection(v, v_prime)
     left = [a + b for a, b in zip(f(meet).values, f(join).values, strict=True)]
@@ -98,7 +101,7 @@ def check_tra(f: IndexFunction, v: SimpleGame, v_prime: SimpleGame) -> AxiomVerd
     )
 
 
-def _require_simple_mergeable(v: SimpleGame, v_prime: SimpleGame) -> None:
+def _require_simple_mergeable(v: Game, v_prime: Game) -> None:
     if not simple_mergeable(v, v_prime):
         raise NotMergeable(
             "the axiom is stated for mergeable simple games; "
@@ -125,15 +128,21 @@ def _averaging_verdict(
     )
 
 
-def check_dpm(f: IndexFunction, v: SimpleGame, v_prime: SimpleGame) -> AxiomVerdict:
-    """Mergeability with mwc-count weights: f(join) is the |M|-weighted average."""
+def check_dpm(f: IndexFunction, v: Game, v_prime: Game) -> AxiomVerdict:
+    """Mergeability with mwc-count weights: f(join) is the |M|-weighted average.
+
+    As in TRA, f must depend only on the winning structure.
+    """
     _require_simple_mergeable(v, v_prime)
     join = simple_union(v, v_prime)
     return _averaging_verdict("DPM", f, mwc_count, join, (v, v_prime))
 
 
-def check_pgm(f: IndexFunction, v: SimpleGame, v_prime: SimpleGame) -> AxiomVerdict:
-    """Mergeability with membership-count weights: f(join) is the sum-|M_i| average."""
+def check_pgm(f: IndexFunction, v: Game, v_prime: Game) -> AxiomVerdict:
+    """Mergeability with membership-count weights: f(join) is the sum-|M_i| average.
+
+    As in TRA, f must depend only on the winning structure.
+    """
     _require_simple_mergeable(v, v_prime)
     join = simple_union(v, v_prime)
     return _averaging_verdict("PGM", f, lambda g: sum(_memberships(g)), join, (v, v_prime))

@@ -127,28 +127,30 @@ def unanimity_game(n_players: int, coalition) -> SimpleGame:
     return SimpleGame(n_players, (c,))
 
 
-def _check_same_players(v: SimpleGame, v_prime: SimpleGame) -> None:
+def _simple_pair(v: Game, v_prime: Game) -> tuple[SimpleGame, SimpleGame]:
+    # A weighted game stands for its induced simple game.
     if v.n_players != v_prime.n_players:
         raise PlayerCountMismatch(
             f"player counts differ: {v.n_players} vs {v_prime.n_players}"
         )
+    return minimal_winning_coalitions(v), minimal_winning_coalitions(v_prime)
 
 
-def simple_union(v: SimpleGame, v_prime: SimpleGame) -> SimpleGame:
+def simple_union(v: Game, v_prime: Game) -> SimpleGame:
     """Game winning where either game wins; mwc = minimal elements of both antichains."""
-    _check_same_players(v, v_prime)
+    v, v_prime = _simple_pair(v, v_prime)
     return SimpleGame._trusted(v.n_players, _minimal_masks(v.masks + v_prime.masks))
 
 
-def simple_intersection(v: SimpleGame, v_prime: SimpleGame) -> SimpleGame:
+def simple_intersection(v: Game, v_prime: Game) -> SimpleGame:
     """Game winning where both games win; mwc = minimal pairwise unions of their mwcs."""
-    _check_same_players(v, v_prime)
+    v, v_prime = _simple_pair(v, v_prime)
     candidates = {a | b for a in v.masks for b in v_prime.masks}
     return SimpleGame._trusted(v.n_players, _minimal_masks(candidates))
 
 
-def simple_mergeable(v: SimpleGame, v_prime: SimpleGame) -> bool:
+def simple_mergeable(v: Game, v_prime: Game) -> bool:
     """True iff no minimal winning coalition of one game contains one of the other."""
-    _check_same_players(v, v_prime)
+    v, v_prime = _simple_pair(v, v_prime)
     # a & b is a iff a lies inside b, and b iff b lies inside a.
     return all(a & b not in (a, b) for a in v.masks for b in v_prime.masks)

@@ -26,15 +26,9 @@ def decimal_string(value: Fraction, digits: int = 4) -> str:
     if limit and digits > limit:
         raise GameError(f"digits must be at most {limit}, got {digits}")
     sign = "-" if value < 0 else ""
-    magnitude = -value if value < 0 else value
     scale = 10**digits
-    quotient, remainder = divmod(magnitude.numerator * scale, magnitude.denominator)
-    doubled = 2 * remainder
-    if doubled > magnitude.denominator or (
-        doubled == magnitude.denominator and quotient % 2 == 1
-    ):
-        quotient += 1
-    whole, frac = divmod(quotient, scale)
+    # round() of a Fraction is exact, and rounds half to even.
+    whole, frac = divmod(round(abs(value) * scale), scale)
     return f"{sign}{whole}.{frac:0{digits}d}"
 
 

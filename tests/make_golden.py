@@ -9,6 +9,7 @@ majority games are the benchmark's fixed ones under bench/data.
     PYTHONPATH=src python tests/make_golden.py          # report which cases changed
     PYTHONPATH=src python tests/make_golden.py --write  # rewrite cases and documents
 
+Without ``--write`` it exits 1 when any case differs from its file or has none.
 Only ``--write`` touches a file. It also rewrites the two 10-player majority
 documents in tests/golden/majority10 from their fixed seed.
 """
@@ -31,15 +32,16 @@ MAJORITY_DIR = "majority10"
 MAJORITY_SEED = 10
 
 SAMPLED = ["--samples", "20", "--seed", "0"]
-CASES = {
-    "ss_classic": ["axioms", "--index", "ss", "--suite", "classic", *SAMPLED],
-    "bz_classic": ["axioms", "--index", "bz", "--suite", "classic", *SAMPLED],
-    "pg_classic": ["axioms", "--index", "pg", "--suite", "classic", *SAMPLED],
-    "dp_thm1": ["axioms", "--index", "dp", "--suite", "thm1", *SAMPLED],
-    "hcm_thm2": ["axioms", "--index", "hcm", "--suite", "thm2", *SAMPLED],
-    "ss_classic_majority10": ["axioms", "--index", "ss", "--suite", "classic", "--games", MAJORITY_DIR],
-    "bz_classic_majority10": ["axioms", "--index", "bz", "--suite", "classic", "--games", MAJORITY_DIR],
-}
+CASES = {}
+# Every index under every suite on the built-in games plus 20 samples; the
+# classic suite refuses cm and hcm (exit 2).
+for index in ("ss", "bz", "dp", "pg", "cm", "hcm"):
+    for suite in ("classic", "thm1", "thm2"):
+        CASES[f"{index}_{suite}"] = ["axioms", "--index", index, "--suite", suite, *SAMPLED]
+for index in ("ss", "bz", "dp", "pg"):
+    CASES[f"{index}_classic_majority10"] = [
+        "axioms", "--index", index, "--suite", "classic", "--games", MAJORITY_DIR,
+    ]
 # power (all six indices) and mwc on each fixed document; the EU Council's mwc
 # listing (561,645 lines, about 2 s) is left out.
 DOCUMENTS = [
@@ -99,16 +101,21 @@ def main() -> int:
         for name, document in majority_documents().items():
             text = json.dumps(document, indent=2) + "\n"
             (GOLDEN / MAJORITY_DIR / name).write_text(text)
+    changed = 0
     for name, argv in CASES.items():
         record = run_case(argv)
         path = GOLDEN / f"{name}.json"
         if write:
             path.write_text(json.dumps(record, indent=2) + "\n")
             print(f"wrote {path.name}")
+        elif not path.exists():
+            changed += 1
+            print(f"{name}: missing")
         else:
-            same = path.exists() and json.loads(path.read_text()) == record
+            same = json.loads(path.read_text()) == record
+            changed += not same
             print(f"{name}: {'same' if same else 'differs'}")
-    return 0
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":

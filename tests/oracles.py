@@ -186,3 +186,13 @@ def hcm_by_definition(game: WeightedMajorityGame) -> list[Fraction]:
     ]
     total = sum(products, Fraction(0))
     return [p / total for p in products]
+
+
+def decimal_by_definition(value: Fraction, digits: int) -> str:
+    """|value| to ``digits`` places by floor, then half-even on the remainder."""
+    scaled = abs(value) * 10**digits
+    low = math.floor(scaled)
+    rest = scaled - low
+    n = low + (rest > Fraction(1, 2) or (rest == Fraction(1, 2) and low % 2 == 1))
+    text = str(n).rjust(digits + 1, "0")
+    return ("-" if value < 0 else "") + text[:-digits] + "." + text[-digits:]

@@ -84,3 +84,13 @@ def simple_game_pairs(draw, min_players=2, max_players=6):
         draw(simple_games(min_players=n, max_players=n)),
         draw(simple_games(min_players=n, max_players=n)),
     )
+
+
+@st.composite
+def weighted_game_pairs(draw, min_players=1, max_players=6):
+    n = draw(st.integers(min_players, max_players))
+    games = st.one_of(
+        weighted_games(min_players=n, max_players=n),
+        rational_weighted_games(min_players=n, max_players=n),
+    )
+    return draw(games), draw(games)

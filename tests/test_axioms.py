@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from strategies import rational_weighted_games, simple_game_pairs, simple_games, weighted_games
+from strategies import weighted_game_pairs
 from wmpower import (
     Coalition,
     PowerIndexVector,
@@ -33,7 +34,9 @@ from wmpower import (
     public_good,
     random_mergeable_family,
     shapley_shubik,
+    simple_intersection,
     simple_mergeable,
+    simple_union,
     single_mwc_decomposition,
     witness_index,
 )
@@ -213,6 +216,15 @@ class TestSymw:
         with pytest.raises(NotUnanimityLike):
             check_symw(colomer_martinez, GAME_321)
 
+    def test_zero_reference_value_is_skipped(self):
+        # f_0 = 0 is no reference for player 1; against f_1 = 1, f_0 * 2 != f_1 * 3.
+        def f(game):
+            return PowerIndexVector("fixed", (F(0), F(1), F(0)))
+
+        verdict = check_symw(f, GAME_320)
+        assert not verdict.holds
+        assert verdict.witness["players"] == (0, 1)
+
 
 class TestDpmw:
     def test_cm_satisfies(self):
@@ -372,6 +384,33 @@ def test_overview_conformance_on_random_pairs(pair):
     if simple_mergeable(v, v_prime):
         assert check_dpm(deegan_packel, v, v_prime).holds
         assert check_pgm(public_good, v, v_prime).holds
+
+
+def _outcome(verdict):
+    return verdict.holds, verdict.witness and (verdict.witness["left"], verdict.witness["right"])
+
+
+@given(weighted_game_pairs())
+@example((wmg(4, 3, 2, 0), wmg(4, 3, 0, 1)))  # mergeable
+@example((wmg(1, 0, 0, 1), wmg(1, 1, 2, 0)))  # mergeable; TRA fails for DP and PG
+@example((GAME_221, GAME_221))  # a game is never mergeable with itself
+@settings(max_examples=40, deadline=None)
+def test_weighted_pair_stands_for_its_induced_pair(pair):
+    # The algebra and the pair checks read a weighted game as its induced game.
+    induced = tuple(map(minimal_winning_coalitions, pair))
+    assert simple_union(*pair) == simple_union(*induced)
+    assert simple_intersection(*pair) == simple_intersection(*induced)
+    mergeable = simple_mergeable(*pair)
+    assert mergeable == simple_mergeable(*induced)
+    for f in (shapley_shubik, banzhaf, deegan_packel, public_good):
+        assert _outcome(check_tra(f, *pair)) == _outcome(check_tra(f, *induced))
+        for check in (check_dpm, check_pgm):
+            if mergeable:
+                assert _outcome(check(f, *pair)) == _outcome(check(f, *induced))
+            else:
+                for games in (pair, induced):
+                    with pytest.raises(NotMergeable):
+                        check(f, *games)
 
 
 @given(weighted_games(max_players=6))

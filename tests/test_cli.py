@@ -452,8 +452,8 @@ class TestAxioms:
     def test_classic_suite_reads_weighted_vectors_for_induced_games(
         self, tmp_path, monkeypatch, index
     ):
-        # An induced game has its weighted game's vector, already computed:
-        # of the pair's simple games, the index runs on the join and the meet.
+        # The checks take the weighted pair as it is, whose vectors are already
+        # computed: the index runs on two simple games, the join and the meet.
         write_game(tmp_path, "a.json", 4, (3, 2, 0))
         write_game(tmp_path, "b.json", 4, (3, 0, 1))
         index_function = INDEX_FUNCTIONS[index]
@@ -496,6 +496,17 @@ class TestAxioms:
             main(["axioms", "--index", "cm", "--suite", "thm1", "--games", str(tmp_path)])
             == 2
         )
+
+    def test_games_file_is_not_a_directory(self, tmp_path, capsys):
+        path = write_game(tmp_path, "a.json", 4, (3, 2, 0))
+        assert main(["axioms", "--index", "dp", "--suite", "thm1", "--games", path]) == 2
+        assert "is not a directory of game documents" in capsys.readouterr().err
+
+    def test_two_indices_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["axioms", "--index", "ss,bz", "--suite", "classic"])
+        assert exc_info.value.code == 2
+        assert "expected exactly one index name" in capsys.readouterr().err
 
 
 class TestDemo:

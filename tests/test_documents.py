@@ -4,9 +4,10 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from strategies import rational_weighted_games
 from wmpower import (
     ECUADOR_PERIODS,
@@ -47,6 +48,9 @@ class TestParseRational:
             parse_rational("abc")
         with pytest.raises(ParseError):
             parse_rational(None)
+        # An exponent that is no integer leaves the exponent check at once.
+        with pytest.raises(ParseError, match="malformed rational '1e5x'"):
+            parse_rational("1e5x")
 
     def test_format_round_trip(self):
         for value in (F(3), F(-2, 7), F(70)):
@@ -212,6 +216,16 @@ class TestDecimalString:
         # Refused at once: the long division alone would run for seconds.
         with pytest.raises(GameError, match="at most"):
             decimal_string(F(1, 3), 10**7)
+
+    @given(st.fractions() | st.integers(), st.integers(1, 12))
+    @example(F(5, 32), 4)
+    @example(F(-7, 32), 4)
+    @example(F(-1, 10**9), 3)
+    @example(-3, 2)
+    def test_matches_half_even_by_definition(self, value, digits):
+        if isinstance(value, int):
+            value = F(value, 2 * 10**digits)  # an exact tie when the int is odd
+        assert decimal_string(value, digits) == oracles.decimal_by_definition(value, digits)
 
 
 class TestRenderTable:

@@ -118,6 +118,11 @@ class TestSimpleGameConstruction:
         with pytest.raises(PlayerOutOfRange):
             SimpleGame(2, (Coalition([3]),))
 
+    @pytest.mark.parametrize("n_players", [0, 65])
+    def test_player_count_outside_the_cap_rejected(self, n_players):
+        with pytest.raises(TooManyPlayers, match=f"player count {n_players} outside 1..64"):
+            SimpleGame(n_players, [[0]])
+
 
 class TestCoalitionWeight:
     def test_pair_weight(self):

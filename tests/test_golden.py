@@ -5,9 +5,11 @@ a change of output is intended.
 """
 
 import json
+import sys
 
 import pytest
 
+import make_golden
 from make_golden import CASES, GOLDEN, run_case
 
 AXIOMS = sorted(name for name, argv in CASES.items() if argv[0] == "axioms")
@@ -28,3 +30,24 @@ def test_axioms_output_matches_golden_case(name):
 @pytest.mark.parametrize("name", COMMANDS)
 def test_command_output_matches_golden_case(name):
     replay(name)
+
+
+def test_make_golden_reports_the_clean_corpus_unchanged(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["make_golden.py"])
+    assert make_golden.main() == 0
+    assert "differs" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    ("cases", "report"),
+    [
+        ({"cm_classic": CASES["hcm_classic"]}, "cm_classic: differs"),
+        ({"absent_case": CASES["cm_classic"]}, "absent_case: missing"),
+    ],
+    ids=["differs", "missing"],
+)
+def test_make_golden_fails_on_a_changed_or_missing_case(monkeypatch, capsys, cases, report):
+    monkeypatch.setattr(sys, "argv", ["make_golden.py"])
+    monkeypatch.setattr(make_golden, "CASES", cases)
+    assert make_golden.main() == 1
+    assert capsys.readouterr().out.splitlines() == [report]
