@@ -1,8 +1,8 @@
 """Command-line surface: power tables, mwc listings, merging, axiom suites, demos.
 
 Exit codes: 0 on success, 2 on validation failures (bad flags, malformed or
-invalid game documents), 1 on internal errors and when the reader of stdout
-closes the pipe early.
+invalid game documents, names that stdout's encoding cannot carry), 1 on
+internal errors and when the reader of stdout closes the pipe early.
 """
 
 from __future__ import annotations
@@ -308,7 +308,7 @@ def main(argv=None) -> int:
         # send what is still buffered to devnull so the exit flush cannot fail.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (GameError, OSError) as err:
+    except (GameError, OSError, UnicodeEncodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception as err:  # noqa: BLE001 - last-resort guard for exit code 1

@@ -3,7 +3,8 @@
 Each component keeps the quota and zeroes the weights of the players outside
 its group's minimal winning coalitions. Splitting one mwc per component
 always gives a WM-mergeable family whose union is the game again, which is
-how the axiom suites and the random sampler build mergeable families.
+how the axiom suites and the seeded samplers below (``--samples``) build
+mergeable families; a sampler is handed its ``random.Random``, never imported.
 """
 
 from __future__ import annotations
@@ -59,3 +60,31 @@ def single_mwc_decomposition(
             "decomposition needs a game with at least two minimal winning coalitions"
         )
     return mwc_group_decomposition(game, [[k] for k in range(count)])
+
+
+def random_weighted_game(
+    rng: random.Random, max_players: int = 8, max_weight: int = 9
+) -> WeightedMajorityGame:
+    """A weighted game with 2..max_players players and small integer weights.
+
+    Zero weights are allowed, so null players occur; the quota is drawn from
+    1..total so the grand coalition always wins.
+    """
+    n = rng.randint(2, max_players)
+    while True:
+        weights = [rng.randint(0, max_weight) for _ in range(n)]
+        total = sum(weights)
+        if total > 0:
+            break
+    quota = rng.randint(1, total)
+    return WeightedMajorityGame(quota, weights)
+
+
+def random_mergeable_family(
+    rng: random.Random, max_players: int = 8, max_weight: int = 9
+) -> list[WeightedMajorityGame]:
+    """A mergeable family: the per-mwc decomposition of a random multi-mwc game."""
+    while True:
+        game = random_weighted_game(rng, max_players, max_weight)
+        if mwc_count(game) >= 2:
+            return single_mwc_decomposition(game)

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .coalitions import Coalition
 from .errors import FewerThanTwoGames, NotWMMergeable, PlayerCountMismatch
-from .games import WeightedMajorityGame, _Frozen, _mask_weight, minimal_winning_coalitions
-from .games import mwc_count
+from .games import Coalition, WeightedMajorityGame, _Frozen, _mask_weight
+from .games import minimal_winning_coalitions, mwc_count
 
 
 class MergeabilityReport(_Frozen):

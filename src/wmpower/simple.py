@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .coalitions import Coalition, as_coalition
 from .errors import EmptyCoalition, PlayerCountMismatch, SamePlayer
-from .games import Game, SimpleGame, WeightedMajorityGame, _canonical, _check_player, _Frozen
-from .games import _mask_weight, minimal_winning_coalitions, swing_pivots
+from .games import Coalition, Game, SimpleGame, WeightedMajorityGame, _canonical, _check_player
+from .games import _Frozen, _mask_weight, as_coalition, minimal_winning_coalitions, swing_pivots
 
 # The largest integer quota whose reachable sums below it are read as one int
 # (2 MB); above it, null players and symmetry fall through to the mwc scans.

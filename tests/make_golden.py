@@ -4,7 +4,10 @@ Each case is one JSON file in tests/golden/: the argv after ``wmpower``, the
 exit code, the exact stdout and the exact stderr. The command runs in process,
 with tests/golden as the working directory, so a ``--games`` directory and a
 game document are named relative to it; the documents other than the two
-majority games are the benchmark's fixed ones under bench/data.
+majority games are the benchmark's fixed ones under bench/data. Help and usage
+errors end in argparse's ``SystemExit``, whose code is recorded as the exit;
+``COLUMNS=80`` is set for every run, so argparse wraps its text at 80 columns
+whatever the terminal.
 
     PYTHONPATH=src python tests/make_golden.py          # report which cases changed
     PYTHONPATH=src python tests/make_golden.py --write  # rewrite cases and documents
@@ -23,6 +26,7 @@ import os
 import random
 import sys
 from pathlib import Path
+from unittest import mock
 
 from wmpower.cli import main as cli_main
 
@@ -63,6 +67,17 @@ for fmt in ("table", "csv", "json"):
 for refused in ("float_weight", "malformed_rational", "negative_weight", "players_65"):
     for command in ("power", "mwc"):
         CASES[f"{command}_refused_{refused}"] = [command, "--game", f"{DATA}/bad/{refused}.json"]
+# argparse's help and usage errors.
+CASES["help"] = ["--help"]
+for command in ("power", "mwc", "merge", "axioms", "demo"):
+    CASES[f"help_{command}"] = [command, "--help"]
+REFERENCE = f"{DATA}/reference_game.json"
+CASES["usage_power_without_game"] = ["power"]
+CASES["usage_power_unknown_index"] = ["power", "--game", REFERENCE, "--index", "zz"]
+CASES["usage_power_digits_0"] = ["power", "--game", REFERENCE, "--digits", "0"]
+CASES["usage_demo_unknown_period"] = ["demo", "ecuador", "--period", "sep21"]
+CASES["usage_axioms_unknown_suite"] = ["axioms", "--index", "ss", "--suite", "zz"]
+CASES["usage_unknown_command"] = ["frobnicate"]
 
 
 def majority_documents() -> dict[str, dict]:
@@ -78,14 +93,18 @@ def majority_documents() -> dict[str, dict]:
     return documents
 
 
-def run_case(argv: list[str]) -> dict:
-    """The case record of one in-process run of the CLI from tests/golden."""
+def run_case(argv: list[str], directory: Path = GOLDEN) -> dict:
+    """The case record of one in-process run of the CLI from ``directory``."""
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
-    os.chdir(GOLDEN)
+    os.chdir(directory)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli_main(argv)
+            with mock.patch.dict(os.environ, COLUMNS="80"):
+                try:
+                    code = cli_main(argv)
+                except SystemExit as exit:
+                    code = exit.code
     finally:
         os.chdir(cwd)
     return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from make_golden import run_case
 from wmpower import (
     INDEX_FUNCTIONS,
     SimpleGame,
@@ -243,6 +244,22 @@ class TestMwc:
         assert result.returncode == 2
         assert result.stdout == b""
         assert result.stderr.startswith(b"error: names and metadata must be UTF-8 text")
+
+    @pytest.mark.parametrize("command", ["mwc", "power"])
+    def test_name_stdout_cannot_encode_exits_2(self, tmp_path, command):
+        # power prints its table in one write, which fails whole; mwc has
+        # written its header lines before the first name.
+        path = write_game(tmp_path, "umlaut.json", 1, (1, 1), ("A", "\u00c4"))
+        result = subprocess.run(
+            [sys.executable, "-m", "wmpower.cli", command, "--game", path],
+            env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONIOENCODING="ascii:strict"),
+            capture_output=True,
+            timeout=60,
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith(b"error: 'ascii' codec can't encode")
+        if command == "power":
+            assert result.stdout == b""
 
     def test_unprintable_total_weight_is_validation_failure(self, tmp_path, capsys):
         path = write_game(tmp_path, "recip.json", 10, reciprocal_weights())
@@ -668,6 +685,28 @@ def test_common_reader_agrees_with_argparse(argv):
             assert common is None
             return
     assert common is None or vars(common) == vars(parsed)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A directory holding the files the fuzzed argvs name: a.json, b.json and games/."""
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "games").mkdir()
+    for name, weights in (("a.json", (3, 2, 0)), ("b.json", (3, 0, 1))):
+        write_game(root, name, 4, weights)
+        write_game(root / "games", name, 4, weights)
+    return root
+
+
+# The fuzzed tokens hold no NUL: no OS argv can carry one (each argument is a
+# C string). In process, open() refuses a path holding one with a ValueError,
+# which exits 1.
+@with_common_examples
+@given(argvs())
+@settings(max_examples=300, deadline=None)
+def test_every_argv_exits_0_or_2(fuzz_dir, argv):
+    # run_case records argparse's SystemExit code as the exit.
+    assert run_case(argv, fuzz_dir)["exit"] in (0, 2)
 
 
 @pytest.mark.parametrize("argv", WELL_FORMED, ids=" ".join)

@@ -26,8 +26,8 @@ NOT_LOADED = (
     "locale",
     "random",
     "wmpower.axioms",
+    "wmpower.decompositions",
     "wmpower.merging",
-    "wmpower.sampling",
 )
 
 SCRIPT = """
@@ -73,7 +73,7 @@ sys.stdout = stdout
 print(code, *sorted(m for m in sys.modules if m.partition(".")[0] in ("wmpower", "argparse")))
 """
 
-BASE = ("coalitions", "documents", "errors", "games")
+BASE = ("documents", "errors", "games")
 RENDER = ("indices", "tables")
 SUITE = ("_suites", "axioms", "indices", "merging", "simple")
 
@@ -95,7 +95,7 @@ SUITE = ("_suites", "axioms", "indices", "merging", "simple")
         (
             ["axioms", "--index", "ss", "--suite", "classic", "--samples", "2"],
             0,
-            (*SUITE, "datasets", "decompositions", "sampling"),
+            (*SUITE, "datasets", "decompositions"),
         ),
         # demo's --period choices are in the help, so argparse loads datasets.
         (["power", "--help"], 0, ("datasets",)),
