@@ -120,9 +120,15 @@ def cmd_power(args) -> int:
 
 def cmd_mwc(args) -> int:
     document = load_game(args.game)
+    label = document.label or "game"
+    # Encode the names as stdout will, so that one it cannot carry (exit 2)
+    # stops the listing before its first line. A StringIO has no encoding.
+    if encoding := sys.stdout.encoding:
+        for text in (label, *document.players):
+            text.encode(encoding, sys.stdout.errors)
     game = document.game()
     masks = minimal_winning_coalitions(game).masks
-    print(f"{document.label or 'game'} {game}")
+    print(f"{label} {game}")
     plural = "s" if len(masks) != 1 else ""
     print(f"{len(masks)} minimal winning coalition{plural}:")
     line = _mwc_line(document.players)

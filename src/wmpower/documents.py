@@ -164,4 +164,6 @@ def load_game(path: str | os.PathLike[str]) -> GameDocument:
             text = file.read()
     except UnicodeDecodeError as err:
         raise ParseError(f"{path}: not UTF-8 ({err.reason} at byte {err.start})") from err
+    except ValueError as err:  # open() refuses a path holding a NUL
+        raise ParseError(f"cannot open {path!r}: {err}") from err
     return parse_game(text)

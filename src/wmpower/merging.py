@@ -13,8 +13,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .errors import FewerThanTwoGames, NotWMMergeable, PlayerCountMismatch
-from .games import Coalition, WeightedMajorityGame, _Frozen, _mask_weight
-from .games import minimal_winning_coalitions, mwc_count
+from .games import Coalition, WeightedMajorityGame, _Frozen, minimal_winning_coalitions
 
 
 class MergeabilityReport(_Frozen):
@@ -98,17 +97,19 @@ def wm_union(games: Sequence[WeightedMajorityGame]) -> WeightedMajorityGame:
 
 
 def _losing_counterexample(
-    games: Sequence[WeightedMajorityGame], union_masks: Sequence[int]
+    union_masks: Sequence[int], component_masks: set[int]
 ) -> Coalition | None:
     # A proper coalition that wins in the union and loses in every game
     # contains a union mwc that does the same, since the games are monotone.
     # So the first such mwc in (cardinality, mask) order is a counterexample,
-    # and a minimal one: its proper subsets lose in the union.
-    n = games[0].n_players
-    full = (1 << n) - 1
-    forms = [g.integer_form for g in games]
+    # and a minimal one: its proper subsets lose in the union. A union mwc S
+    # loses in every game iff it is no game's mwc, for any family: the union
+    # has no lower weight and no higher quota than any game, so if S wins in
+    # game g, an mwc T of g inside S wins in the union, and T = S as S is
+    # minimal there. The grand coalition wins in every game, so the mask
+    # returned is a proper coalition's.
     for mask in union_masks:
-        if mask != full and all(_mask_weight(w, mask) < q for w, q, _ in forms):
+        if mask not in component_masks:
             return Coalition.from_mask(mask)
     return None
 
@@ -122,10 +123,10 @@ def check_wm_mergeability(
     2. each player's nonzero weights agree across all games;
     3. every proper coalition losing in every game stays below the minimum
        quota even under the componentwise maximum weights; on failure the
-       report carries the first of the union's minimal winning coalitions,
-       in (cardinality, mask) order, that is proper and loses in every
-       game: a minimal counterexample, found without scanning all 2**n
-       coalitions;
+       report carries the first proper union mwc, in (cardinality, mask)
+       order, that is no game's mwc. For any family, a union mwc that wins
+       in a game is that game's mwc (the union weighs no less and asks no
+       more), so this is a minimal counterexample, found by membership;
     4. the union has exactly as many minimal winning coalitions as the
        components combined.
     """
@@ -135,8 +136,9 @@ def check_wm_mergeability(
         i for i in range(union.n_players) if len({g.weights[i] for g in games} - {0}) > 1
     )
     union_masks = minimal_winning_coalitions(union).masks
-    counterexample = _losing_counterexample(games, union_masks)
-    component_count = sum(map(mwc_count, games))
+    listings = [minimal_winning_coalitions(g).masks for g in games]
+    counterexample = _losing_counterexample(union_masks, set().union(*listings))
+    component_count = sum(map(len, listings))
     return MergeabilityReport(
         equal_quotas=equal_quotas,
         weight_compatible=not offending,

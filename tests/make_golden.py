@@ -3,7 +3,7 @@
 Each case is one JSON file in tests/golden/: the argv after ``wmpower``, the
 exit code, the exact stdout and the exact stderr. The command runs in process,
 with tests/golden as the working directory, so a ``--games`` directory and a
-game document are named relative to it; the documents other than the two
+game document are named relative to it; the documents other than the seeded
 majority games are the benchmark's fixed ones under bench/data. Help and usage
 errors end in argparse's ``SystemExit``, whose code is recorded as the exit;
 ``COLUMNS=80`` is set for every run, so argparse wraps its text at 80 columns
@@ -13,8 +13,9 @@ whatever the terminal.
     PYTHONPATH=src python tests/make_golden.py --write  # rewrite cases and documents
 
 Without ``--write`` it exits 1 when any case differs from its file or has none.
-Only ``--write`` touches a file. It also rewrites the two 10-player majority
-documents in tests/golden/majority10 from their fixed seed.
+Only ``--write`` touches a file. It also rewrites the seeded majority
+documents from their fixed seeds: two 10-player games in
+tests/golden/majority10 and one 16-player game in tests/golden/majority16.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ from wmpower.cli import main as cli_main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DATA = "../../bench/data"
-MAJORITY_DIR = "majority10"
-MAJORITY_SEED = 10
+# Per directory of majority documents: its seed, its player count and its
+# number of documents.
+MAJORITY = {"majority10": (10, 10, 2), "majority16": (16000, 16, 1)}
 
 SAMPLED = ["--samples", "20", "--seed", "0"]
 CASES = {}
@@ -44,8 +46,12 @@ for index in ("ss", "bz", "dp", "pg", "cm", "hcm"):
         CASES[f"{index}_{suite}"] = ["axioms", "--index", index, "--suite", suite, *SAMPLED]
 for index in ("ss", "bz", "dp", "pg"):
     CASES[f"{index}_classic_majority10"] = [
-        "axioms", "--index", index, "--suite", "classic", "--games", MAJORITY_DIR,
+        "axioms", "--index", index, "--suite", "classic", "--games", "majority10",
     ]
+# Theorems 1 and 2 on the 16-player game: its single-mwc decomposition has
+# 1,965 components, so condition 3 is checked on a family of 1,965 games.
+CASES["dp_thm1_majority16"] = ["axioms", "--index", "dp", "--suite", "thm1", "--games", "majority16"]
+CASES["hcm_thm2_majority16"] = ["axioms", "--index", "hcm", "--suite", "thm2", "--games", "majority16"]
 # power (all six indices) and mwc on each fixed document; the EU Council's mwc
 # listing (561,645 lines, about 2 s) is left out.
 DOCUMENTS = [
@@ -55,6 +61,8 @@ DOCUMENTS = [
 for document in DOCUMENTS:
     for command in ("power", "mwc"):
         CASES[f"{command}_{document.replace('/', '_')}"] = [command, "--game", f"{DATA}/{document}.json"]
+# The two 10-player majority games fail all four conditions.
+CASES["merge_majority10_pair"] = ["merge", "majority10/majority_0.json", "majority10/majority_1.json"]
 CASES["power_eu_council_ss_bz_exact"] = [
     "power", "--game", f"{DATA}/eu_council_nice.json", "--index", "ss,bz", "--exact",
 ]
@@ -80,12 +88,12 @@ CASES["usage_axioms_unknown_suite"] = ["axioms", "--index", "ss", "--suite", "zz
 CASES["usage_unknown_command"] = ["frobnicate"]
 
 
-def majority_documents() -> dict[str, dict]:
-    """Two 10-player majority games: weights in 1..99, quota half the total plus one."""
-    rng = random.Random(MAJORITY_SEED)
+def majority_documents(seed: int, n: int, count: int) -> dict[str, dict]:
+    """``count`` n-player majority games: weights in 1..99, quota half the total plus one."""
+    rng = random.Random(seed)
     documents = {}
-    for k in range(2):
-        weights = [rng.randint(1, 99) for _ in range(10)]
+    for k in range(count):
+        weights = [rng.randint(1, 99) for _ in range(n)]
         documents[f"majority_{k}.json"] = {
             "quota": str(sum(weights) // 2 + 1),
             "weights": [str(w) for w in weights],
@@ -116,10 +124,11 @@ def main() -> int:
         print(__doc__, file=sys.stderr)
         return 2
     if write:
-        (GOLDEN / MAJORITY_DIR).mkdir(parents=True, exist_ok=True)
-        for name, document in majority_documents().items():
-            text = json.dumps(document, indent=2) + "\n"
-            (GOLDEN / MAJORITY_DIR / name).write_text(text)
+        for directory, spec in MAJORITY.items():
+            (GOLDEN / directory).mkdir(parents=True, exist_ok=True)
+            for name, document in majority_documents(*spec).items():
+                text = json.dumps(document, indent=2) + "\n"
+                (GOLDEN / directory / name).write_text(text)
     changed = 0
     for name, argv in CASES.items():
         record = run_case(argv)

@@ -55,8 +55,11 @@ def rational_weighted_games(draw, min_players=1, max_players=8):
 def weighted_game_families(draw, min_players=1, max_players=9):
     """Two or three weighted games on one player count, or a game's decomposition.
 
-    Decompositions pass every mergeability condition; free families mostly
-    fail condition 3, often with a counterexample below the grand coalition.
+    Decompositions pass every mergeability condition. A perturbed one has one
+    component's quota, or one of its nonzero weights that another component
+    shares, moved by a small step, so it fails condition 1 or 2. Free families
+    mostly fail condition 3, often with a counterexample below the grand
+    coalition.
     """
     n = draw(st.integers(min_players, max_players))
     games = st.one_of(
@@ -64,9 +67,22 @@ def weighted_game_families(draw, min_players=1, max_players=9):
         rational_weighted_games(min_players=n, max_players=n),
     )
     game = draw(games)
-    if len(minimal_winning_coalitions(game).mwc) >= 2 and draw(st.booleans()):
-        return single_mwc_decomposition(game)
-    return [game, *draw(st.lists(games, min_size=1, max_size=2))]
+    if len(minimal_winning_coalitions(game).mwc) < 2 or draw(st.booleans()):
+        return [game, *draw(st.lists(games, min_size=1, max_size=2))]
+    family = single_mwc_decomposition(game)
+    if draw(st.booleans()):
+        return family
+    k = draw(st.integers(0, len(family) - 1))
+    quota, weights = family[k].quota, list(family[k].weights)
+    others = family[:k] + family[k + 1 :]
+    shared = [i for i, w in enumerate(weights) if w and any(g.weights[i] for g in others)]
+    step = draw(st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(1)]))
+    if shared and draw(st.booleans()):
+        weights[draw(st.sampled_from(shared))] += step
+    else:
+        quota = quota - step if quota > step else quota / 2
+    family[k] = WeightedMajorityGame(quota, weights)
+    return family
 
 
 @st.composite

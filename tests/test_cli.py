@@ -247,8 +247,8 @@ class TestMwc:
 
     @pytest.mark.parametrize("command", ["mwc", "power"])
     def test_name_stdout_cannot_encode_exits_2(self, tmp_path, command):
-        # power prints its table in one write, which fails whole; mwc has
-        # written its header lines before the first name.
+        # power prints its table in one write, which fails whole; mwc encodes
+        # every name before its header lines.
         path = write_game(tmp_path, "umlaut.json", 1, (1, 1), ("A", "\u00c4"))
         result = subprocess.run(
             [sys.executable, "-m", "wmpower.cli", command, "--game", path],
@@ -258,8 +258,15 @@ class TestMwc:
         )
         assert result.returncode == 2
         assert result.stderr.startswith(b"error: 'ascii' codec can't encode")
-        if command == "power":
-            assert result.stdout == b""
+        assert result.stdout == b""
+
+    @pytest.mark.parametrize(
+        "argv", [["power", "--game", "a\x00"], ["merge", "\x00", "b"]], ids=["power", "merge"]
+    )
+    def test_nul_in_a_game_path_exits_2(self, capsys, argv):
+        # open() refuses the path with a ValueError, which is bad input.
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_unprintable_total_weight_is_validation_failure(self, tmp_path, capsys):
         path = write_game(tmp_path, "recip.json", 10, reciprocal_weights())
@@ -630,7 +637,7 @@ GOOD_VALUES = {
     "games": ["a.json", "b.json"],
 }
 ANY_VALUE = ["a.json", "ss,dp", "xx", ",", "0", " 3", "1e3", "-1", "table", "html", "all",
-             "sep21", "builtin", "ecuador", "power", "a=b", ""]
+             "sep21", "builtin", "ecuador", "power", "a=b", "", "a\x00.json"]
 HOSTILE = ["-h", "--help", "--", "-", "-5", "", "--ind", "--gam", "--ex", "--check",
            "--index=ss", "--game=a.json", "--digits=3", "--bogus", "-x", "frobnicate"]
 
@@ -698,9 +705,6 @@ def fuzz_dir(tmp_path_factory):
     return root
 
 
-# The fuzzed tokens hold no NUL: no OS argv can carry one (each argument is a
-# C string). In process, open() refuses a path holding one with a ValueError,
-# which exits 1.
 @with_common_examples
 @given(argvs())
 @settings(max_examples=300, deadline=None)

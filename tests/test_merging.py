@@ -244,9 +244,10 @@ def test_condition3_counterexample_matches_brute_force(games):
     report = check_wm_mergeability(games)
     assert report.losing_preserved == (not expected)
     if expected:
-        found = frozenset(report.losing_counterexample)
-        assert found in expected
-        assert not any(other < found for other in expected)
+        # The least counterexample in (cardinality, mask) order; having no
+        # smaller counterexample, it is a minimal one.
+        least = min(expected, key=lambda c: (len(c), sum(1 << i for i in c)))
+        assert frozenset(report.losing_counterexample) == least
 
 
 def test_random_mergeable_family_helper_is_seeded():
