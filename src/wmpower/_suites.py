@@ -1,7 +1,7 @@
 """The ``axioms`` command's runner, imported by that command only.
 
 It calls the checks, decompositions, sampler and loaders it needs through the
-cli module it is handed, so a name replaced there is the one run.
+cli module's names it is handed, so a name replaced there is the one run.
 """
 
 from __future__ import annotations

@@ -151,9 +151,12 @@ def check_pgm(f: IndexFunction, v: Game, v_prime: Game) -> AxiomVerdict:
 def check_symw(f: IndexFunction, game: WeightedMajorityGame) -> AxiomVerdict:
     """Weighted symmetry on single-mwc games: power ratios match weight ratios.
 
-    Checked by cross-multiplication (f_i * w_j == f_j * w_i) over ordered
-    member pairs with f_j != 0, so no division is needed; pairs whose
-    reference value and weight are both zero are vacuous.
+    The mwc S holds no player of weight 0 (dropping one leaves a coalition
+    that still wins), so SYMw holds iff the ratios f_i / w_i agree over S,
+    that is iff f_i * w_j == f_j * w_i for every member i, where j is the
+    first member with f_j != 0 (any member if every f_i is 0). A scan of all
+    ordered pairs with f_j != 0 tries this j first and fails on some pair iff
+    it fails on one with this j, so its first failure is this one's.
     """
     masks = minimal_winning_coalitions(game).masks
     if len(masks) != 1:
@@ -163,23 +166,19 @@ def check_symw(f: IndexFunction, game: WeightedMajorityGame) -> AxiomVerdict:
         )
     members = [i for i in range(game.n_players) if masks[0] >> i & 1]
     vector = f(game)
-    for j in members:
-        if vector[j] == 0:
-            continue
-        for i in members:
-            if i == j:
-                continue
-            if vector[i] * game.weights[j] != vector[j] * game.weights[i]:
-                return _verdict(
-                    "SYMw",
-                    False,
-                    {
-                        "game": game,
-                        "players": (i, j),
-                        "values": (vector[i], vector[j]),
-                        "weights": (game.weights[i], game.weights[j]),
-                    },
-                )
+    j = next((k for k in members if vector[k] != 0), members[0])
+    for i in members:
+        if vector[i] * game.weights[j] != vector[j] * game.weights[i]:
+            return _verdict(
+                "SYMw",
+                False,
+                {
+                    "game": game,
+                    "players": (i, j),
+                    "values": (vector[i], vector[j]),
+                    "weights": (game.weights[i], game.weights[j]),
+                },
+            )
     return _verdict("SYMw", True)
 
 

@@ -34,6 +34,13 @@ def __getattr__(name: str):
     return globals()[name]
 
 
+class _Names:
+    """This module's globals as attributes; a lazy name is bound on first read."""
+
+    def __getattr__(self, name):
+        return globals()[name] if name in globals() else __getattr__(name)
+
+
 def _usage_error(message: str) -> Exception:
     """The error an argument type raises, which argparse reports as a usage error."""
     import argparse
@@ -159,8 +166,9 @@ def cmd_axioms(args) -> int:
 
     _bind("INDEX_FUNCTIONS")
     # The runner calls wmpower through this module's attributes, so a
-    # replacement set on them is the one run.
-    return run_axioms(sys.modules[__name__], INDEX_FUNCTIONS[args.index], args)
+    # replacement set on them is the one run. They are read from globals():
+    # sys.modules may hold another __main__, as under python -m cProfile.
+    return run_axioms(_Names(), INDEX_FUNCTIONS[args.index], args)
 
 
 def cmd_demo(args) -> int:

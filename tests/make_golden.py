@@ -52,6 +52,8 @@ for index in ("ss", "bz", "dp", "pg"):
 # 1,965 components, so condition 3 is checked on a family of 1,965 games.
 CASES["dp_thm1_majority16"] = ["axioms", "--index", "dp", "--suite", "thm1", "--games", "majority16"]
 CASES["hcm_thm2_majority16"] = ["axioms", "--index", "hcm", "--suite", "thm2", "--games", "majority16"]
+# CM passes SYMw, so every one of the 1,965 components is checked to its end.
+CASES["cm_thm1_majority16"] = ["axioms", "--index", "cm", "--suite", "thm1", "--games", "majority16"]
 # power (all six indices) and mwc on each fixed document; the EU Council's mwc
 # listing (561,645 lines, about 2 s) is left out.
 DOCUMENTS = [

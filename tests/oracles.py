@@ -188,6 +188,25 @@ def hcm_by_definition(game: WeightedMajorityGame) -> list[Fraction]:
     return [p / total for p in products]
 
 
+def symw_by_pairs(game: WeightedMajorityGame, vector) -> tuple[int, int] | None:
+    """The first ordered member pair (i, j) of the game's one mwc where SYMw fails.
+
+    Scans every j with f_j != 0, in player order, and within it every other
+    member i, asking f_i * w_j == f_j * w_i; None when no pair fails.
+    """
+    (mwc,) = brute_force_mwcs(game)
+    members = sorted(mwc)
+    for j in members:
+        if vector[j] == 0:
+            continue
+        for i in members:
+            if i == j:
+                continue
+            if vector[i] * game.weights[j] != vector[j] * game.weights[i]:
+                return i, j
+    return None
+
+
 def decimal_by_definition(value: Fraction, digits: int) -> str:
     """|value| to ``digits`` places by floor, then half-even on the remainder."""
     scaled = abs(value) * 10**digits

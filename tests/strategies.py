@@ -110,3 +110,26 @@ def weighted_game_pairs(draw, min_players=1, max_players=6):
         rational_weighted_games(min_players=n, max_players=n),
     )
     return draw(games), draw(games)
+
+
+@st.composite
+def single_mwc_games(draw, max_players=8):
+    """Games whose one mwc is a drawn member set S, with the quota at w(S).
+
+    Members have positive rational weights, often tied. An outsider weighs 0
+    or a positive share, and the shares sum below S's lightest weight, so the
+    outsiders are null and S stays the only mwc.
+    """
+    n = draw(st.integers(1, max_players))
+    is_member = draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any))
+    rational = st.fractions(min_value=Fraction(1, 12), max_value=5, max_denominator=12)
+    pool = draw(st.lists(rational, min_size=1, max_size=3))
+    member_weight = st.one_of(st.sampled_from(pool), rational)
+    weights = [
+        draw(member_weight) if member else Fraction(draw(st.integers(0, 5)))
+        for member in is_member
+    ]
+    inside = [w for w, member in zip(weights, is_member) if member]
+    scale = min(inside) / (sum(weights) - sum(inside) + 1)
+    weights = [w if member else w * scale for w, member in zip(weights, is_member)]
+    return WeightedMajorityGame(sum(inside), weights)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from strategies import rational_weighted_games, simple_game_pairs, simple_games, weighted_games
-from strategies import weighted_game_pairs
+from strategies import single_mwc_games, weighted_game_pairs
 from wmpower import (
     Coalition,
     PowerIndexVector,
@@ -459,6 +459,48 @@ def test_sym_and_np_match_predicate_first_reference(game):
         np = check_np(f, game)
         assert (sym.holds, sym.witness) == (sym_witness is None, sym_witness)
         assert (np.holds, np.witness) == (np_witness is None, np_witness)
+
+
+@st.composite
+def single_mwc_games_with_vectors(draw):
+    """A single-mwc game and a vector on it: zeros mixed in, all zero, or proportional."""
+    game = draw(single_mwc_games())
+    n = game.n_players
+    value = st.fractions(min_value=0, max_value=3, max_denominator=12)
+    shape = draw(st.sampled_from(["free", "zero", "proportional", "proportional-but-one"]))
+    if shape == "free":
+        vector = [draw(st.one_of(st.just(F(0)), value)) for _ in range(n)]
+    elif shape == "zero":
+        vector = [F(0)] * n
+    else:
+        factor = draw(value)
+        vector = [factor * w for w in game.weights]
+        if shape == "proportional-but-one":
+            vector[draw(st.integers(0, n - 1))] = draw(value)
+    return game, PowerIndexVector("drawn", tuple(vector))
+
+
+@given(single_mwc_games_with_vectors())
+@example((GAME_221, PowerIndexVector("drawn", (F(0), F(0), F(0)))))
+@example((GAME_320, PowerIndexVector("drawn", (F(0), F(1), F(0)))))
+@settings(max_examples=200, deadline=None)
+def test_symw_verdict_and_witness_match_the_pairwise_scan(case):
+    game, drawn = case
+    for f in (colomer_martinez, hcm, deegan_packel, witness_index("symw_patch_hcm"),
+              lambda g: drawn):
+        vector = f(game)
+        pair = oracles.symw_by_pairs(game, vector)
+        witness = None
+        if pair is not None:
+            i, j = pair
+            witness = {
+                "game": game,
+                "players": (i, j),
+                "values": (vector[i], vector[j]),
+                "weights": (game.weights[i], game.weights[j]),
+            }
+        verdict = check_symw(f, game)
+        assert (verdict.holds, verdict.witness) == (pair is None, witness)
 
 
 def _theta(check, *games):

@@ -27,6 +27,13 @@ ROWS = {
         20,
         "satisfied on this evidence: EFF, NP, DPMw",
     ),
+    # HCM passes SYMw, so each of the 6,512 components is checked to its end.
+    "axioms_hcm_thm2_n18": (
+        ["axioms", "--index", "hcm", "--suite", "thm2", "--games", "{games}"],
+        18,
+        20,
+        "satisfied on this evidence: EFF, NP, SYMw, HCMw",
+    ),
 }
 
 

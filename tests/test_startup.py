@@ -235,6 +235,23 @@ def test_run_freezes_the_heap_before_the_process_exits(name):
     assert int(probe) > 0
 
 
+def test_axioms_runs_under_the_stdlib_profiler(tmp_path):
+    # cProfile runs the module with runpy.run_module and no alter_sys, so
+    # sys.modules["__main__"] is the profiler's module. cProfile swallows
+    # SystemExit, so the exit code says nothing.
+    expected = json.loads((GOLDEN / "dp_thm1.json").read_text())
+    result = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-o", str(tmp_path / "profile"),
+         "-m", "wmpower.cli", *expected["argv"]],
+        cwd=GOLDEN,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (result.stdout, result.stderr) == (expected["stdout"], "")
+
+
 def test_main_in_process_freezes_nothing():
     _, result = run_golden_argv(MAIN_IN_PROCESS, "power_reference_game")
     assert result.stdout.split() == ["0", "0"], result.stderr
