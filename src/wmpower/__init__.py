@@ -18,10 +18,9 @@ _HOMES = {
     name: module
     for module, names in {
         "axioms": "AxiomVerdict IndexFunction check_dpm check_dpmw check_eff check_hcmw"
-        " check_np check_pgm check_sym check_symw check_tra witness_index",
+        " check_np check_pgm check_sym check_symw check_tra mwc_group_decomposition"
+        " random_mergeable_family random_weighted_game single_mwc_decomposition witness_index",
         "datasets": "ECUADOR_PERIODS ECUADOR_QUOTA ecuador_document ecuador_documents",
-        "decompositions": "mwc_group_decomposition random_mergeable_family"
-        " random_weighted_game single_mwc_decomposition",
         "documents": "GameDocument format_rational load_game parse_game parse_rational",
         "games": "MAX_PLAYERS Coalition Game SimpleGame WeightedMajorityGame as_coalition"
         " minimal_winning_coalitions",

@@ -1,19 +1,29 @@
-"""Machine checks for power-index axioms, plus the independence witnesses.
+"""Machine checks for power-index axioms, the independence witnesses, and their runner.
 
 Each check takes an index function (any deterministic callable from a game
 to a :class:`PowerIndexVector`) and concrete games, and returns a verdict
 with an exact counterexample when the axiom fails. All comparisons are
 exact rational equality; a verdict is evidence about the supplied games,
 never a universal proof.
+
+The weighted suites split a game into one component per mwc, which keeps the
+quota and the weights of that mwc's members and of the null players, and
+zeroes the rest. Such a family is always WM-mergeable, and its union is the
+game again. A sampler is handed its ``random.Random``, never imports
+``random``. ``run_axioms`` calls the checks, decompositions, sampler and
+loaders through the ``cli`` names it is handed, so a name replaced there is
+the one run.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 
-from .errors import NotMergeable, NotUnanimityLike, UnknownKind
-from .games import Game, WeightedMajorityGame, _Frozen
+from .errors import FewerThanTwoGames, GameError, NotMergeable, NotUnanimityLike, UnknownKind
+from .games import Game, WeightedMajorityGame, _Frozen, _support_mask
 from .games import minimal_winning_coalitions, mwc_count
 from .indices import PowerIndexVector, _memberships, _weighted_memberships
 from .indices import colomer_martinez, hcm
@@ -241,3 +251,180 @@ def witness_index(kind: str) -> IndexFunction:
     if kind == "symw_patch_hcm":
         return _patched(hcm, kind, (Fraction(1), Fraction(0), Fraction(0)))
     raise UnknownKind(f"unknown witness kind {kind!r}")
+
+
+def mwc_group_decomposition(
+    game: WeightedMajorityGame, groups: Sequence[Sequence[int]]
+) -> list[WeightedMajorityGame]:
+    """Split a game into one component per group of its minimal winning coalitions.
+
+    Component k keeps the original quota and the original weight for every
+    player inside the group's coalitions (null players keep their weight
+    everywhere); all other weights drop to zero. Groups must partition the
+    indices of the game's canonical mwc tuple.
+    """
+    masks = minimal_winning_coalitions(game).masks
+    if len(groups) < 2:
+        raise FewerThanTwoGames("a decomposition needs at least two groups")
+    seen = [k for group in groups for k in group]
+    if sorted(seen) != list(range(len(masks))) or any(not group for group in groups):
+        raise GameError(
+            f"groups must partition the {len(masks)} minimal winning coalitions"
+        )
+    null_mask = ((1 << game.n_players) - 1) ^ _support_mask(masks)
+    components = []
+    for group in groups:
+        support = null_mask | _support_mask(masks[k] for k in group)
+        weights = tuple(
+            w if support >> i & 1 else Fraction(0)
+            for i, w in enumerate(game.weights)
+        )
+        components.append(WeightedMajorityGame(game.quota, weights))
+    return components
+
+
+def single_mwc_decomposition(
+    game: WeightedMajorityGame,
+) -> list[WeightedMajorityGame]:
+    """One component per minimal winning coalition; always a mergeable family.
+
+    Requires at least two minimal winning coalitions. Merging the result
+    recovers the original game.
+    """
+    count = mwc_count(game)
+    if count < 2:
+        raise GameError(
+            "decomposition needs a game with at least two minimal winning coalitions"
+        )
+    return mwc_group_decomposition(game, [[k] for k in range(count)])
+
+
+def random_weighted_game(
+    rng: random.Random, max_players: int = 8, max_weight: int = 9
+) -> WeightedMajorityGame:
+    """A weighted game with 2..max_players players and small integer weights.
+
+    Zero weights are allowed, so null players occur; the quota is drawn from
+    1..total so the grand coalition always wins.
+    """
+    n = rng.randint(2, max_players)
+    while True:
+        weights = [rng.randint(0, max_weight) for _ in range(n)]
+        total = sum(weights)
+        if total > 0:
+            break
+    quota = rng.randint(1, total)
+    return WeightedMajorityGame(quota, weights)
+
+
+def random_mergeable_family(
+    rng: random.Random, max_players: int = 8, max_weight: int = 9
+) -> list[WeightedMajorityGame]:
+    """A mergeable family: the per-mwc decomposition of a random multi-mwc game."""
+    while True:
+        game = random_weighted_game(rng, max_players, max_weight)
+        if mwc_count(game) >= 2:
+            return single_mwc_decomposition(game)
+
+
+def _builtin_fixture_games(cli) -> list:
+    games = [
+        WeightedMajorityGame(q, weights)
+        for q, weights in (
+            (51, (50, 46, 4, 1)),
+            (4, (2, 2, 1)),
+            (4, (3, 2, 0)),
+            (4, (3, 0, 1)),
+            (4, (3, 2, 1)),
+        )
+    ]
+    games.extend(cli.ecuador_document(period).game() for period in cli.ECUADOR_PERIODS)
+    return games
+
+
+def _load_games_dir(cli, path: str) -> list:
+    if not os.path.isdir(path):
+        raise GameError(f"{path!r} is not a directory of game documents")
+    files = sorted(name for name in os.listdir(path) if name.endswith(".json"))
+    if not files:
+        raise GameError(f"no *.json game documents found in {path!r}")
+    return [cli.load_game(os.path.join(path, name)).game() for name in files]
+
+
+def _report_axiom(name: str, outcomes, unit: str) -> tuple[str, bool]:
+    total = len(outcomes)
+    failures = [(subject, verdict) for subject, verdict in outcomes if not verdict.holds]
+    passed = total - len(failures)
+    if not failures:
+        return f"{name:5s} PASS  {passed}/{total} {unit}", True
+    subject, _ = failures[0]
+    return (
+        f"{name:5s} FAIL  {passed}/{total} {unit}; first failure on {subject}",
+        False,
+    )
+
+
+def _report_each(name: str, check, f, games, unit: str) -> tuple[str, bool]:
+    return _report_axiom(name, [(str(g), check(f, g)) for g in games], unit)
+
+
+def _run_weighted_suite(cli, f, axiom_name, pair_check, games) -> list[tuple[str, bool]]:
+    mwc_counts = [mwc_count(g) for g in games]
+    families = [cli.single_mwc_decomposition(g) for g, m in zip(games, mwc_counts) if m >= 2]
+    single = [g for g, m in zip(games, mwc_counts) if m == 1]
+    single.extend(g for family in families for g in family)
+    family_outcomes = [
+        (" + ".join(str(g) for g in family), pair_check(f, family))
+        for family in families
+    ]
+    return [
+        _report_each("SYMw", cli.check_symw, f, single, "single-mwc games"),
+        _report_axiom(axiom_name, family_outcomes, "families"),
+    ]
+
+
+def _run_classic_suite(cli, f, games) -> list[tuple[str, bool]]:
+    lines = [_report_each("SYM", cli.check_sym, f, games, "games")]
+    # Pairs of games of one size; a game lists its mwcs (once, cached on it)
+    # only if it is in a pair.
+    pairs = [
+        (a, b) for k, a in enumerate(games) for b in games[k + 1 :] if a.n_players == b.n_players
+    ]
+    tra = [(f"pair {k}", cli.check_tra(f, a, b)) for k, (a, b) in enumerate(pairs)]
+    lines.append(_report_axiom("TRA", tra, "pairs"))
+    mergeable_pairs = [(a, b) for a, b in pairs if cli.simple_mergeable(a, b)]
+    dpm = [(f"pair {k}", cli.check_dpm(f, a, b)) for k, (a, b) in enumerate(mergeable_pairs)]
+    pgm = [(f"pair {k}", cli.check_pgm(f, a, b)) for k, (a, b) in enumerate(mergeable_pairs)]
+    lines.append(_report_axiom("DPM", dpm, "mergeable pairs"))
+    lines.append(_report_axiom("PGM", pgm, "mergeable pairs"))
+    return lines
+
+
+def run_axioms(cli, index, args) -> int:
+    """Print the verdict of each axiom of ``args.suite`` for ``index`` on the chosen games."""
+    # Each game's vector is computed once and shared by every axiom line.
+    f = functools.cache(index)
+    if args.games == "builtin":
+        games = _builtin_fixture_games(cli)
+    else:
+        games = _load_games_dir(cli, args.games)
+    if args.samples:
+        import random
+
+        rng = random.Random(args.seed)
+        games = games + [cli.random_weighted_game(rng) for _ in range(args.samples)]
+    print(f"index: {args.index}  suite: {args.suite}  games: {len(games)}")
+    lines = [
+        _report_each("EFF", cli.check_eff, f, games, "games"),
+        _report_each("NP", cli.check_np, f, games, "games"),
+    ]
+    if args.suite == "classic":
+        lines += _run_classic_suite(cli, f, games)
+    else:
+        pair_axiom = {"thm1": ("DPMw", cli.check_dpmw), "thm2": ("HCMw", cli.check_hcmw)}
+        lines += _run_weighted_suite(cli, f, *pair_axiom[args.suite], games)
+    for text, _ in lines:
+        print(text)
+    satisfied = [text.split()[0] for text, ok in lines if ok]
+    print(f"satisfied on this evidence: {', '.join(satisfied) if satisfied else 'none'}")
+    return 0

@@ -162,7 +162,7 @@ def cmd_axioms(args) -> int:
             "the classic suite evaluates the index on simple games; "
             "cm and hcm need weights, use suite thm1 or thm2"
         )
-    from ._suites import run_axioms
+    from .axioms import run_axioms
 
     _bind("INDEX_FUNCTIONS")
     # The runner calls wmpower through this module's attributes, so a

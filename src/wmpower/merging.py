@@ -119,8 +119,8 @@ def check_wm_mergeability(
 ) -> MergeabilityReport:
     """Evaluate all four mergeability conditions, unconditionally.
 
-    1. every game has the same quota;
-    2. each player's nonzero weights agree across all games;
+    1. every game has the union's quota, the least of them;
+    2. each player's nonzero weights equal its union weight, the greatest;
     3. every proper coalition losing in every game stays below the minimum
        quota even under the componentwise maximum weights; on failure the
        report carries the first proper union mwc, in (cardinality, mask)
@@ -131,9 +131,9 @@ def check_wm_mergeability(
        components combined.
     """
     union = wm_union(games)  # validates the family
-    equal_quotas = len({g.quota for g in games}) == 1
+    equal_quotas = all(g.quota == union.quota for g in games)
     offending = tuple(
-        i for i in range(union.n_players) if len({g.weights[i] for g in games} - {0}) > 1
+        i for i, top in enumerate(union.weights) if any(g.weights[i] not in (0, top) for g in games)
     )
     union_masks = minimal_winning_coalitions(union).masks
     listings = [minimal_winning_coalitions(g).masks for g in games]

@@ -73,6 +73,17 @@ def brute_force_losing_counterexamples(games) -> set[frozenset[int]]:
     return out
 
 
+def equal_quotas_by_definition(games) -> bool:
+    """Condition 1 as sets: the family's quotas are one value."""
+    return len({g.quota for g in games}) == 1
+
+
+def offending_players_by_definition(games) -> tuple[int, ...]:
+    """Condition 2 as sets: the players given two distinct nonzero weights."""
+    n = games[0].n_players
+    return tuple(i for i in range(n) if len({g.weights[i] for g in games} - {0}) > 1)
+
+
 def brute_force_swings(game: WeightedMajorityGame, player: int) -> set[frozenset[int]]:
     others = [i for i in range(game.n_players) if i != player]
     out = set()

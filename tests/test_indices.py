@@ -302,6 +302,61 @@ def test_scaling_quota_and_weights_changes_nothing(game, num, den):
         assert index(game).values == index(scaled).values
 
 
+def majority_game(seed: int) -> WeightedMajorityGame:
+    """16 weights drawn from ``random.Random(seed)`` with ``randint(1, 99)``; quota half plus one."""
+    rng = random.Random(seed)
+    weights = [rng.randint(1, 99) for _ in range(16)]
+    return WeightedMajorityGame(sum(weights) // 2 + 1, weights)
+
+
+# Past the n <= 10 reach of the 2**n oracles: 1,763, 3,501 and 2,830 mwcs.
+MAJORITY_16 = [majority_game(seed) for seed in (16001, 16002, 16003)]
+
+
+def index_vectors(game):
+    """SS, BZ, DP, PG, CM and HCM of a weighted game, then the raw BZ."""
+    return [index(game).values for index in ALL_INDICES] + [
+        banzhaf(game, normalized=False).values
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(game=rational_weighted_games(), seed=st.integers(0, 2**32))
+@example(game=MAJORITY_16[0], seed=0)
+@example(game=MAJORITY_16[1], seed=1)
+@example(game=MAJORITY_16[2], seed=2)
+def test_permuting_the_players_permutes_every_vector(game, seed):
+    order = list(range(game.n_players))
+    random.Random(seed).shuffle(order)
+    permuted = WeightedMajorityGame(game.quota, [game.weights[i] for i in order])
+    for before, after in zip(index_vectors(game), index_vectors(permuted), strict=True):
+        assert after == tuple(before[i] for i in order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(game=rational_weighted_games())
+@example(game=MAJORITY_16[0])
+@example(game=MAJORITY_16[1])
+@example(game=MAJORITY_16[2])
+def test_appending_a_zero_weight_player_changes_no_other_value(game):
+    padded = WeightedMajorityGame(game.quota, (*game.weights, 0))
+    for before, after in zip(index_vectors(game), index_vectors(padded), strict=True):
+        assert after == (*before, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(game=rational_weighted_games())
+@example(game=wmg(3, 5, 1, 1, 4))
+@example(game=wmg("1/2", "7/3", "1/2", 0))
+def test_clipping_weights_to_the_quota_keeps_the_winning_structure_indices(game):
+    # A player of weight at least the quota wins alone either way, so every
+    # coalition wins in the clipped game iff it wins in the game.
+    clipped = WeightedMajorityGame(game.quota, [min(w, game.quota) for w in game.weights])
+    for index in (shapley_shubik, banzhaf, deegan_packel, public_good):
+        assert index(clipped).values == index(game).values
+    assert banzhaf(clipped, normalized=False).values == banzhaf(game, normalized=False).values
+
+
 MWC_INDEX_ORACLES = [
     pytest.param(deegan_packel, oracles.deegan_packel_by_definition, id="dp"),
     pytest.param(public_good, oracles.public_good_by_definition, id="pg"),

@@ -250,6 +250,14 @@ def test_condition3_counterexample_matches_brute_force(games):
         assert frozenset(report.losing_counterexample) == least
 
 
+@given(weighted_game_families(max_players=9))
+@settings(max_examples=80, deadline=None)
+def test_conditions_1_and_2_match_their_set_definitions(games):
+    report = check_wm_mergeability(games)
+    assert report.equal_quotas == oracles.equal_quotas_by_definition(games)
+    assert report.offending_players == oracles.offending_players_by_definition(games)
+
+
 def test_random_mergeable_family_helper_is_seeded():
     family_a = random_mergeable_family(random.Random(7))
     family_b = random_mergeable_family(random.Random(7))

@@ -26,7 +26,6 @@ NOT_LOADED = (
     "locale",
     "random",
     "wmpower.axioms",
-    "wmpower.decompositions",
     "wmpower.merging",
 )
 
@@ -75,7 +74,7 @@ print(code, *sorted(m for m in sys.modules if m.partition(".")[0] in ("wmpower",
 
 BASE = ("documents", "errors", "games")
 RENDER = ("indices", "tables")
-SUITE = ("_suites", "axioms", "indices", "merging", "simple")
+SUITE = ("axioms", "indices", "merging", "simple")
 
 
 @pytest.mark.parametrize(
@@ -90,12 +89,12 @@ SUITE = ("_suites", "axioms", "indices", "merging", "simple")
         (
             ["axioms", "--index", "dp", "--suite", "thm1"],
             0,
-            (*SUITE, "datasets", "decompositions"),
+            (*SUITE, "datasets"),
         ),
         (
             ["axioms", "--index", "ss", "--suite", "classic", "--samples", "2"],
             0,
-            (*SUITE, "datasets", "decompositions"),
+            (*SUITE, "datasets"),
         ),
         # demo's --period choices are in the help, so argparse loads datasets.
         (["power", "--help"], 0, ("datasets",)),
