@@ -10,54 +10,11 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 from fractions import Fraction
 
 from .errors import ParseError
 from .games import WeightedMajorityGame, _Frozen
-
-
-def parse_rational(value: "int | str") -> Fraction:
-    """Parse an exact rational from an int or a string like ``'3'`` or ``'2/5'``."""
-    if isinstance(value, bool):
-        raise ParseError(f"expected a rational, got boolean {value!r}")
-    if isinstance(value, int):
-        rational = Fraction(value)
-    elif isinstance(value, float):
-        raise ParseError(
-            f"floats are not accepted ({value!r}); write the value as a string"
-        )
-    elif isinstance(value, str):
-        text = value.strip()
-        _check_exponent(text)
-        try:
-            rational = Fraction(text)
-        except (ValueError, ZeroDivisionError) as err:
-            raise ParseError(f"malformed rational {value!r}") from err
-    else:
-        raise ParseError(f"expected a rational, got {type(value).__name__}")
-    try:
-        # Outputs print every value, so refuse one that cannot be printed.
-        str(rational)
-    except ValueError as err:
-        raise ParseError(f"rational too long to print: {err}") from err
-    return rational
-
-
-def _print_limit() -> int:  # the most digits str() gives an int; 0: no limit
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-
-def _check_exponent(text: str) -> None:
-    # Fraction("1e20000000") spends ~30 s on a number that the printable check
-    # then refuses, so first refuse an exponent beyond the printable digits.
-    limit = _print_limit()
-    try:
-        magnitude = abs(int(text.lower().partition("e")[2] or 0))
-    except ValueError:  # malformed or too long: Fraction refuses it at once
-        return
-    if limit and magnitude > limit:
-        raise ParseError(f"rational too long to print: {text!r} has an exponent over {limit}")
+from .games import exact as parse_rational
 
 
 def format_rational(value: Fraction) -> str:

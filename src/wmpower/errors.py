@@ -54,7 +54,7 @@ class UnknownKind(GameError):
 
 
 class ParseError(GameError):
-    """A game document is malformed."""
+    """A value or a game document is malformed."""
 
 
 class NotMergeable(GameError):

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import EmptyCoalition, GameError, GrandCoalitionLoses, NegativeWeight
-from .errors import NonPositiveQuota, PlayerOutOfRange, TooManyPlayers
+from .errors import NonPositiveQuota, ParseError, PlayerOutOfRange, TooManyPlayers
 
 MAX_PLAYERS = 64
 
@@ -93,12 +94,52 @@ def as_coalition(value: "Coalition | Iterable[int]") -> Coalition:
 
 
 def exact(value: "Fraction | int | str") -> Fraction:
-    """Coerce to an exact rational; floats are rejected to keep arithmetic exact."""
-    if isinstance(value, float):
-        raise GameError(
-            f"refusing float {value!r}; pass an int, Fraction, or 'p/q' string"
+    """An exact rational from a Fraction, an int, or a string like ``'3'`` or ``'2/5'``.
+
+    Library calls and game documents both coerce here: a bool, a float, any
+    other type, or a value too long to print raises ``ParseError``.
+    """
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool):
+        raise ParseError(f"expected a rational, got boolean {value!r}")
+    if isinstance(value, int):
+        rational = Fraction(value)
+    elif isinstance(value, float):
+        raise ParseError(
+            f"floats are not accepted ({value!r}); write the value as a string"
         )
-    return value if isinstance(value, Fraction) else Fraction(value)
+    elif isinstance(value, str):
+        text = value.strip()
+        _check_exponent(text)
+        try:
+            rational = Fraction(text)
+        except (ValueError, ZeroDivisionError) as err:
+            raise ParseError(f"malformed rational {value!r}") from err
+    else:
+        raise ParseError(f"expected a rational, got {type(value).__name__}")
+    try:
+        # Outputs print every value, so refuse one that cannot be printed.
+        str(rational)
+    except ValueError as err:
+        raise ParseError(f"rational too long to print: {err}") from err
+    return rational
+
+
+def _print_limit() -> int:  # the most digits str() gives an int; 0: no limit
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _check_exponent(text: str) -> None:
+    # Fraction("1e20000000") spends ~30 s on a number that the printable check
+    # then refuses, so first refuse an exponent beyond the printable digits.
+    limit = _print_limit()
+    try:
+        magnitude = abs(int(text.lower().partition("e")[2] or 0))
+    except ValueError:  # malformed or too long: Fraction refuses it at once
+        return
+    if limit and magnitude > limit:
+        raise ParseError(f"rational too long to print: {text!r} has an exponent over {limit}")
 
 
 def _checked_mask(coalition, n_players: int) -> int:

@@ -12,8 +12,8 @@ import json
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .documents import _print_limit
 from .errors import GameError
+from .games import _print_limit
 from .indices import PowerIndexVector
 
 
@@ -32,77 +32,6 @@ def decimal_string(value: Fraction, digits: int = 4) -> str:
     return f"{sign}{whole}.{frac:0{digits}d}"
 
 
-def _rows(
-    vectors: Sequence[PowerIndexVector], digits: int, exact: bool
-) -> list[tuple[str, list[str]]]:
-    rows = []
-    for vector in vectors:
-        rows.append((vector.kind, [decimal_string(v, digits) for v in vector]))
-        if exact:
-            rows.append((f"{vector.kind} (exact)", [str(v) for v in vector]))
-    return rows
-
-
-def render_text_table(
-    vectors: Sequence[PowerIndexVector],
-    names: Sequence[str],
-    digits: int = 4,
-    exact: bool = False,
-) -> str:
-    """Aligned text table: one row per index, one column per player."""
-    rows = _rows(vectors, digits, exact)
-    header = ["index", *names]
-    table = [header] + [[label, *cells] for label, cells in rows]
-    widths = [max(len(row[col]) for row in table) for col in range(len(header))]
-    lines = []
-    for row in table:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-    return "\n".join(lines)
-
-
-def render_csv(
-    vectors: Sequence[PowerIndexVector],
-    names: Sequence[str],
-    digits: int = 4,
-    exact: bool = False,
-) -> str:
-    import csv  # here, not at the top: only ``--format csv`` pays for it
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["index", *names])
-    for label, cells in _rows(vectors, digits, exact):
-        writer.writerow([label, *cells])
-    return buffer.getvalue()
-
-
-def render_json(
-    vectors: Sequence[PowerIndexVector],
-    names: Sequence[str],
-    digits: int = 4,
-    exact: bool = False,
-) -> str:
-    entries = []
-    for vector in vectors:
-        entry: dict = {
-            "index": vector.kind,
-            "decimal": [decimal_string(v, digits) for v in vector],
-        }
-        if exact:
-            entry["exact"] = [str(v) for v in vector]
-        entries.append(entry)
-    return json.dumps(
-        {"players": list(names), "digits": digits, "indices": entries}, indent=2
-    )
-
-
-_RENDERERS = {
-    "table": render_text_table,
-    "csv": render_csv,
-    "json": render_json,
-}
-
-
 def render_table(
     vectors: Sequence[PowerIndexVector],
     names: Sequence[str],
@@ -110,16 +39,48 @@ def render_table(
     digits: int = 4,
     exact: bool = False,
 ) -> str:
-    """Render index vectors in the requested format (``table``, ``csv``, or ``json``)."""
+    """Render index vectors in the requested format (``table``, ``csv``, or ``json``).
+
+    All three read one model: per vector, its kind, its decimals, and its
+    exact forms (``None`` without ``exact``).
+    """
+    if fmt not in ("table", "csv", "json"):
+        raise GameError(f"unknown format {fmt!r}; use table, csv, or json")
     try:
-        renderer = _RENDERERS[fmt]
-    except KeyError:
-        raise GameError(f"unknown format {fmt!r}; use table, csv, or json") from None
-    try:
-        return renderer(vectors, names, digits=digits, exact=exact)
+        model = [
+            (vector.kind, [decimal_string(v, digits) for v in vector],
+             [str(v) for v in vector] if exact else None)
+            for vector in vectors
+        ]
     except GameError:
         raise
     except ValueError as err:
         # An integer past Python's printable digits (sys.get_int_max_str_digits),
         # from an exact value or a large ``digits``: bad input, not a fault.
         raise GameError(f"value too long to print: {err}") from err
+    if fmt == "json":
+        entries = []
+        for kind, decimals, forms in model:
+            entry: dict = {"index": kind, "decimal": decimals}
+            if forms is not None:
+                entry["exact"] = forms
+            entries.append(entry)
+        return json.dumps(
+            {"players": list(names), "digits": digits, "indices": entries}, indent=2
+        )
+    rows = [["index", *names]]
+    for kind, decimals, forms in model:
+        rows.append([kind, *decimals])
+        if forms is not None:
+            rows.append([f"{kind} (exact)", *forms])
+    if fmt == "csv":
+        import csv  # here, not at the top: only ``--format csv`` pays for it
+
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows(rows)
+        return buffer.getvalue()
+    # An aligned text table: one row per index, one column per player.
+    widths = [max(len(row[col]) for row in rows) for col in range(len(rows[0]))]
+    return "\n".join(
+        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows
+    )

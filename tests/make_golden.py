@@ -68,6 +68,11 @@ CASES["merge_majority10_pair"] = ["merge", "majority10/majority_0.json", "majori
 CASES["power_eu_council_ss_bz_exact"] = [
     "power", "--game", f"{DATA}/eu_council_nice.json", "--index", "ss,bz", "--exact",
 ]
+# Every index with its exact forms in the two machine-readable formats.
+for fmt in ("csv", "json"):
+    CASES[f"power_reference_game_{fmt}_exact"] = [
+        "power", "--game", f"{DATA}/reference_game.json", "--exact", "--digits", "6", "--format", fmt,
+    ]
 for second in ("readme_b", "nonmergeable_b"):
     pair = [f"{DATA}/readme_a.json", f"{DATA}/{second}.json"]
     CASES[f"merge_readme_a_{second}"] = ["merge", *pair]
@@ -84,6 +89,7 @@ for command in ("power", "mwc", "merge", "axioms", "demo"):
 REFERENCE = f"{DATA}/reference_game.json"
 CASES["usage_power_without_game"] = ["power"]
 CASES["usage_power_unknown_index"] = ["power", "--game", REFERENCE, "--index", "zz"]
+CASES["usage_power_empty_index"] = ["power", "--game", REFERENCE, "--index", ","]
 CASES["usage_power_digits_0"] = ["power", "--game", REFERENCE, "--digits", "0"]
 CASES["usage_demo_unknown_period"] = ["demo", "ecuador", "--period", "sep21"]
 CASES["usage_axioms_unknown_suite"] = ["axioms", "--index", "ss", "--suite", "zz"]

@@ -25,6 +25,7 @@ from wmpower import (
 )
 from wmpower.cli import main
 from wmpower.errors import GameError, NonPositiveQuota, ParseError
+from wmpower.games import exact as library_exact
 
 F = Fraction
 
@@ -51,6 +52,9 @@ class TestParseRational:
         # An exponent that is no integer leaves the exponent check at once.
         with pytest.raises(ParseError, match="malformed rational '1e5x'"):
             parse_rational("1e5x")
+
+    def test_documents_and_library_share_one_coercion(self):
+        assert parse_rational is library_exact
 
     def test_format_round_trip(self):
         for value in (F(3), F(-2, 7), F(70)):

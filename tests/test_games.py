@@ -12,6 +12,7 @@ import oracles
 from strategies import rational_weighted_games, simple_game_pairs, simple_games, weighted_games
 from wmpower import (
     Coalition,
+    PowerIndexVector,
     SimpleGame,
     WeightedMajorityGame,
     are_symmetric,
@@ -35,7 +36,7 @@ from wmpower.errors import (
     SamePlayer,
     TooManyPlayers,
 )
-from wmpower.games import swing_pivots
+from wmpower.games import exact, swing_pivots
 
 
 def game_51() -> WeightedMajorityGame:
@@ -89,6 +90,47 @@ class TestWeightedGameConstruction:
         assert game_51() != WeightedMajorityGame(51, (50, 46, 4, 2))
         # same induced simple game, different weights: still distinct
         assert WeightedMajorityGame(2, (1, 1)) != WeightedMajorityGame(4, (2, 2))
+
+
+PADDING = st.sampled_from(["", " ", "\t", "\n ", "\u00a0"])
+# Decimals, p/q (x/0 and p/-q included), padded fractions, mostly malformed
+# text, and 1eN with N up to 10**8.
+RATIONAL_TEXTS = st.one_of(
+    st.decimals(allow_nan=False, allow_infinity=False).map(str),
+    st.builds("{}/{}".format, st.integers(), st.integers(-3, 10**6)),
+    st.builds("{}{}{}".format, PADDING, st.fractions().map(str), PADDING),
+    st.text(max_size=12),
+    st.builds("1e{}".format, st.integers(-(10**8), 10**8)),
+)
+SCALARS = st.one_of(
+    st.integers(),
+    st.integers(10**4300, 10**5000),  # past the 4300 digits str() prints
+    st.booleans(),
+    st.floats(),
+    st.none(),
+    RATIONAL_TEXTS,
+)
+
+
+@given(SCALARS)
+@example(True)
+@example("1/0")
+@example("2/x")
+@example(10**5000)
+@example("1e2000000")
+@settings(max_examples=300, deadline=1000)
+def test_outside_scalars_become_fractions_or_game_errors(value):
+    # exact() and PowerIndexVector, which calls it per value, take an int or
+    # a string to Fraction(value), and refuse the rest at once with a
+    # GameError: bools, floats, None, malformed text and unprintable values.
+    for coerce in (exact, lambda v: PowerIndexVector("X", [v]).values[0]):
+        try:
+            rational = coerce(value)
+        except GameError:
+            continue
+        assert type(value) in (int, str)
+        assert rational == Fraction(value)
+        str(rational)  # every accepted value prints
 
 
 class TestSimpleGameConstruction:
