@@ -19,17 +19,16 @@ _HOMES = {
     for module, names in {
         "axioms": "AxiomVerdict IndexFunction check_dpm check_dpmw check_eff check_hcmw"
         " check_np check_pgm check_sym check_symw check_tra mwc_group_decomposition"
-        " random_mergeable_family random_weighted_game single_mwc_decomposition witness_index",
+        " random_mergeable_family random_weighted_game single_mwc_decomposition witness_index"
+        " SwingSet are_symmetric is_null_player minimal_antichain simple_intersection"
+        " simple_mergeable simple_union swings unanimity_game",
         "datasets": "ECUADOR_PERIODS ECUADOR_QUOTA ecuador_document ecuador_documents",
         "documents": "GameDocument format_rational load_game parse_game parse_rational",
         "games": "MAX_PLAYERS Coalition Game SimpleGame WeightedMajorityGame as_coalition"
         " minimal_winning_coalitions",
         "indices": "INDEX_FUNCTIONS PowerIndexVector banzhaf colomer_martinez deegan_packel"
-        " hcm public_good shapley_shubik",
+        " decimal_string hcm public_good render_table shapley_shubik",
         "merging": "MergeabilityReport check_wm_mergeability merged_game wm_union",
-        "simple": "SwingSet are_symmetric is_null_player minimal_antichain"
-        " simple_intersection simple_mergeable simple_union swings unanimity_game",
-        "tables": "decimal_string render_table",
     }.items()
     for name in names.split()
 }

@@ -100,10 +100,10 @@ def exact(value: "Fraction | int | str") -> Fraction:
     other type, or a value too long to print raises ``ParseError``.
     """
     if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
+        rational = value
+    elif isinstance(value, bool):
         raise ParseError(f"expected a rational, got boolean {value!r}")
-    if isinstance(value, int):
+    elif isinstance(value, int):
         rational = Fraction(value)
     elif isinstance(value, float):
         raise ParseError(
@@ -118,11 +118,12 @@ def exact(value: "Fraction | int | str") -> Fraction:
             raise ParseError(f"malformed rational {value!r}") from err
     else:
         raise ParseError(f"expected a rational, got {type(value).__name__}")
-    try:
-        # Outputs print every value, so refuse one that cannot be printed.
-        str(rational)
-    except ValueError as err:
-        raise ParseError(f"rational too long to print: {err}") from err
+    # Outputs print every value, so refuse one that str() cannot: an int of
+    # more than ``limit`` digits. One under 2**(3 * limit) < 10**limit prints.
+    limit = _print_limit()
+    for part in (rational.numerator, rational.denominator):
+        if limit and part.bit_length() > 3 * limit and abs(part) >= 10**limit:
+            raise ParseError(f"rational too long to print: more than {limit} digits")
     return rational
 
 

@@ -7,19 +7,24 @@ itself (different weight vectors inducing the same simple game give
 different values), so they insist on a ``WeightedMajorityGame``.
 
 Every returned vector is exact rational; every vector except the raw
-Banzhaf form sums to exactly 1.
+Banzhaf form sums to exactly 1. ``render_table`` expands the vectors to a
+fixed number of decimal places with round-half-even, as text, CSV or JSON;
+rounding is presentation only.
 """
 
 from __future__ import annotations
 
+import io
+import json
 import math
 from collections import Counter, defaultdict
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import wraps
 
-from .errors import WeightsRequired
-from .games import Game, WeightedMajorityGame, _Frozen, _mask_weight, _support_mask, exact
+from .errors import GameError, WeightsRequired
+from .games import Game, WeightedMajorityGame, _Frozen, _mask_weight, _print_limit
+from .games import _support_mask, exact
 from .games import minimal_winning_coalitions, mwc_count, swing_pivots
 
 
@@ -29,7 +34,9 @@ class PowerIndexVector(_Frozen):
     _fields = ("kind", "values")
 
     def __init__(self, kind: str, values: Iterable) -> None:
-        self._set(kind, tuple(map(exact, values)))
+        # A Fraction is kept as it is: the indices compute theirs, and only
+        # rendering needs one short enough to print.
+        self._set(kind, tuple(v if isinstance(v, Fraction) else exact(v) for v in values))
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.values)
@@ -200,3 +207,72 @@ INDEX_FUNCTIONS = {
     "cm": colomer_martinez,
     "hcm": hcm,
 }
+
+
+def decimal_string(value: Fraction, digits: int = 4) -> str:
+    """Fixed-point decimal expansion of an exact rational, round-half-even."""
+    if digits < 1:
+        raise GameError(f"digits must be at least 1, got {digits}")
+    # More digits could not be printed; refuse them before the long division.
+    limit = _print_limit()
+    if limit and digits > limit:
+        raise GameError(f"digits must be at most {limit}, got {digits}")
+    sign = "-" if value < 0 else ""
+    scale = 10**digits
+    # round() of a Fraction is exact, and rounds half to even.
+    whole, frac = divmod(round(abs(value) * scale), scale)
+    return f"{sign}{whole}.{frac:0{digits}d}"
+
+
+def render_table(
+    vectors: Sequence[PowerIndexVector],
+    names: Sequence[str],
+    fmt: str = "table",
+    digits: int = 4,
+    exact: bool = False,
+) -> str:
+    """Render index vectors in the requested format (``table``, ``csv``, or ``json``).
+
+    All three read one model: per vector, its kind, its decimals, and its
+    exact forms (``None`` without ``exact``).
+    """
+    if fmt not in ("table", "csv", "json"):
+        raise GameError(f"unknown format {fmt!r}; use table, csv, or json")
+    try:
+        model = [
+            (vector.kind, [decimal_string(v, digits) for v in vector],
+             [str(v) for v in vector] if exact else None)
+            for vector in vectors
+        ]
+    except GameError:
+        raise
+    except ValueError as err:
+        # An integer past Python's printable digits (sys.get_int_max_str_digits),
+        # from an exact value or a large ``digits``: bad input, not a fault.
+        raise GameError(f"value too long to print: {err}") from err
+    if fmt == "json":
+        entries = []
+        for kind, decimals, forms in model:
+            entry: dict = {"index": kind, "decimal": decimals}
+            if forms is not None:
+                entry["exact"] = forms
+            entries.append(entry)
+        return json.dumps(
+            {"players": list(names), "digits": digits, "indices": entries}, indent=2
+        )
+    rows = [["index", *names]]
+    for kind, decimals, forms in model:
+        rows.append([kind, *decimals])
+        if forms is not None:
+            rows.append([f"{kind} (exact)", *forms])
+    if fmt == "csv":
+        import csv  # here, not at the top: only ``--format csv`` pays for it
+
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows(rows)
+        return buffer.getvalue()
+    # An aligned text table: one row per index, one column per player.
+    widths = [max(len(row[col]) for row in rows) for col in range(len(rows[0]))]
+    return "\n".join(
+        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows
+    )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 from wmpower import SimpleGame, WeightedMajorityGame
@@ -197,6 +198,76 @@ def hcm_by_definition(game: WeightedMajorityGame) -> list[Fraction]:
     ]
     total = sum(products, Fraction(0))
     return [p / total for p in products]
+
+
+def weight_class_indices(game: WeightedMajorityGame) -> tuple[int, dict[str, list[Fraction]]]:
+    """The mwc count, and SS, BZ, raw BZ, DP, PG, CM and HCM, summed over weight classes.
+
+    The players of one weight w_k form a class of a_k players. A coalition
+    with x_k members of class k weighs w.x, and prod C(a_k, x_k) coalitions
+    share that count vector x. So every sum the indices read runs over the
+    prod (a_k + 1) count vectors, not the 2**n coalitions: exact at n = 64
+    for a few classes. Weights and quota are scaled to integers first, which
+    keeps every winning test and every ratio of weights.
+    """
+    n = game.n_players
+    scale = math.lcm(game.quota.denominator, *(w.denominator for w in game.weights))
+    quota = int(game.quota * scale)
+    players = [int(w * scale) for w in game.weights]
+    weights = sorted(set(players))
+    sizes = [players.count(w) for w in weights]
+
+    def count_vectors(bounds):
+        # Each x with 0 <= x_k <= bounds[k]: x, its weight, its size, and
+        # how many coalitions it stands for.
+        for x in itertools.product(*(range(b + 1) for b in bounds)):
+            ways = math.prod(math.comb(b, c) for b, c in zip(bounds, x))
+            yield x, sum(c * w for c, w in zip(x, weights)), sum(x), ways
+
+    def over(tally):
+        # sum of c / t over the (t, c) of a tally, over one common multiple.
+        common = math.lcm(*tally)
+        return Fraction(sum(c * (common // t) for t, c in tally.items()), common)
+
+    # A class-k player's swings: coalitions of the n - 1 others weighing in
+    # [q - w_k, q), counted by size.
+    ss, bz = {}, {}
+    fact = math.factorial
+    for k, own in enumerate(weights):
+        others = [a - (j == k) for j, a in enumerate(sizes)]
+        by_size = Counter()
+        for _, weight, size, ways in count_vectors(others):
+            if quota - own <= weight < quota:
+                by_size[size] += ways
+        ss[own] = Fraction(sum(c * fact(s) * fact(n - s - 1) for s, c in by_size.items()), fact(n))
+        bz[own] = Fraction(by_size.total(), 2 ** (n - 1))
+    # The mwcs: x wins, and dropping a lightest member loses (a weighted
+    # game is complete, so that is the binding test). A given class-k player
+    # lies in x_k / a_k of the coalitions of x.
+    m = 0
+    held = Counter()
+    by_size, by_weight = ({own: Counter() for own in weights} for _ in range(2))
+    for x, weight, size, ways in count_vectors(sizes):
+        if weight < quota or weight - min(w for w, c in zip(weights, x) if c) >= quota:
+            continue
+        m += ways
+        for k, own in enumerate(weights):
+            holding = ways * x[k] // sizes[k]
+            held[own] += holding
+            by_size[own][size] += holding
+            by_weight[own][weight] += holding
+    memberships = sum(held[w] for w in players)
+    weighted = sum(held[w] * w for w in players)
+    raw_total = sum(bz[w] for w in players)
+    return m, {
+        "ss": [ss[w] for w in players],
+        "bz": [bz[w] / raw_total for w in players],
+        "bz_raw": [bz[w] for w in players],
+        "dp": [over(by_size[w]) / m for w in players],
+        "pg": [Fraction(held[w], memberships) for w in players],
+        "cm": [over(by_weight[w]) * w / m for w in players],
+        "hcm": [Fraction(held[w] * w, weighted) for w in players],
+    }
 
 
 def symw_by_pairs(game: WeightedMajorityGame, vector) -> tuple[int, int] | None:

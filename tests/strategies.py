@@ -52,6 +52,35 @@ def rational_weighted_games(draw, min_players=1, max_players=8):
 
 
 @st.composite
+def class_weighted_games(draw, min_players=1, max_players=64, max_classes=3):
+    """Players in at most ``max_classes`` classes, a_k players of weight w_k each.
+
+    Class weights come from a small pool, so classes tie, and include zeros.
+    The quota is mostly the weight of a drawn count vector, so that many
+    coalitions weigh exactly the quota, else the total or a rational below
+    it. The players are shuffled.
+    """
+    n = draw(st.integers(min_players, max_players))
+    k = draw(st.integers(1, min(max_classes, n)))
+    cuts = []
+    if k > 1:
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1), min_size=k - 1, max_size=k - 1)))
+    sizes = [b - a for a, b in zip([0, *cuts], [*cuts, n])]
+    rational = st.fractions(min_value=0, max_value=12, max_denominator=6)
+    pool = draw(st.lists(rational, min_size=1, max_size=2))
+    weight = st.one_of(st.just(Fraction(0)), st.sampled_from(pool), rational)
+    classes = draw(st.lists(weight, min_size=k, max_size=k).filter(any))
+    weights = draw(st.permutations([w for w, a in zip(classes, sizes) for _ in range(a)]))
+    total = sum(weights)
+    reached = sum(draw(st.integers(0, a)) * w for w, a in zip(classes, sizes)) or total
+    denominator = draw(st.integers(1, 12))
+    top = math.floor(total * denominator)
+    below = Fraction(draw(st.integers(1, top)), denominator) if top else total
+    quota = draw(st.sampled_from([reached, reached, total, below]))
+    return WeightedMajorityGame(quota, weights)
+
+
+@st.composite
 def weighted_game_families(draw, min_players=1, max_players=9):
     """Two or three weighted games on one player count, or a game's decomposition.
 

@@ -31,6 +31,7 @@ from wmpower.errors import (
     GrandCoalitionLoses,
     NegativeWeight,
     NonPositiveQuota,
+    ParseError,
     PlayerCountMismatch,
     PlayerOutOfRange,
     SamePlayer,
@@ -79,6 +80,19 @@ class TestWeightedGameConstruction:
         with pytest.raises(GameError):
             WeightedMajorityGame(1, (0.5, 1))
 
+    def test_unprintable_fractions_rejected(self):
+        # A Fraction whose numerator or denominator has more digits than
+        # str() prints is refused as the game is built, not when it prints.
+        huge = 10**5000
+        for quota, weights in (
+            (Fraction(huge), [Fraction(huge)]),
+            (1, [Fraction(huge), 1]),
+            (Fraction(1, huge), [1]),
+            (1, [1, Fraction(huge + 1, huge)]),
+        ):
+            with pytest.raises(ParseError, match="too long to print"):
+                WeightedMajorityGame(quota, weights)
+
     def test_rational_quota_and_weights(self):
         g = WeightedMajorityGame("3/2", (Fraction(1, 2), 1, "1/2"))
         assert g.quota == Fraction(3, 2)
@@ -102,9 +116,13 @@ RATIONAL_TEXTS = st.one_of(
     st.text(max_size=12),
     st.builds("1e{}".format, st.integers(-(10**8), 10**8)),
 )
+HUGE = st.integers(10**4300, 10**5000)  # past the 4300 digits str() prints
 SCALARS = st.one_of(
     st.integers(),
-    st.integers(10**4300, 10**5000),  # past the 4300 digits str() prints
+    HUGE,
+    st.fractions(),
+    st.builds(Fraction, HUGE, st.integers(1, 10**6)),
+    st.builds(Fraction, st.integers(), HUGE),
     st.booleans(),
     st.floats(),
     st.none(),
@@ -120,17 +138,24 @@ SCALARS = st.one_of(
 @example("1e2000000")
 @settings(max_examples=300, deadline=1000)
 def test_outside_scalars_become_fractions_or_game_errors(value):
-    # exact() and PowerIndexVector, which calls it per value, take an int or
-    # a string to Fraction(value), and refuse the rest at once with a
-    # GameError: bools, floats, None, malformed text and unprintable values.
-    for coerce in (exact, lambda v: PowerIndexVector("X", [v]).values[0]):
-        try:
-            rational = coerce(value)
-        except GameError:
-            continue
-        assert type(value) in (int, str)
+    # exact() takes a Fraction, an int or a string to Fraction(value), and
+    # refuses the rest at once with a GameError: bools, floats, None,
+    # malformed text and unprintable values. PowerIndexVector keeps a
+    # Fraction as it is, since the indices compute theirs, and coerces the
+    # rest with exact().
+    try:
+        rational = exact(value)
+    except GameError:
+        rational = None
+    else:
+        assert type(value) in (int, str, Fraction)
         assert rational == Fraction(value)
         str(rational)  # every accepted value prints
+    try:
+        kept = PowerIndexVector("X", [value]).values[0]
+    except GameError:
+        kept = None
+    assert kept is value if isinstance(value, Fraction) else kept == rational
 
 
 class TestSimpleGameConstruction:

@@ -5,7 +5,10 @@ a change of output is intended.
 """
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -51,3 +54,26 @@ def test_make_golden_fails_on_a_changed_or_missing_case(monkeypatch, capsys, cas
     monkeypatch.setattr(make_golden, "CASES", cases)
     assert make_golden.main() == 1
     assert capsys.readouterr().out.splitlines() == [report]
+
+
+# The host's version manager keeps each interpreter in a directory named by
+# its version, next to this one's. make_golden.py needs no pytest, so it
+# replays the corpus under each of them that is there.
+VERSIONS = Path(sys.base_prefix).parent
+
+
+@pytest.mark.parametrize("minor", ["3.10", "3.12", "3.13"])
+def test_golden_corpus_replays_under_other_interpreters(minor):
+    pythons = sorted(VERSIONS.glob(f"{minor}.*/bin/python3"))
+    if not pythons:
+        pytest.skip(f"no Python {minor} in {VERSIONS}")
+    src = Path(make_golden.__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [str(pythons[-1]), make_golden.__file__],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert len(result.stdout.splitlines()) == len(CASES)

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from strategies import rational_weighted_games, simple_games, weighted_games
+from strategies import class_weighted_games, rational_weighted_games, simple_games, weighted_games
 from wmpower import (
     Coalition,
     PowerIndexVector,
@@ -30,6 +30,7 @@ from wmpower import (
 import wmpower
 from wmpower import indices
 from wmpower.errors import GameError, WeightsRequired
+from wmpower.games import mwc_count
 
 F = Fraction
 
@@ -288,13 +289,11 @@ def test_equal_weight_games_degenerate(n, weight, data):
 
 
 @given(
-    weighted_games(max_players=6),
-    st.integers(1, 7),
-    st.integers(1, 7),
+    st.one_of(weighted_games(max_players=6), rational_weighted_games(max_players=6)),
+    st.fractions(min_value=F(1, 12), max_value=12, max_denominator=12),
 )
 @settings(max_examples=30, deadline=None)
-def test_scaling_quota_and_weights_changes_nothing(game, num, den):
-    factor = F(num, den)
+def test_scaling_quota_and_weights_changes_nothing(game, factor):
     scaled = WeightedMajorityGame(
         game.quota * factor, tuple(w * factor for w in game.weights)
     )
@@ -509,3 +508,79 @@ def test_equal_weights_at_64_players_match_closed_forms(weight, k):
     assert banzhaf(game, normalized=False).values == (
         F(math.comb(63, k - 1), 1 << 63),
     ) * 64
+
+
+def swing_vectors(game):
+    """SS, BZ and raw BZ of a weighted game."""
+    return [
+        shapley_shubik(game).values,
+        banzhaf(game).values,
+        banzhaf(game, normalized=False).values,
+    ]
+
+
+# The library lists the mwcs for DP, PG, CM and HCM, so those are checked
+# against the class oracle only where its mwc count is at most this.
+LISTED_MWCS = 2000
+
+
+@settings(max_examples=30, deadline=None)
+@given(game=class_weighted_games(max_players=7))
+@example(game=wmg(5, 2, 2, 2, 0, 0, 3, 3))
+def test_weight_class_oracle_matches_the_definitions(game):
+    m, expected = oracles.weight_class_indices(game)
+    n = game.n_players
+    assert m == len(oracles.brute_force_mwcs(game))
+    assert expected["ss"] == oracles.shapley_by_permutations(game)
+    assert expected["bz_raw"] == [
+        F(len(oracles.brute_force_swings(game, i)), 1 << (n - 1)) for i in range(n)
+    ]
+    for param in MWC_INDEX_ORACLES:
+        assert expected[param.id] == param.values[1](game)
+
+
+def assert_class_oracle_agrees(game):
+    m, expected = oracles.weight_class_indices(game)
+    assert swing_vectors(game) == [tuple(expected[key]) for key in ("ss", "bz", "bz_raw")]
+    if m <= LISTED_MWCS:
+        assert mwc_count(game) == m
+        for param in MWC_INDEX_ORACLES:
+            assert param.values[0](game).values == tuple(expected[param.id])
+
+
+# Examples: three classes at a majority quota (m is about 8.1e17, so only SS
+# and BZ are checked); a quota at the total (one mwc); a zero-weight class.
+@settings(max_examples=30, deadline=None)
+@given(game=class_weighted_games())
+@example(game=wmg(129, *[7] * 20, *[3] * 24, *[2] * 20))
+@example(game=wmg(40, *[1] * 30, *["1/2"] * 20))
+@example(game=wmg(9, *[0] * 40, *[1] * 12, *["3/2"] * 12))
+def test_indices_match_the_weight_class_oracle(game):
+    assert_class_oracle_agrees(game)
+
+
+@settings(max_examples=15, deadline=None)
+@given(game=class_weighted_games(min_players=64))
+def test_indices_match_the_weight_class_oracle_at_64_players(game):
+    assert_class_oracle_agrees(game)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    game=class_weighted_games(max_players=63),
+    seed=st.integers(0, 2**32),
+    factor=st.fractions(min_value=F(1, 12), max_value=12, max_denominator=12),
+)
+def test_class_games_keep_the_metamorphic_relations(game, seed, factor):
+    # Up to 64 players, where only the swing indices are cheap: permuting
+    # the players permutes SS and BZ, scaling changes nothing, and a
+    # zero-weight player gets 0 and changes no other value.
+    before = swing_vectors(game)
+    order = list(range(game.n_players))
+    random.Random(seed).shuffle(order)
+    permuted = WeightedMajorityGame(game.quota, [game.weights[i] for i in order])
+    assert swing_vectors(permuted) == [tuple(v[i] for i in order) for v in before]
+    scaled = WeightedMajorityGame(game.quota * factor, [w * factor for w in game.weights])
+    assert swing_vectors(scaled) == before
+    padded = WeightedMajorityGame(game.quota, (*game.weights, 0))
+    assert swing_vectors(padded) == [(*v, 0) for v in before]

@@ -73,8 +73,8 @@ print(code, *sorted(m for m in sys.modules if m.partition(".")[0] in ("wmpower",
 """
 
 BASE = ("documents", "errors", "games")
-RENDER = ("indices", "tables")
-SUITE = ("axioms", "indices", "merging", "simple")
+RENDER = ("indices",)
+SUITE = ("axioms", "indices", "merging")
 
 
 @pytest.mark.parametrize(
