@@ -30,13 +30,9 @@ from .errors import NotUnanimityLike, PlayerCountMismatch, SamePlayer, UnknownKi
 from .games import Coalition, Game, SimpleGame, WeightedMajorityGame, _Frozen, _canonical
 from .games import _check_player, _mask_weight, _support_mask, as_coalition
 from .games import minimal_winning_coalitions, mwc_count, swing_pivots
-from .indices import PowerIndexVector, _memberships, _weighted_memberships
+from .indices import PowerIndexVector, _memberships, _swing_tally, _weighted_memberships
 from .indices import colomer_martinez, hcm
 from .merging import merged_game
-
-# The largest integer quota whose reachable sums below it are read as one int
-# (2 MB); above it, null players and symmetry fall through to the mwc scans.
-_REACH_LIMIT = 1 << 24
 
 
 class SwingSet(_Frozen):
@@ -86,32 +82,11 @@ def swings(game: Game, player: int) -> SwingSet:
     return SwingSet(player, tuple(map(Coalition.from_mask, _canonical(masks))))
 
 
-def _weighs_between(
-    game: WeightedMajorityGame, outside: int, light: int, heavy: int
-) -> bool | None:
-    # Whether some coalition of the players not in the mask ``outside`` weighs
-    # in [q - heavy, q - light) on the integer form; None when q is over
-    # _REACH_LIMIT. Bit t of ``reach`` is set iff some such coalition weighs t.
-    weights, quota, _ = game.integer_form
-    if quota > _REACH_LIMIT:
-        return None
-    top = max(quota - light, 0)
-    below = (1 << top) - 1
-    reach = 1 & below
-    for k, w in enumerate(weights):
-        if not outside >> k & 1 and w < top:
-            reach = (reach | reach << w) & below
-    return reach >> max(quota - heavy, 0) != 0
-
-
 def is_null_player(game: Game, player: int) -> bool:
     """True iff the player belongs to no minimal winning coalition: iff it has no swing."""
     _check_player(player, game.n_players)
     if isinstance(game, WeightedMajorityGame):
-        # A swing of i is a coalition without i weighing in [q - w_i, q).
-        swing = _weighs_between(game, 1 << player, 0, game.integer_form[0][player])
-        if swing is not None:
-            return not swing
+        return not _swing_tally(game)[player]
     bit = 1 << player
     return not any(m & bit for m in minimal_winning_coalitions(game).masks)
 
@@ -123,13 +98,13 @@ def are_symmetric(game: Game, i: int, j: int) -> bool:
     if i == j:
         raise SamePlayer(f"symmetry needs two distinct players, got {i} twice")
     if isinstance(game, WeightedMajorityGame):
-        # With w_i <= w_j, S plus i wins only if S plus j does: the two differ
-        # iff some coalition S without both weighs in [q - w_j, q - w_i).
-        weights = game.integer_form[0]
-        light, heavy = sorted((weights[i], weights[j]))
-        differ = _weighs_between(game, 1 << i | 1 << j, light, heavy)
-        if differ is not None:
-            return not differ
+        # i and j are symmetric iff they swing equally often. For w_i <= w_j,
+        # S -> S when j is not in S, and T + j -> T + i, maps i's swings
+        # injectively into j's. If i and j are not symmetric, some T without
+        # both has T + j winning and T + i losing, and then T + i is a swing
+        # of j outside that image.
+        tallies = _swing_tally(game)
+        return tallies[i].total() == tallies[j].total()
     # The game is monotone, so the swap keeps its winning coalitions iff it
     # keeps their minimal ones: each mwc holding one of i, j swaps into M.
     masks = minimal_winning_coalitions(game)._mask_set
@@ -217,9 +192,8 @@ def check_sym(f: IndexFunction, game: Game) -> AxiomVerdict:
     """Symmetry: interchangeable players receive equal power.
 
     A pair is asked whether it is symmetric only when its values differ;
-    ``are_symmetric`` then reads the sums a weighted game's coalitions
-    reach, or the minimal winning coalitions of a simple game (and of a
-    weighted game whose integer quota is over ``_REACH_LIMIT``).
+    ``are_symmetric`` then reads a weighted game's swing tally, or the
+    minimal winning coalitions of a simple game.
     """
     vector = f(game)
     n = game.n_players

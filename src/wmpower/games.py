@@ -38,8 +38,7 @@ class Coalition:
     def __init__(self, players: Iterable[int] = ()) -> None:
         mask = 0
         for p in players:
-            if not 0 <= p < MAX_PLAYERS:
-                raise PlayerOutOfRange(f"player index {p} outside 0..{MAX_PLAYERS - 1}")
+            _check_player(p, MAX_PLAYERS)
             mask |= 1 << p
         self._mask = mask
 
@@ -153,8 +152,9 @@ def _checked_mask(coalition, n_players: int) -> int:
 
 
 def _check_player(player: int, n_players: int) -> None:
-    if not 0 <= player < n_players:
-        raise PlayerOutOfRange(f"player index {player} not within 0..{n_players - 1}")
+    # A bool is an int to Python, but no player index: True is not player 1.
+    if isinstance(player, bool) or not isinstance(player, int) or not 0 <= player < n_players:
+        raise PlayerOutOfRange(f"player index {player!r} not within 0..{n_players - 1}")
 
 
 class _Frozen:

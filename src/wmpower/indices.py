@@ -17,6 +17,7 @@ from __future__ import annotations
 import io
 import json
 import math
+from bisect import bisect_right
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
@@ -74,38 +75,63 @@ def _kept_on_game(build):
 @_kept_on_game
 def _swing_tally(game: Game) -> list[Counter]:
     # Per player i, a Counter c_i of |S| over i's swings S; SS and BZ read
-    # only this tally. A bare simple game counts each losing S once for each
-    # of its pivots; a weighted game counts swings by size and weight.
-    if not isinstance(game, WeightedMajorityGame):
-        tallies = [Counter() for _ in range(game.n_players)]
-        for s, pivots in swing_pivots(game):
-            while pivots:
-                low = pivots & -pivots
-                tallies[low.bit_length() - 1][s.bit_count()] += 1
-                pivots ^= low
-        return tallies
-    # Tally all players' losing coalitions by (size, weight) once; a winning
-    # one never loses again as players join, so it is dropped.
-    weights, quota, _ = game.integer_form
-    rows: list[dict[int, int]] = [{0: 1}] + [{} for _ in weights]
-    for filled, w in enumerate(weights):
-        for size in range(filled, -1, -1):
-            nxt = rows[size + 1]
-            for total, count in rows[size].items():
-                grown = total + w
-                if grown < quota:
-                    nxt[grown] = nxt.get(grown, 0) + count
-    result = []
-    for own in weights:
-        # Remove the player: its losing coalitions of size s are the size s - 1
-        # ones without it, plus it, so without[s][t] = rows[s][t] -
-        # without[s-1][t - own]. Its swings reach weight quota - own without it.
-        sizes, without = Counter(), {}
-        for size, row in enumerate(rows[:-1]):  # a swing has at most n - 1 players
-            without = {t: c - without.get(t - own, 0) for t, c in row.items()}
-            sizes[size] = sum(c for t, c in without.items() if t >= quota - own)
-        result.append(sizes)
-    return result
+    # only this tally, and so do a weighted game's null players and symmetric
+    # pairs. A bare simple game counts each losing S once for each of its
+    # pivots; a weighted game reads its decision diagram.
+    if isinstance(game, WeightedMajorityGame):
+        return _diagram_swings(*game.integer_form[:2])
+    tallies = [Counter() for _ in range(game.n_players)]
+    for s, pivots in swing_pivots(game):
+        while pivots:
+            low = pivots & -pivots
+            tallies[low.bit_length() - 1][s.bit_count()] += 1
+            pivots ^= low
+    return tallies
+
+
+def _diagram_swings(weights: tuple[int, ...], quota: int) -> list[Counter]:
+    # The quasi-reduced ordered BDD of the game (Bolus 2011), players in
+    # (weight descending, index) order. A node at level k is the function
+    # "the players from level k on weigh at least r" of a residual quota r,
+    # kept with its interval (lo, hi) of residuals; a residual finds its node
+    # by bisecting the level's sorted lows. Node 0 is TRUE (r <= 0) and node
+    # 1 FALSE (r >= 1), clipped to q - W..q, where every residual lies.
+    n = len(weights)
+    order = sorted(range(n), key=lambda i: -weights[i])
+    spans, kids = [(quota - sum(weights), 0), (1, quota)], [(0, 0), (1, 1)]
+    lows = [[] for _ in order] + [[lo for lo, _ in spans]]
+    ids = [[] for _ in order] + [[0, 1]]
+
+    def node(level: int, r: int) -> int:
+        k = bisect_right(lows[level], r)
+        if k and r <= spans[v := ids[level][k - 1]][1]:
+            return v
+        w = weights[order[level]]
+        t, e = node(level + 1, r - w), node(level + 1, r)
+        spans.append((max(spans[e][0], spans[t][0] + w), min(spans[e][1], spans[t][1] + w)))
+        kids.append((t, e))
+        lows[level].insert(k, spans[-1][0])
+        ids[level].insert(k, len(kids) - 1)
+        return len(kids) - 1
+
+    # Children come before parents, the root last. Per node, the paths from
+    # the root (f) and the winning completions (g) by size, one (n + 2)-bit
+    # slot per size in one int: no count reaches 2**n, so no slot carries.
+    root, slot = node(0, quota), n + 2
+    g = [1, 0]
+    for t, e in kids[2:]:
+        g.append((g[t] << slot) + g[e])
+    f = [0] * root + [1]
+    for v in range(root, 1, -1):
+        f[kids[v][0]] += f[v] << slot
+        f[kids[v][1]] += f[v]
+    # A player's swings by size: the sum of f_v (g_t - g_e) over its level's
+    # nodes v, with no negative slot, since t needs no more weight than e.
+    swings = [0] * n
+    for level, player in enumerate(order):
+        swings[player] = sum(f[v] * (g[kids[v][0]] - g[kids[v][1]]) for v in ids[level])
+    full = (1 << slot) - 1
+    return [Counter({s: c for s in range(n) if (c := p >> s * slot & full)}) for p in swings]
 
 
 def shapley_shubik(game: Game) -> PowerIndexVector:

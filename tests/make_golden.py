@@ -13,9 +13,10 @@ whatever the terminal.
     PYTHONPATH=src python tests/make_golden.py --write  # rewrite cases and documents
 
 Without ``--write`` it exits 1 when any case differs from its file or has none.
-Only ``--write`` touches a file. It also rewrites the seeded majority
-documents from their fixed seeds: two 10-player games in
-tests/golden/majority10 and one 16-player game in tests/golden/majority16.
+Only ``--write`` touches a file. It also rewrites the seeded documents from
+their fixed seeds: two 10-player majority games in tests/golden/majority10,
+one 16-player majority game in tests/golden/majority16, and one 12-player
+game of 40-bit weights in tests/golden/bits40.
 """
 
 from __future__ import annotations
@@ -68,6 +69,11 @@ CASES["merge_majority10_pair"] = ["merge", "majority10/majority_0.json", "majori
 CASES["power_eu_council_ss_bz_exact"] = [
     "power", "--game", f"{DATA}/eu_council_nice.json", "--index", "ss,bz", "--exact",
 ]
+# Weights of 40 bits: no two of the 4,096 coalitions weigh the same, so SS
+# and BZ cannot lean on repeated sums.
+CASES["power_bits40_12_ss_bz_exact"] = [
+    "power", "--game", "bits40/bits40_12.json", "--index", "ss,bz", "--exact",
+]
 # Every index with its exact forms in the two machine-readable formats.
 for fmt in ("csv", "json"):
     CASES[f"power_reference_game_{fmt}_exact"] = [
@@ -109,6 +115,13 @@ def majority_documents(seed: int, n: int, count: int) -> dict[str, dict]:
     return documents
 
 
+def bits40_document(n: int) -> dict:
+    """n weights ``random.Random(n).getrandbits(40) | 1``, quota half the total plus one."""
+    rng = random.Random(n)
+    weights = [rng.getrandbits(40) | 1 for _ in range(n)]
+    return {"quota": str(sum(weights) // 2 + 1), "weights": [str(w) for w in weights]}
+
+
 def run_case(argv: list[str], directory: Path = GOLDEN) -> dict:
     """The case record of one in-process run of the CLI from ``directory``."""
     out, err = io.StringIO(), io.StringIO()
@@ -137,6 +150,9 @@ def main() -> int:
             for name, document in majority_documents(*spec).items():
                 text = json.dumps(document, indent=2) + "\n"
                 (GOLDEN / directory / name).write_text(text)
+        (GOLDEN / "bits40").mkdir(exist_ok=True)
+        text = json.dumps(bits40_document(12), indent=2) + "\n"
+        (GOLDEN / "bits40" / "bits40_12.json").write_text(text)
     changed = 0
     for name, argv in CASES.items():
         record = run_case(argv)

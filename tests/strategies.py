@@ -1,8 +1,9 @@
-"""Shared hypothesis strategies for random games."""
+"""Shared hypothesis strategies for random games, and fixed games for their examples."""
 
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -162,3 +163,18 @@ def single_mwc_games(draw, max_players=8):
     scale = min(inside) / (sum(weights) - sum(inside) + 1)
     weights = [w if member else w * scale for w, member in zip(weights, is_member)]
     return WeightedMajorityGame(sum(inside), weights)
+
+
+def bits40_game(n: int) -> WeightedMajorityGame:
+    """n weights ``random.Random(n).getrandbits(40) | 1``, quota half the total plus one.
+
+    Coalitions almost never share a weight; at n <= 20 none do.
+    """
+    rng = random.Random(n)
+    weights = [rng.getrandbits(40) | 1 for _ in range(n)]
+    return WeightedMajorityGame(sum(weights) // 2 + 1, weights)
+
+
+def prime_reciprocals_game() -> WeightedMajorityGame:
+    """Weights 1/p for the primes p up to 23 and quota 1/2: integer quota 111,546,435."""
+    return WeightedMajorityGame("1/2", [Fraction(1, p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)])

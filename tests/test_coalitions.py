@@ -3,7 +3,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
-from wmpower import Coalition, as_coalition, minimal_antichain
+from wmpower import Coalition, WeightedMajorityGame, are_symmetric, as_coalition
+from wmpower import is_null_player, minimal_antichain, swings
 from wmpower.errors import PlayerOutOfRange
 
 
@@ -38,6 +39,23 @@ def test_out_of_range_players_rejected():
         Coalition.from_mask(1 << 64)
     with pytest.raises(PlayerOutOfRange):
         Coalition.from_mask(-1)
+
+
+# A bool is an int to Python, but True must not stand for player 1; other
+# types must not escape as a bare TypeError.
+@pytest.mark.parametrize("player", [True, False, 1.5, "a", None], ids=repr)
+def test_non_int_player_indices_rejected(player):
+    game = WeightedMajorityGame(2, [1, 1, 1])
+    calls = [
+        lambda: Coalition([player]),
+        lambda: game.is_winning([player]),
+        lambda: is_null_player(game, player),
+        lambda: are_symmetric(game, 0, player),
+        lambda: swings(game, player),
+    ]
+    for call in calls:
+        with pytest.raises(PlayerOutOfRange):
+            call()
 
 
 def test_hashable_and_usable_in_sets():

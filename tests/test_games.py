@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from strategies import rational_weighted_games, simple_game_pairs, simple_games, weighted_games
+from strategies import bits40_game, prime_reciprocals_game, rational_weighted_games
+from strategies import simple_game_pairs, simple_games, weighted_games
 from wmpower import (
     Coalition,
     PowerIndexVector,
@@ -343,9 +344,9 @@ class TestSymmetry:
 
     def test_sixty_four_players_read_off_the_mwcs(self):
         # 61 zero-weight players: a walk over the coalitions without the
-        # pair 3, 4 would visit 2**62 of them; the swing tally counts them by
-        # size and weight. Players 0, 1, 2 form a majority of three, so 0 and
-        # 2 are symmetric; 0 and 3 are not.
+        # pair 3, 4 would visit 2**62 of them; the swing tally reads them off
+        # a decision diagram of at most q + 1 = 4 nodes per level. Players 0,
+        # 1, 2 form a majority of three, so 0 and 2 are symmetric; 0 and 3 are not.
         code = (
             "from wmpower import WeightedMajorityGame, are_symmetric\n"
             "game = WeightedMajorityGame(3, [2, 2, 1] + [0] * 61)\n"
@@ -574,9 +575,10 @@ def powers_of_two(n: int) -> WeightedMajorityGame:
 
 # Examples: tied weights (every pair symmetric); zero weights (null players,
 # symmetric with each other); the quota at the total weight (one mwc, every
-# zero-weight player null); weights above the quota (windows below 0); and
-# weights 1/p for the primes p up to 23, whose integer quota 111,546,435 is
-# over the reachability bound, so the weighted game takes the mwc scans.
+# zero-weight player null); weights above the quota; weights 1/p for the
+# primes p up to 23, whose integer quota is 111,546,435; and 40-bit weights,
+# where every coalition weighs differently. The swing tally's diagram has at
+# most 2**(n/2) + 1 nodes per level, whatever the weights.
 @given(rational_weighted_games(max_players=7))
 @example(WeightedMajorityGame("3/2", ("1/2", "1/2", "1/2", "1/2")))
 @example(WeightedMajorityGame(2, (1, 0, 1, 0, 1)))
@@ -584,11 +586,12 @@ def powers_of_two(n: int) -> WeightedMajorityGame:
 @example(WeightedMajorityGame("1/2", (1, 1)))
 @example(WeightedMajorityGame(1, (1, 1)))
 @example(powers_of_two(8))
-@example(WeightedMajorityGame("1/2", [Fraction(1, p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)]))
+@example(prime_reciprocals_game())
+@example(bits40_game(8))
 @settings(max_examples=150, deadline=None)
 def test_weighted_null_and_symmetric_players_match_definitions(game):
-    # A weighted game answers from its reachable sums (or, over the bound,
-    # from its mwcs); its induced simple game from the mwc scans.
+    # A weighted game answers from its swing tally; its induced simple game
+    # from the mwc scans.
     induced = minimal_winning_coalitions(game)
     n = game.n_players
     for i in range(n):
@@ -601,7 +604,8 @@ def test_weighted_null_and_symmetric_players_match_definitions(game):
 
 def test_null_player_check_on_22_players_of_distinct_sums_is_fast():
     # Every coalition of 2**0..2**21 weighs differently, so a tally of
-    # swings by weight would hold 2**21 sums per size.
+    # swings by weight would hold 2**21 sums per size; the swing tally reads
+    # a decision diagram of at most two nodes per level instead.
     code = (
         "from wmpower import WeightedMajorityGame, check_np, deegan_packel\n"
         "g = WeightedMajorityGame((1 << 22) - 1, [1 << i for i in range(22)])\n"

@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from strategies import class_weighted_games, rational_weighted_games, simple_games, weighted_games
+from strategies import bits40_game, class_weighted_games, prime_reciprocals_game
+from strategies import rational_weighted_games, simple_games, weighted_games
 from wmpower import (
     Coalition,
     PowerIndexVector,
@@ -457,12 +458,15 @@ def test_mwc_indices_match_definition_on_simple_games(index, oracle, game):
 
 
 # Examples: zero weights among rational ones; one player, then two, at or
-# above the quota next to lighter players.
+# above the quota next to lighter players; weights 1/p for the primes up to
+# 23 (integer quota 111,546,435); 40-bit weights, all coalitions distinct.
 @settings(max_examples=60, deadline=None)
 @given(game=rational_weighted_games(max_players=7))
 @example(game=wmg("5/2", "3/2", 0, 1, "1/2", 0, "1/3"))
 @example(game=wmg(4, 5, 1, 0, 3))
 @example(game=wmg(2, 2, 3, 1))
+@example(game=prime_reciprocals_game())
+@example(game=bits40_game(8))
 def test_swing_indices_match_definition(game):
     n = game.n_players
     assert list(shapley_shubik(game).values) == oracles.shapley_by_permutations(game)

@@ -40,6 +40,26 @@ def majority(seed: int, n: int, count: int = 1):
     return build
 
 
+def bits40(n: int):
+    """A builder: n weights ``random.Random(n).getrandbits(40) | 1``, quota half the total plus one.
+
+    Coalitions almost never share a weight, so a tally keyed by weight has
+    nearly 2**n sums to keep.
+    """
+
+    def build(directory: Path) -> None:
+        rng = random.Random(n)
+        weights = [rng.getrandbits(40) | 1 for _ in range(n)]
+        write_document(directory / "bits40.json", sum(weights) // 2 + 1, weights)
+
+    return build
+
+
+def bz_line(decimals: str) -> str:
+    """The last line of ``power --index ss,bz``: the BZ row of the text table."""
+    return "  ".join(["BZ   ", *decimals.split()])
+
+
 def powers_of_two(directory: Path) -> None:
     """Weights 2**0..2**19 with the quota at their total: every coalition weighs differently."""
     weights = [1 << i for i in range(20)]
@@ -68,15 +88,15 @@ ROWS = {
         20,
         "satisfied on this evidence: EFF, NP, SYMw, HCMw",
     ),
-    # The EU Council alone: its null players and symmetric pairs read the sums
-    # its coalitions reach, and no mwc is listed.
+    # The EU Council alone: its null players and symmetric pairs read the swing
+    # tally that SS computed, and no mwc is listed.
     "axioms_ss_classic_eu_council": (
         ["axioms", "--index", "ss", "--suite", "classic", "--games", "{games}"],
         eu_council,
         10,
         "satisfied on this evidence: EFF, NP, SYM, TRA, DPM, PGM",
     ),
-    # The null-player check reads reachable sums.
+    # The null-player check reads the swing tally.
     "axioms_dp_thm1_powers20": (
         ["axioms", "--index", "dp", "--suite", "thm1", "--games", "{games}"],
         powers_of_two,
@@ -96,6 +116,28 @@ ROWS = {
         majority(240206298, 12, count=2),
         10,
         "satisfied on this evidence: EFF, NP, SYM, DPM, PGM",
+    ),
+    # SS and BZ on 40-bit weights read the decision diagram, whose size does
+    # not grow with the weights; a tally keyed by coalition weight took
+    # minutes at n = 24.
+    "power_ss_bz_bits40_n24": (
+        ["power", "--index", "ss,bz", "--game", "{games}/bits40.json"],
+        bits40(24),
+        10,
+        bz_line(
+            "0.0306 0.0468 0.0170 0.0133 0.0133 0.0548 0.0566 0.0821 0.0652 0.0225 0.0755 0.0011"
+            " 0.0371 0.0581 0.0510 0.0022 0.0134 0.0392 0.0687 0.0547 0.0396 0.0819 0.0549 0.0203"
+        ),
+    ),
+    "power_ss_bz_bits40_n32": (
+        ["power", "--index", "ss,bz", "--game", "{games}/bits40.json"],
+        bits40(32),
+        5,
+        bz_line(
+            "0.0620 0.0094 0.0460 0.0155 0.0016 0.0025 0.0211 0.0215 0.0038 0.0455 0.0670 0.0309"
+            " 0.0394 0.0353 0.0520 0.0343 0.0317 0.0512 0.0132 0.0188 0.0620 0.0291 0.0216 0.0023"
+            " 0.0345 0.0481 0.0286 0.0281 0.0614 0.0364 0.0148 0.0304"
+        ),
     ),
 }
 
