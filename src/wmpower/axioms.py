@@ -27,8 +27,8 @@ from fractions import Fraction
 
 from .errors import EmptyCoalition, FewerThanTwoGames, GameError, NotMergeable
 from .errors import NotUnanimityLike, PlayerCountMismatch, SamePlayer, UnknownKind
-from .games import Coalition, Game, SimpleGame, WeightedMajorityGame, _Frozen, _canonical
-from .games import _check_player, _mask_weight, _support_mask, as_coalition
+from .games import MAX_PLAYERS, Coalition, Game, SimpleGame, WeightedMajorityGame, _Frozen
+from .games import _canonical, _checked_int, _checked_mask, _mask_weight, _support_mask
 from .games import minimal_winning_coalitions, mwc_count, swing_pivots
 from .indices import PowerIndexVector, _memberships, _swing_tally, _weighted_memberships
 from .indices import colomer_martinez, hcm
@@ -71,7 +71,7 @@ def minimal_antichain(coalitions: Iterable[Coalition]) -> tuple[Coalition, ...]:
 
 def swings(game: Game, player: int) -> SwingSet:
     """Losing coalitions S (excluding the player) such that S plus the player wins."""
-    _check_player(player, game.n_players)
+    _checked_int(player, 0, game.n_players - 1, "player index")
     if isinstance(game, WeightedMajorityGame):
         weights, quota, _ = game.integer_form
         window = range(quota - weights[player], quota)
@@ -84,7 +84,7 @@ def swings(game: Game, player: int) -> SwingSet:
 
 def is_null_player(game: Game, player: int) -> bool:
     """True iff the player belongs to no minimal winning coalition: iff it has no swing."""
-    _check_player(player, game.n_players)
+    _checked_int(player, 0, game.n_players - 1, "player index")
     if isinstance(game, WeightedMajorityGame):
         return not _swing_tally(game)[player]
     bit = 1 << player
@@ -93,9 +93,8 @@ def is_null_player(game: Game, player: int) -> bool:
 
 def are_symmetric(game: Game, i: int, j: int) -> bool:
     """True iff swapping i and j maps the minimal winning coalitions onto themselves."""
-    _check_player(i, game.n_players)
-    _check_player(j, game.n_players)
-    if i == j:
+    last = game.n_players - 1
+    if _checked_int(i, 0, last, "player index") == _checked_int(j, 0, last, "player index"):
         raise SamePlayer(f"symmetry needs two distinct players, got {i} twice")
     if isinstance(game, WeightedMajorityGame):
         # i and j are symmetric iff they swing equally often. For w_i <= w_j,
@@ -114,10 +113,9 @@ def are_symmetric(game: Game, i: int, j: int) -> bool:
 
 def unanimity_game(n_players: int, coalition) -> SimpleGame:
     """The simple game whose only minimal winning coalition is the given one."""
-    c = as_coalition(coalition)
-    if not c:
+    if not (mask := _checked_mask(coalition, MAX_PLAYERS)):
         raise EmptyCoalition("a unanimity game needs a non-empty coalition")
-    return SimpleGame(n_players, (c,))
+    return SimpleGame(n_players, (Coalition.from_mask(mask),))
 
 
 def _simple_pair(v: Game, v_prime: Game) -> tuple[SimpleGame, SimpleGame]:
@@ -383,7 +381,7 @@ def mwc_group_decomposition(
     masks = minimal_winning_coalitions(game).masks
     if len(groups) < 2:
         raise FewerThanTwoGames("a decomposition needs at least two groups")
-    seen = [k for group in groups for k in group]
+    seen = [_checked_int(k, 0, len(masks) - 1, "mwc index", GameError) for g in groups for k in g]
     if sorted(seen) != list(range(len(masks))) or any(not group for group in groups):
         raise GameError(
             f"groups must partition the {len(masks)} minimal winning coalitions"

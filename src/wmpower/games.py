@@ -28,6 +28,7 @@ from .errors import EmptyCoalition, GameError, GrandCoalitionLoses, NegativeWeig
 from .errors import NonPositiveQuota, ParseError, PlayerOutOfRange, TooManyPlayers
 
 MAX_PLAYERS = 64
+_FULL_MASK = (1 << MAX_PLAYERS) - 1
 
 
 class Coalition:
@@ -36,18 +37,12 @@ class Coalition:
     __slots__ = ("_mask",)
 
     def __init__(self, players: Iterable[int] = ()) -> None:
-        mask = 0
-        for p in players:
-            _check_player(p, MAX_PLAYERS)
-            mask |= 1 << p
-        self._mask = mask
+        self._mask = _checked_mask(players, MAX_PLAYERS)
 
     @classmethod
     def from_mask(cls, mask: int) -> "Coalition":
-        if mask < 0 or mask >> MAX_PLAYERS:
-            raise PlayerOutOfRange(f"mask {mask:#x} exceeds {MAX_PLAYERS} players")
         coalition = cls.__new__(cls)
-        coalition._mask = mask
+        coalition._mask = _checked_int(mask, 0, _FULL_MASK, "mask")
         return coalition
 
     @property
@@ -58,11 +53,14 @@ class Coalition:
     def members(self) -> tuple[int, ...]:
         return tuple(self)
 
-    def issubset(self, other: "Coalition") -> bool:
-        return self._mask & other._mask == self._mask
+    def issubset(self, other: "Coalition | Iterable[int]") -> bool:
+        return self._mask & _checked_mask(other, MAX_PLAYERS) == self._mask
 
-    def __contains__(self, player: int) -> bool:
-        return 0 <= player < MAX_PLAYERS and bool(self._mask >> player & 1)
+    def __contains__(self, player: object) -> bool:
+        try:
+            return bool(self._mask >> _checked_int(player, 0, MAX_PLAYERS - 1, "player index") & 1)
+        except ValueError:  # no player index (PlayerOutOfRange), or too long an int to print
+            return False
 
     def __iter__(self) -> Iterator[int]:
         mask = self._mask
@@ -142,19 +140,24 @@ def _check_exponent(text: str) -> None:
         raise ParseError(f"rational too long to print: {text!r} has an exponent over {limit}")
 
 
+def _checked_int(value, low: int, high: int, what: str, error=PlayerOutOfRange) -> int:
+    # The one rule for every outside index and count. A bool is an int to
+    # Python, but no index or count: True is not player 1.
+    if isinstance(value, bool) or not isinstance(value, int) or not low <= value <= high:
+        raise error(f"{what} {value!r} outside {low}..{high}")
+    return value
+
+
 def _checked_mask(coalition, n_players: int) -> int:
-    mask = as_coalition(coalition).mask
-    if mask >> n_players:
-        raise PlayerOutOfRange(
-            f"coalition {Coalition.from_mask(mask)} not within 0..{n_players - 1}"
-        )
+    # The mask of a Coalition or any iterable of player indices in 0..n-1.
+    if isinstance(coalition, Coalition) and not coalition._mask >> n_players:
+        return coalition._mask  # its members were checked as it was built
+    if not isinstance(coalition, Iterable):
+        raise PlayerOutOfRange(f"expected a coalition, got {type(coalition).__name__}")
+    mask = 0
+    for player in coalition:
+        mask |= 1 << _checked_int(player, 0, n_players - 1, "player index")
     return mask
-
-
-def _check_player(player: int, n_players: int) -> None:
-    # A bool is an int to Python, but no player index: True is not player 1.
-    if isinstance(player, bool) or not isinstance(player, int) or not 0 <= player < n_players:
-        raise PlayerOutOfRange(f"player index {player!r} not within 0..{n_players - 1}")
 
 
 class _Frozen:
@@ -206,15 +209,12 @@ class SimpleGame(_Frozen):
     _fields = ("n_players", "masks")
 
     def __init__(self, n_players: int, mwc: Iterable[Coalition]) -> None:
-        if not 1 <= n_players <= MAX_PLAYERS:
-            raise TooManyPlayers(f"player count {n_players} outside 1..{MAX_PLAYERS}")
-        masks = _canonical({as_coalition(c).mask for c in mwc})
+        n_players = _checked_int(n_players, 1, MAX_PLAYERS, "player count", TooManyPlayers)
+        masks = _canonical({_checked_mask(c, n_players) for c in mwc})
         if not masks:
             raise GameError("a simple game needs at least one minimal winning coalition")
-        for m in masks:
-            if not m:
-                raise EmptyCoalition("the empty coalition cannot be minimal winning")
-            _checked_mask(Coalition.from_mask(m), n_players)
+        if masks[0] == 0:  # (popcount, mask) order puts the empty mask first
+            raise EmptyCoalition("the empty coalition cannot be minimal winning")
         # Sorted by size: no mask holds a later one.
         for a, b in itertools.combinations(masks, 2):
             if a & b == a:

@@ -25,7 +25,7 @@ from functools import wraps
 
 from .errors import GameError, WeightsRequired
 from .games import Game, WeightedMajorityGame, _Frozen, _mask_weight, _print_limit
-from .games import _support_mask, exact
+from .games import _checked_int, _support_mask, exact
 from .games import minimal_winning_coalitions, mwc_count, swing_pivots
 
 
@@ -237,7 +237,7 @@ INDEX_FUNCTIONS = {
 
 def decimal_string(value: Fraction, digits: int = 4) -> str:
     """Fixed-point decimal expansion of an exact rational, round-half-even."""
-    if digits < 1:
+    if _checked_int(digits, -math.inf, math.inf, "digits", GameError) < 1:
         raise GameError(f"digits must be at least 1, got {digits}")
     # More digits could not be printed; refuse them before the long division.
     limit = _print_limit()
@@ -264,6 +264,8 @@ def render_table(
     """
     if fmt not in ("table", "csv", "json"):
         raise GameError(f"unknown format {fmt!r}; use table, csv, or json")
+    if any(len(vector) != len(names) for vector in vectors):
+        raise GameError(f"{len(names)} player names, but a vector of another length")
     try:
         model = [
             (vector.kind, [decimal_string(v, digits) for v in vector],

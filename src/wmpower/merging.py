@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .errors import FewerThanTwoGames, NotWMMergeable, PlayerCountMismatch
+from .errors import FewerThanTwoGames, NotWMMergeable, PlayerCountMismatch, WeightsRequired
 from .games import Coalition, WeightedMajorityGame, _Frozen, minimal_winning_coalitions
 
 
@@ -79,12 +79,11 @@ class MergeabilityReport(_Frozen):
 def _validated_family(games: Sequence[WeightedMajorityGame]) -> int:
     if len(games) < 2:
         raise FewerThanTwoGames(f"merging needs at least two games, got {len(games)}")
-    n = games[0].n_players
-    for g in games[1:]:
-        if g.n_players != n:
-            raise PlayerCountMismatch(
-                f"player counts differ: {n} vs {g.n_players}"
-            )
+    for g in games:
+        if not isinstance(g, WeightedMajorityGame):
+            raise WeightsRequired(f"merging needs weighted games, got a {type(g).__name__}")
+        if g.n_players != (n := games[0].n_players):
+            raise PlayerCountMismatch(f"player counts differ: {n} vs {g.n_players}")
     return n
 
 

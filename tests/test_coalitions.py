@@ -3,8 +3,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
-from wmpower import Coalition, WeightedMajorityGame, are_symmetric, as_coalition
-from wmpower import is_null_player, minimal_antichain, swings
+from wmpower import Coalition, SimpleGame, WeightedMajorityGame, are_symmetric, as_coalition
+from wmpower import is_null_player, minimal_antichain, swings, unanimity_game
 from wmpower.errors import PlayerOutOfRange
 
 
@@ -42,13 +42,18 @@ def test_out_of_range_players_rejected():
 
 
 # A bool is an int to Python, but True must not stand for player 1; other
-# types must not escape as a bare TypeError.
+# types must not escape as a bare TypeError. No such value is a member.
 @pytest.mark.parametrize("player", [True, False, 1.5, "a", None], ids=repr)
 def test_non_int_player_indices_rejected(player):
     game = WeightedMajorityGame(2, [1, 1, 1])
     calls = [
         lambda: Coalition([player]),
+        lambda: Coalition.from_mask(player),
+        lambda: Coalition([0]).issubset([player]),
         lambda: game.is_winning([player]),
+        lambda: game.coalition_weight([player]),
+        lambda: SimpleGame(3, [[player]]),
+        lambda: unanimity_game(3, [player]),
         lambda: is_null_player(game, player),
         lambda: are_symmetric(game, 0, player),
         lambda: swings(game, player),
@@ -56,6 +61,7 @@ def test_non_int_player_indices_rejected(player):
     for call in calls:
         with pytest.raises(PlayerOutOfRange):
             call()
+    assert player not in Coalition([0, 1])
 
 
 def test_hashable_and_usable_in_sets():

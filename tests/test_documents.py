@@ -282,6 +282,19 @@ class TestRenderTable:
         with pytest.raises(GameError):
             render_table(self.VECTORS, self.NAMES, fmt="xml")
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_names_must_match_the_vectors(self, fmt):
+        # Every player's value needs a name, and every name a value.
+        for names in (self.NAMES[:2], (*self.NAMES, "D")):
+            with pytest.raises(GameError, match="player names"):
+                render_table(self.VECTORS, names, fmt=fmt)
+
+    def test_digits_must_be_an_int(self):
+        # Refused as bad digits, before any value is rendered.
+        for digits in (2.5, True):
+            with pytest.raises(GameError, match="^digits"):
+                render_table(self.VECTORS, self.NAMES, digits=digits)
+
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),

@@ -17,9 +17,11 @@ from wmpower import (
     SimpleGame,
     WeightedMajorityGame,
     are_symmetric,
+    decimal_string,
     ecuador_document,
     is_null_player,
     minimal_winning_coalitions,
+    mwc_group_decomposition,
     simple_intersection,
     simple_mergeable,
     simple_union,
@@ -157,6 +159,68 @@ def test_outside_scalars_become_fractions_or_game_errors(value):
     except GameError:
         kept = None
     assert kept is value if isinstance(value, Fraction) else kept == rational
+
+
+INDEX_LIKE = st.one_of(
+    st.integers(max_value=-1),
+    st.integers(0, 70),
+    st.integers(2**64, 2**80),
+    st.booleans(),
+    st.floats(),
+    st.none(),
+    st.text(max_size=3),
+)
+
+
+@given(INDEX_LIKE | st.lists(INDEX_LIKE, max_size=4))
+@example(True)  # not player 1, nor a player count, a mask or an mwc index
+@example(5)  # no coalition
+@example(2.5)  # no player count, nor digits
+@example(1.5)  # no member
+@example(1.0)  # no mwc index
+@example([1, 2])  # a coalition to test a subset against
+@settings(max_examples=300, deadline=1000)
+def test_outside_indices_and_counts_are_ints_or_game_errors(value):
+    # Every entry point that takes an index, a count or a coalition accepts
+    # an int that is no bool, within range, and refuses the rest at once
+    # with a GameError; membership answers False for anything else.
+    game = WeightedMajorityGame(2, [1, 1, 1])  # mwcs {0, 1}, {0, 2}, {1, 2}
+    is_int = type(value) is int
+
+    def accepted(call) -> bool:
+        try:
+            call()
+        except GameError:
+            return False
+        return True
+
+    for call in (lambda: is_null_player(game, value), lambda: swings(game, value)):
+        assert accepted(call) == (is_int and 0 <= value < 3)
+    assert accepted(lambda: are_symmetric(game, 2, value)) == (is_int and value in (0, 1))
+    assert accepted(lambda: SimpleGame(value, [[0]])) == (is_int and 1 <= value <= 64)
+    assert accepted(lambda: Coalition.from_mask(value)) == (is_int and 0 <= value < 2**64)
+    groups = [[value], [0, 2]]
+    assert accepted(lambda: mwc_group_decomposition(game, groups)) == (is_int and value == 1)
+    digits = is_int and 1 <= value <= sys.get_int_max_str_digits()
+    assert accepted(lambda: decimal_string(Fraction(1, 3), value)) == digits
+
+    def members_within(n: int) -> bool:  # an iterable of player indices below n
+        return isinstance(value, (list, str)) and all(
+            type(p) is int and 0 <= p < n for p in value
+        )
+
+    for call in (lambda: Coalition(value), lambda: Coalition([0]).issubset(value)):
+        assert accepted(call) == members_within(64)
+    for call in (
+        lambda: game.is_winning(value),
+        lambda: game.coalition_weight(value),
+        lambda: game.induced_simple_game.is_winning(value),
+    ):
+        assert accepted(call) == members_within(3)
+    for call in (lambda: SimpleGame(3, [value]), lambda: unanimity_game(3, value)):
+        assert accepted(call) == (members_within(3) and len(value) > 0)
+    membership = value in Coalition([0, 1])
+    assert membership is (is_int and value in (0, 1))
 
 
 class TestSimpleGameConstruction:

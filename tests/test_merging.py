@@ -24,6 +24,7 @@ from wmpower.errors import (
     NotMergeable,
     NotWMMergeable,
     PlayerCountMismatch,
+    WeightsRequired,
 )
 
 
@@ -63,6 +64,15 @@ class TestWmUnion:
         expected = wm_union(family)
         for permuted in itertools.permutations(family):
             assert wm_union(permuted) == expected
+
+
+@pytest.mark.parametrize("merge", [wm_union, check_wm_mergeability, merged_game])
+def test_bare_simple_games_are_refused(merge):
+    # A bare SimpleGame has no quota and no weights to merge.
+    game = PAIR_OK[0]
+    for family in ([game, game.induced_simple_game], [game.induced_simple_game, game]):
+        with pytest.raises(WeightsRequired):
+            merge(family)
 
 
 class TestCheckWmMergeability:
