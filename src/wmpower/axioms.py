@@ -28,8 +28,8 @@ from fractions import Fraction
 from .errors import EmptyCoalition, FewerThanTwoGames, GameError, NotMergeable
 from .errors import NotUnanimityLike, PlayerCountMismatch, SamePlayer, UnknownKind
 from .games import MAX_PLAYERS, Coalition, Game, SimpleGame, WeightedMajorityGame, _Frozen
-from .games import _canonical, _checked_int, _checked_mask, _mask_weight, _support_mask
-from .games import minimal_winning_coalitions, mwc_count, swing_pivots
+from .games import _canonical, _checked_int, _checked_mask, _items, _support_mask
+from .games import minimal_winning_coalitions, mwc_count
 from .indices import PowerIndexVector, _memberships, _swing_tally, _weighted_memberships
 from .indices import colomer_martinez, hcm
 from .merging import merged_game
@@ -60,25 +60,22 @@ def _minimal_masks(masks: Iterable[int]) -> list[int]:
     return kept
 
 
-def minimal_antichain(coalitions: Iterable[Coalition]) -> tuple[Coalition, ...]:
+def minimal_antichain(coalitions: Iterable[Coalition | Iterable[int]]) -> tuple[Coalition, ...]:
     """Minimal elements of a family of coalitions, sorted by (cardinality, mask).
 
+    Each member is a ``Coalition`` or an iterable of player indices.
     Duplicates collapse; a coalition survives iff no distinct member of the
     family is a proper subset of it.
     """
-    return tuple(map(Coalition.from_mask, _minimal_masks(c.mask for c in coalitions)))
+    masks = (_checked_mask(c, MAX_PLAYERS) for c in _items(coalitions, "coalitions"))
+    return tuple(map(Coalition.from_mask, _minimal_masks(masks)))
 
 
 def swings(game: Game, player: int) -> SwingSet:
     """Losing coalitions S (excluding the player) such that S plus the player wins."""
-    _checked_int(player, 0, game.n_players - 1, "player index")
-    if isinstance(game, WeightedMajorityGame):
-        weights, quota, _ = game.integer_form
-        window = range(quota - weights[player], quota)
-        walk = range(1 << game.n_players)
-        masks = (s for s in walk if not s >> player & 1 and _mask_weight(weights, s) in window)
-    else:
-        masks = (s for s, pivots in swing_pivots(game) if pivots >> player & 1)
+    bit = 1 << _checked_int(player, 0, game.n_players - 1, "player index")
+    wins = [game.is_winning(Coalition.from_mask(s)) for s in range(1 << game.n_players)]
+    masks = (s for s, won in enumerate(wins) if not s & bit and wins[s | bit] and not won)
     return SwingSet(player, tuple(map(Coalition.from_mask, _canonical(masks))))
 
 
@@ -379,6 +376,7 @@ def mwc_group_decomposition(
     indices of the game's canonical mwc tuple.
     """
     masks = minimal_winning_coalitions(game).masks
+    groups = [_items(g, "mwc indices") for g in _items(groups, "groups of mwc indices")]
     if len(groups) < 2:
         raise FewerThanTwoGames("a decomposition needs at least two groups")
     seen = [_checked_int(k, 0, len(masks) - 1, "mwc index", GameError) for g in groups for k in g]

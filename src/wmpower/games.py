@@ -59,7 +59,7 @@ class Coalition:
     def __contains__(self, player: object) -> bool:
         try:
             return bool(self._mask >> _checked_int(player, 0, MAX_PLAYERS - 1, "player index") & 1)
-        except ValueError:  # no player index (PlayerOutOfRange), or too long an int to print
+        except PlayerOutOfRange:
             return False
 
     def __iter__(self) -> Iterator[int]:
@@ -144,8 +144,26 @@ def _checked_int(value, low: int, high: int, what: str, error=PlayerOutOfRange) 
     # The one rule for every outside index and count. A bool is an int to
     # Python, but no index or count: True is not player 1.
     if isinstance(value, bool) or not isinstance(value, int) or not low <= value <= high:
-        raise error(f"{what} {value!r} outside {low}..{high}")
+        raise error(f"{what} {_shown(value)} outside {low}..{high}")
     return value
+
+
+def _shown(value) -> str:
+    # The repr of a refused value. One that repr() cannot print, an int past
+    # the printable digits or a container of one, is named by its size or type.
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"<int of {value.bit_length()} bits>"
+        return f"<{type(value).__name__} too long to print>"
+
+
+def _items(container, what: str) -> tuple:
+    # The members of an outside container; one that is not iterable is refused.
+    if not isinstance(container, Iterable):
+        raise ParseError(f"expected an iterable of {what}, got {type(container).__name__}")
+    return tuple(container)
 
 
 def _checked_mask(coalition, n_players: int) -> int:
@@ -210,7 +228,7 @@ class SimpleGame(_Frozen):
 
     def __init__(self, n_players: int, mwc: Iterable[Coalition]) -> None:
         n_players = _checked_int(n_players, 1, MAX_PLAYERS, "player count", TooManyPlayers)
-        masks = _canonical({_checked_mask(c, n_players) for c in mwc})
+        masks = _canonical({_checked_mask(c, n_players) for c in _items(mwc, "coalitions")})
         if not masks:
             raise GameError("a simple game needs at least one minimal winning coalition")
         if masks[0] == 0:  # (popcount, mask) order puts the empty mask first
@@ -375,16 +393,3 @@ def mwc_count(game: Game) -> int:
     """|M|, the number of minimal winning coalitions; every count-only reader asks here."""
     return len(minimal_winning_coalitions(game).masks)
 
-
-def swing_pivots(game: SimpleGame) -> Iterator[tuple[int, int]]:
-    """Each losing S, by increasing mask, and its pivots: the i with M - S = {i} for an mwc M."""
-    masks = game.masks
-    for s in range(1 << game.n_players):
-        pivots, out = 0, ~s
-        for m in masks:
-            if not (rest := m & out):
-                break  # M lies in S: S wins
-            if not rest & (rest - 1):
-                pivots |= rest
-        else:
-            yield s, pivots

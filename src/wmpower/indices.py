@@ -25,8 +25,8 @@ from functools import wraps
 
 from .errors import GameError, WeightsRequired
 from .games import Game, WeightedMajorityGame, _Frozen, _mask_weight, _print_limit
-from .games import _checked_int, _support_mask, exact
-from .games import minimal_winning_coalitions, mwc_count, swing_pivots
+from .games import _checked_int, _shown, _support_mask, exact
+from .games import minimal_winning_coalitions, mwc_count
 
 
 class PowerIndexVector(_Frozen):
@@ -76,28 +76,20 @@ def _kept_on_game(build):
 def _swing_tally(game: Game) -> list[Counter]:
     # Per player i, a Counter c_i of |S| over i's swings S; SS and BZ read
     # only this tally, and so do a weighted game's null players and symmetric
-    # pairs. A bare simple game counts each losing S once for each of its
-    # pivots; a weighted game reads its decision diagram.
+    # pairs. Both game kinds count on one decision diagram.
     if isinstance(game, WeightedMajorityGame):
-        return _diagram_swings(*game.integer_form[:2])
-    tallies = [Counter() for _ in range(game.n_players)]
-    for s, pivots in swing_pivots(game):
-        while pivots:
-            low = pivots & -pivots
-            tallies[low.bit_length() - 1][s.bit_count()] += 1
-            pivots ^= low
-    return tallies
+        return _diagram_tally(*_weight_diagram(*game.integer_form[:2]))
+    return _diagram_tally(*_mask_diagram(game.n_players, game.masks))
 
 
-def _diagram_swings(weights: tuple[int, ...], quota: int) -> list[Counter]:
+def _weight_diagram(weights: tuple[int, ...], quota: int) -> tuple:
     # The quasi-reduced ordered BDD of the game (Bolus 2011), players in
     # (weight descending, index) order. A node at level k is the function
     # "the players from level k on weigh at least r" of a residual quota r,
     # kept with its interval (lo, hi) of residuals; a residual finds its node
     # by bisecting the level's sorted lows. Node 0 is TRUE (r <= 0) and node
     # 1 FALSE (r >= 1), clipped to q - W..q, where every residual lies.
-    n = len(weights)
-    order = sorted(range(n), key=lambda i: -weights[i])
+    order = sorted(range(len(weights)), key=lambda i: -weights[i])
     spans, kids = [(quota - sum(weights), 0), (1, quota)], [(0, 0), (1, 1)]
     lows = [[] for _ in order] + [[lo for lo, _ in spans]]
     ids = [[] for _ in order] + [[0, 1]]
@@ -114,10 +106,36 @@ def _diagram_swings(weights: tuple[int, ...], quota: int) -> list[Counter]:
         ids[level].insert(k, len(kids) - 1)
         return len(kids) - 1
 
+    node(0, quota)
+    return order, kids, ids
+
+
+def _mask_diagram(n: int, masks: tuple[int, ...]) -> tuple:
+    # The same diagram for a bare simple game, players in index order. A
+    # node at level k is the family of mwc remainders M - S, over the mwcs M
+    # whose players before k all lie in S; one that holds the empty mask wins.
+    kids, ids = [(0, 0), (1, 1)], [{} for _ in range(n)] + [{frozenset([0]): 0, frozenset(): 1}]
+
+    def node(level: int, family: frozenset) -> int:
+        family = frozenset([0]) if 0 in family else family
+        if (v := ids[level].get(family)) is None:
+            bit = 1 << level
+            t = node(level + 1, frozenset(m & ~bit for m in family))
+            e = node(level + 1, frozenset(m for m in family if not m & bit))
+            kids.append((t, e))
+            v = ids[level][family] = len(kids) - 1
+        return v
+
+    node(0, frozenset(masks))
+    return range(n), kids, [list(level.values()) for level in ids]
+
+
+def _diagram_tally(order: Sequence[int], kids: list, ids: list[list[int]]) -> list[Counter]:
     # Children come before parents, the root last. Per node, the paths from
     # the root (f) and the winning completions (g) by size, one (n + 2)-bit
     # slot per size in one int: no count reaches 2**n, so no slot carries.
-    root, slot = node(0, quota), n + 2
+    n, root = len(order), len(kids) - 1
+    slot = n + 2
     g = [1, 0]
     for t, e in kids[2:]:
         g.append((g[t] << slot) + g[e])
@@ -126,7 +144,7 @@ def _diagram_swings(weights: tuple[int, ...], quota: int) -> list[Counter]:
         f[kids[v][0]] += f[v] << slot
         f[kids[v][1]] += f[v]
     # A player's swings by size: the sum of f_v (g_t - g_e) over its level's
-    # nodes v, with no negative slot, since t needs no more weight than e.
+    # nodes v, with no negative slot, since t wins wherever e does.
     swings = [0] * n
     for level, player in enumerate(order):
         swings[player] = sum(f[v] * (g[kids[v][0]] - g[kids[v][1]]) for v in ids[level])
@@ -242,7 +260,7 @@ def decimal_string(value: Fraction, digits: int = 4) -> str:
     # More digits could not be printed; refuse them before the long division.
     limit = _print_limit()
     if limit and digits > limit:
-        raise GameError(f"digits must be at most {limit}, got {digits}")
+        raise GameError(f"digits must be at most {limit}, got {_shown(digits)}")
     sign = "-" if value < 0 else ""
     scale = 10**digits
     # round() of a Fraction is exact, and rounds half to even.

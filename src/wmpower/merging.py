@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .errors import FewerThanTwoGames, NotWMMergeable, PlayerCountMismatch, WeightsRequired
+from .errors import FewerThanTwoGames, NotWMMergeable, ParseError, PlayerCountMismatch
+from .errors import WeightsRequired
 from .games import Coalition, WeightedMajorityGame, _Frozen, minimal_winning_coalitions
 
 
@@ -77,6 +78,8 @@ class MergeabilityReport(_Frozen):
 
 
 def _validated_family(games: Sequence[WeightedMajorityGame]) -> int:
+    if not isinstance(games, Sequence):
+        raise ParseError(f"expected a sequence of games, got {type(games).__name__}")
     if len(games) < 2:
         raise FewerThanTwoGames(f"merging needs at least two games, got {len(games)}")
     for g in games:

@@ -15,8 +15,9 @@ whatever the terminal.
 Without ``--write`` it exits 1 when any case differs from its file or has none.
 Only ``--write`` touches a file. It also rewrites the seeded documents from
 their fixed seeds: two 10-player majority games in tests/golden/majority10,
-one 16-player majority game in tests/golden/majority16, and one 12-player
-game of 40-bit weights in tests/golden/bits40.
+two 14-player ones in tests/golden/majority14, one 16-player majority game in
+tests/golden/majority16, and one 12-player game of 40-bit weights in
+tests/golden/bits40.
 """
 
 from __future__ import annotations
@@ -36,7 +37,11 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 DATA = "../../bench/data"
 # Per directory of majority documents: its seed, its player count and its
 # number of documents.
-MAJORITY = {"majority10": (10, 10, 2), "majority16": (16000, 16, 1)}
+MAJORITY = {
+    "majority10": (10, 10, 2),
+    "majority14": (240206298, 14, 2),
+    "majority16": (16000, 16, 1),
+}
 
 SAMPLED = ["--samples", "20", "--seed", "0"]
 CASES = {}
@@ -49,6 +54,11 @@ for index in ("ss", "bz", "dp", "pg"):
     CASES[f"{index}_classic_majority10"] = [
         "axioms", "--index", index, "--suite", "classic", "--games", "majority10",
     ]
+# SS on the two 14-player games (397 and 609 mwcs), and on their join and
+# their meet, two bare simple games of 592 and 543 mwcs.
+CASES["ss_classic_majority14"] = [
+    "axioms", "--index", "ss", "--suite", "classic", "--games", "majority14",
+]
 # Theorems 1 and 2 on the 16-player game: its single-mwc decomposition has
 # 1,965 components, so condition 3 is checked on a family of 1,965 games.
 CASES["dp_thm1_majority16"] = ["axioms", "--index", "dp", "--suite", "thm1", "--games", "majority16"]

@@ -20,6 +20,7 @@ from wmpower import (
     decimal_string,
     ecuador_document,
     is_null_player,
+    minimal_antichain,
     minimal_winning_coalitions,
     mwc_group_decomposition,
     simple_intersection,
@@ -27,6 +28,7 @@ from wmpower import (
     simple_union,
     swings,
     unanimity_game,
+    wm_union,
 )
 from wmpower.errors import (
     EmptyCoalition,
@@ -40,7 +42,7 @@ from wmpower.errors import (
     SamePlayer,
     TooManyPlayers,
 )
-from wmpower.games import exact, swing_pivots
+from wmpower.games import exact
 
 
 def game_51() -> WeightedMajorityGame:
@@ -179,6 +181,8 @@ INDEX_LIKE = st.one_of(
 @example(1.5)  # no member
 @example(1.0)  # no mwc index
 @example([1, 2])  # a coalition to test a subset against
+@example(10**5000)  # an int too long to print, as an index, a count or digits
+@example([10**5000])  # and as a member of a coalition
 @settings(max_examples=300, deadline=1000)
 def test_outside_indices_and_counts_are_ints_or_game_errors(value):
     # Every entry point that takes an index, a count or a coalition accepts
@@ -221,6 +225,34 @@ def test_outside_indices_and_counts_are_ints_or_game_errors(value):
         assert accepted(call) == (members_within(3) and len(value) > 0)
     membership = value in Coalition([0, 1])
     assert membership is (is_int and value in (0, 1))
+
+
+THREE = WeightedMajorityGame(2, [1, 1, 1])
+
+
+# A container that is not iterable: a family of coalitions, the groups of a
+# decomposition or one group, a family of games.
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: SimpleGame(3, 5),
+        lambda: minimal_antichain(5),
+        lambda: mwc_group_decomposition(THREE, [[0], 1]),
+        lambda: mwc_group_decomposition(THREE, 5),
+        lambda: wm_union(5),
+    ],
+    ids=["simple_game", "minimal_antichain", "group", "groups", "wm_union"],
+)
+def test_non_iterable_containers_are_parse_errors(call):
+    with pytest.raises(ParseError, match="^expected "):
+        call()
+
+
+def test_minimal_antichain_takes_plain_iterables_of_player_indices():
+    family = [[0, 1], (0, 1, 2), range(2, 3), Coalition([1, 0])]
+    assert minimal_antichain(family) == (Coalition([2]), Coalition([0, 1]))
+    with pytest.raises(PlayerOutOfRange):
+        minimal_antichain([[0], [64]])
 
 
 class TestSimpleGameConstruction:
@@ -575,6 +607,20 @@ def test_swings_empty_iff_null(game):
         )
 
 
+# One walk serves both game kinds: each S without the player that loses
+# while S plus the player wins, listed by (size, mask).
+@given(st.one_of(rational_weighted_games(max_players=7), simple_games(max_players=7, max_mwcs=6)))
+@example(WeightedMajorityGame(3, (2, 2, 1, 0, 0)))
+@example(SimpleGame(4, [[0, 1], [1, 2]]))
+@settings(max_examples=80, deadline=None)
+def test_swings_match_definition_for_both_game_kinds(game):
+    for i in range(game.n_players):
+        found = swings(game, i)
+        assert {frozenset(c) for c in found} == oracles.swings_by_definition(game, i)
+        keys = [(len(c), c.mask) for c in found]
+        assert keys == sorted(keys)
+
+
 @given(weighted_games(max_players=6), weighted_games(max_players=6))
 @settings(max_examples=40, deadline=None)
 def test_mergeable_union_is_disjoint_union(game_a, game_b):
@@ -678,17 +724,3 @@ def test_null_player_check_on_22_players_of_distinct_sums_is_fast():
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=10)
 
-
-@given(rational_weighted_games(max_players=7))
-@settings(max_examples=40, deadline=None)
-def test_swing_pivots_match_definition_in_increasing_mask_order(game):
-    induced = minimal_winning_coalitions(game)
-    n = game.n_players
-    walked = list(swing_pivots(induced))
-    coalitions = map(Coalition.from_mask, range(1 << n))
-    losing = [c.mask for c in coalitions if not oracles.winning_by_definition(game, c)]
-    assert [s for s, _ in walked] == losing
-    swings_of = [oracles.brute_force_swings(game, i) for i in range(n)]
-    for s, pivots in walked:
-        members = frozenset(Coalition.from_mask(s))
-        assert pivots == sum(1 << i for i in range(n) if members in swings_of[i])

@@ -2,6 +2,7 @@ import math
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -490,13 +491,31 @@ def test_swing_indices_match_definition_on_simple_games(game):
     )
 
 
+# The mask diagram against the definition at sizes where the permutation
+# oracle is too slow. Examples: remainders that nest once player 0 joins
+# ({1} and {1, 2}), which need no minimizing; a one-player mwc, whose
+# remainder wins at level 1; ten players, one in no mwc.
+@settings(max_examples=50, deadline=None)
+@given(game=simple_games(max_players=10, max_mwcs=12))
+@example(game=SimpleGame(3, [[0, 1], [1, 2]]))
+@example(game=SimpleGame(4, [[0], [1, 2, 3]]))
+@example(game=SimpleGame(10, [[0, 9], [1, 2, 3], [2, 4, 5, 7], [3, 7, 8], [0, 4, 8]]))
+def test_mask_diagram_tally_matches_definition(game):
+    by_size = [
+        Counter(map(len, oracles.swings_by_definition(game, i))) for i in range(game.n_players)
+    ]
+    assert indices._swing_tally(game) == by_size
+
+
 @settings(max_examples=100, deadline=None)
 @given(game=rational_weighted_games(max_players=7))
 @example(game=wmg("5/2", "3/2", 0, 1, "1/2", 0, "1/3"))
 @example(game=wmg(4, 5, 1, 0, 3))
 @example(game=wmg(2, 2, 3, 1))
-def test_swing_counting_matches_walk_of_induced_simple_game(game):
+def test_weight_diagram_matches_mask_diagram_of_induced_game(game):
+    # Players by weight on one side, by index on the other: one tally.
     induced = game.induced_simple_game
+    assert indices._swing_tally(game) == indices._swing_tally(induced)
     assert shapley_shubik(game).values == shapley_shubik(induced).values
     assert (
         banzhaf(game, normalized=False).values
