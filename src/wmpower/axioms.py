@@ -74,7 +74,7 @@ def minimal_antichain(coalitions: Iterable[Coalition | Iterable[int]]) -> tuple[
 def swings(game: Game, player: int) -> SwingSet:
     """Losing coalitions S (excluding the player) such that S plus the player wins."""
     bit = 1 << _checked_int(player, 0, game.n_players - 1, "player index")
-    wins = [game.is_winning(Coalition.from_mask(s)) for s in range(1 << game.n_players)]
+    wins = [game._wins(s) for s in range(1 << game.n_players)]
     masks = (s for s, won in enumerate(wins) if not s & bit and wins[s | bit] and not won)
     return SwingSet(player, tuple(map(Coalition.from_mask, _canonical(masks))))
 
@@ -126,8 +126,13 @@ def _simple_pair(v: Game, v_prime: Game) -> tuple[SimpleGame, SimpleGame]:
 
 def simple_union(v: Game, v_prime: Game) -> SimpleGame:
     """Game winning where either game wins; mwc = minimal elements of both antichains."""
-    v, v_prime = _simple_pair(v, v_prime)
-    return SimpleGame._trusted(v.n_players, _minimal_masks(v.masks + v_prime.masks))
+    u, u_prime = _simple_pair(v, v_prime)
+    # An mwc of one game is minimal in the union iff no mwc of the other game
+    # lies strictly inside it: iff the other game loses on it, or has it as an
+    # mwc too, as an antichain holds no proper subset of its own members.
+    kept = {a for a in u.masks if a in u_prime._mask_set or not v_prime._wins(a)}
+    kept.update(b for b in u_prime.masks if not v._wins(b))
+    return SimpleGame._trusted(u.n_players, kept)
 
 
 def simple_intersection(v: Game, v_prime: Game) -> SimpleGame:
@@ -139,9 +144,9 @@ def simple_intersection(v: Game, v_prime: Game) -> SimpleGame:
 
 def simple_mergeable(v: Game, v_prime: Game) -> bool:
     """True iff no minimal winning coalition of one game contains one of the other."""
-    v, v_prime = _simple_pair(v, v_prime)
-    # a & b is a iff a lies inside b, and b iff b lies inside a.
-    return all(a & b not in (a, b) for a in v.masks for b in v_prime.masks)
+    u, u_prime = _simple_pair(v, v_prime)
+    # An mwc of one game holds an mwc of the other iff the other game wins on it.
+    return not any(map(v_prime._wins, u.masks)) and not any(map(v._wins, u_prime.masks))
 
 
 IndexFunction = Callable[[Game], PowerIndexVector]

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import cached_property
@@ -171,7 +172,7 @@ def _checked_mask(coalition, n_players: int) -> int:
     if isinstance(coalition, Coalition) and not coalition._mask >> n_players:
         return coalition._mask  # its members were checked as it was built
     if not isinstance(coalition, Iterable):
-        raise PlayerOutOfRange(f"expected a coalition, got {type(coalition).__name__}")
+        raise ParseError(f"expected a coalition, got {type(coalition).__name__}")
     mask = 0
     for player in coalition:
         mask |= 1 << _checked_int(player, 0, n_players - 1, "player index")
@@ -265,7 +266,9 @@ class SimpleGame(_Frozen):
 
     def is_winning(self, coalition) -> bool:
         """True iff the coalition contains some minimal winning coalition."""
-        mask = _checked_mask(coalition, self.n_players)
+        return self._wins(_checked_mask(coalition, self.n_players))
+
+    def _wins(self, mask: int) -> bool:
         return any(mask & m == m for m in self.masks)
 
 
@@ -319,14 +322,17 @@ class WeightedMajorityGame(_Frozen):
 
     def is_winning(self, coalition) -> bool:
         """True iff the coalition's weight is at least the quota (exact comparison)."""
+        return self._wins(_checked_mask(coalition, self.n_players))
+
+    def _wins(self, mask: int) -> bool:
         weights, quota, _ = self.integer_form
-        return _mask_weight(weights, _checked_mask(coalition, self.n_players)) >= quota
+        return _mask_weight(weights, mask) >= quota
 
     @cached_property
     def induced_simple_game(self) -> SimpleGame:
         """The simple game of this weighted game: its minimal winning coalitions."""
         weights, quota, _ = self.integer_form
-        return SimpleGame._trusted(self.n_players, _enumerate_mwc_masks(weights, quota))
+        return SimpleGame._trusted(self.n_players, _diagram_mwc_masks(weights, quota))
 
     def __str__(self) -> str:
         return f"[{self.quota}; " + ", ".join(str(w) for w in self.weights) + "]"
@@ -356,29 +362,56 @@ def _support_mask(masks: Iterable[int]) -> int:
     return support
 
 
-def _enumerate_mwc_masks(weights: tuple[int, ...], quota: int) -> list[int]:
-    # Depth-first over the nonzero-weight players in descending weight. A
-    # branch is pruned once the players left cannot lift its total to the
-    # quota. The player that first lifts the total to the quota is the
-    # coalition's lightest member, so dropping any member loses: the
-    # coalition is minimal, and no extension of it is.
-    order = sorted((i for i, w in enumerate(weights) if w), key=lambda i: -weights[i])
-    heavy = [weights[i] for i in order]
-    bits = [1 << i for i in order]
-    reach = list(itertools.accumulate(reversed(heavy)))[::-1]
+def _weight_diagram(weights: tuple[int, ...], quota: int) -> tuple:
+    # The quasi-reduced ordered BDD of the game (Bolus 2011), players in
+    # (weight descending, index) order. A node at level k is the function
+    # "the players from level k on weigh at least r" of a residual quota r,
+    # kept with its interval (lo, hi) of residuals; a residual finds its node
+    # by bisecting the level's sorted lows. Node 0 is TRUE (r <= 0) and node
+    # 1 FALSE (r >= 1), clipped to q - W..q, where every residual lies.
+    order = sorted(range(len(weights)), key=lambda i: -weights[i])
+    spans, kids = [(quota - sum(weights), 0), (1, quota)], [(0, 0), (1, 1)]
+    lows = [[] for _ in order] + [[lo for lo, _ in spans]]
+    ids = [[] for _ in order] + [[0, 1]]
+
+    def node(level: int, r: int) -> int:
+        k = bisect_right(lows[level], r)
+        if k and r <= spans[v := ids[level][k - 1]][1]:
+            return v
+        w = weights[order[level]]
+        t, e = node(level + 1, r - w), node(level + 1, r)
+        spans.append((max(spans[e][0], spans[t][0] + w), min(spans[e][1], spans[t][1] + w)))
+        kids.append((t, e))
+        lows[level].insert(k, spans[-1][0])
+        ids[level].insert(k, len(kids) - 1)
+        return len(kids) - 1
+
+    node(0, quota)
+    return order, kids, ids, spans
+
+
+def _diagram_mwc_masks(weights: tuple[int, ...], quota: int) -> list[int]:
+    # The mwcs read off the weight diagram (Berghammer and Bolus 2012): each is
+    # a losing path to a node whose 1-child is TRUE (hi <= 0), as the player at
+    # that level comes last in weight order, so is the lightest member. below[v]:
+    # such a node lies at or under v. A losing node's 0-child loses, so the walk
+    # enters only losing nodes, flagged ones, and each step leads to an mwc.
+    order, kids, _, spans = _weight_diagram(weights, quota)
+    below = [False, False]
+    for t, e in kids[2:]:  # children come before parents
+        below.append(spans[t][1] <= 0 or below[t] or below[e])
     found: list[int] = []
 
-    def extend(start: int, mask: int, total: int) -> None:
-        for k in range(start, len(order)):
-            if total + reach[k] < quota:
-                return
-            grown = total + heavy[k]
-            if grown >= quota:
-                found.append(mask | bits[k])
-            else:
-                extend(k + 1, mask | bits[k], grown)
+    def walk(v: int, level: int, mask: int) -> None:
+        t, e = kids[v]
+        if spans[t][1] <= 0:
+            found.append(mask | 1 << order[level])
+        elif below[t]:
+            walk(t, level + 1, mask | 1 << order[level])
+        if below[e]:
+            walk(e, level + 1, mask)
 
-    extend(0, 0, 0)
+    walk(len(kids) - 1, 0, 0)
     return found
 
 

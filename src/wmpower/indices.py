@@ -17,7 +17,6 @@ from __future__ import annotations
 import io
 import json
 import math
-from bisect import bisect_right
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
@@ -25,7 +24,7 @@ from functools import wraps
 
 from .errors import GameError, WeightsRequired
 from .games import Game, WeightedMajorityGame, _Frozen, _mask_weight, _print_limit
-from .games import _checked_int, _shown, _support_mask, exact
+from .games import _checked_int, _shown, _support_mask, _weight_diagram, exact
 from .games import minimal_winning_coalitions, mwc_count
 
 
@@ -78,36 +77,8 @@ def _swing_tally(game: Game) -> list[Counter]:
     # only this tally, and so do a weighted game's null players and symmetric
     # pairs. Both game kinds count on one decision diagram.
     if isinstance(game, WeightedMajorityGame):
-        return _diagram_tally(*_weight_diagram(*game.integer_form[:2]))
+        return _diagram_tally(*_weight_diagram(*game.integer_form[:2])[:3])
     return _diagram_tally(*_mask_diagram(game.n_players, game.masks))
-
-
-def _weight_diagram(weights: tuple[int, ...], quota: int) -> tuple:
-    # The quasi-reduced ordered BDD of the game (Bolus 2011), players in
-    # (weight descending, index) order. A node at level k is the function
-    # "the players from level k on weigh at least r" of a residual quota r,
-    # kept with its interval (lo, hi) of residuals; a residual finds its node
-    # by bisecting the level's sorted lows. Node 0 is TRUE (r <= 0) and node
-    # 1 FALSE (r >= 1), clipped to q - W..q, where every residual lies.
-    order = sorted(range(len(weights)), key=lambda i: -weights[i])
-    spans, kids = [(quota - sum(weights), 0), (1, quota)], [(0, 0), (1, 1)]
-    lows = [[] for _ in order] + [[lo for lo, _ in spans]]
-    ids = [[] for _ in order] + [[0, 1]]
-
-    def node(level: int, r: int) -> int:
-        k = bisect_right(lows[level], r)
-        if k and r <= spans[v := ids[level][k - 1]][1]:
-            return v
-        w = weights[order[level]]
-        t, e = node(level + 1, r - w), node(level + 1, r)
-        spans.append((max(spans[e][0], spans[t][0] + w), min(spans[e][1], spans[t][1] + w)))
-        kids.append((t, e))
-        lows[level].insert(k, spans[-1][0])
-        ids[level].insert(k, len(kids) - 1)
-        return len(kids) - 1
-
-    node(0, quota)
-    return order, kids, ids
 
 
 def _mask_diagram(n: int, masks: tuple[int, ...]) -> tuple:

@@ -84,6 +84,10 @@ CASES["power_eu_council_ss_bz_exact"] = [
 CASES["power_bits40_12_ss_bz_exact"] = [
     "power", "--game", "bits40/bits40_12.json", "--index", "ss,bz", "--exact",
 ]
+# The mwc listings of a 14-player majority game (397 mwcs) and of the 40-bit
+# game (220 mwcs), each read off the game's decision diagram.
+CASES["mwc_majority14"] = ["mwc", "--game", "majority14/majority_0.json"]
+CASES["mwc_bits40_12"] = ["mwc", "--game", "bits40/bits40_12.json"]
 # Every index with its exact forms in the two machine-readable formats.
 for fmt in ("csv", "json"):
     CASES[f"power_reference_game_{fmt}_exact"] = [

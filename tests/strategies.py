@@ -133,6 +133,15 @@ def simple_game_pairs(draw, min_players=2, max_players=6):
 
 
 @st.composite
+def weighted_and_bare_pairs(draw, max_players=6):
+    """A weighted game and a bare simple game on the same players, in either order."""
+    weighted = draw(weighted_games(max_players=max_players))
+    n = weighted.n_players
+    pair = (weighted, draw(simple_games(min_players=n, max_players=n)))
+    return pair if draw(st.booleans()) else pair[::-1]
+
+
+@st.composite
 def weighted_game_pairs(draw, min_players=1, max_players=6):
     n = draw(st.integers(min_players, max_players))
     games = st.one_of(

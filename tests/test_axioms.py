@@ -31,6 +31,7 @@ from wmpower import (
     ecuador_document,
     hcm,
     minimal_winning_coalitions,
+    mwc_group_decomposition,
     public_good,
     random_mergeable_family,
     shapley_shubik,
@@ -279,6 +280,33 @@ class TestHcmw:
         ]
         assert list(union_vector) == expected
         assert check_hcmw(hcm, family).holds
+
+
+def test_theorems_hold_on_every_mergeable_group_decomposition():
+    # Theorems 1 and 2 as relations: DP and CM satisfy DPMw, and HCM satisfies
+    # HCMw, on each WM-mergeable split of a random game's mwcs into 2 or 3
+    # groups. Few splits are mergeable past n = 10, so the games stay small.
+    rng = random.Random(0)
+    mergeable = 0
+    for n in range(6, 11):
+        for _ in range(100):
+            weights = [rng.randint(0, 20) for _ in range(n)]
+            if not (total := sum(weights)):
+                continue
+            game = wmg(rng.randint(max(1, total // 2), total), *weights)
+            if (m := mwc_count(game)) < 3:
+                continue
+            order = rng.sample(range(m), m)
+            cuts = sorted(rng.sample(range(1, m), rng.randint(1, 2)))
+            groups = [order[a:b] for a, b in zip([0, *cuts], [*cuts, m])]
+            family = mwc_group_decomposition(game, groups)
+            if not check_wm_mergeability(family).overall:
+                continue
+            mergeable += 1
+            assert check_dpmw(deegan_packel, family).holds
+            assert check_dpmw(colomer_martinez, family).holds
+            assert check_hcmw(hcm, family).holds
+    assert mergeable >= 20
 
 
 class TestWitnessIndex:

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from strategies import bits40_game, prime_reciprocals_game, rational_weighted_games
-from strategies import simple_game_pairs, simple_games, weighted_games
+from strategies import simple_game_pairs, simple_games, weighted_and_bare_pairs, weighted_games
 from wmpower import (
     Coalition,
     PowerIndexVector,
@@ -230,18 +231,29 @@ def test_outside_indices_and_counts_are_ints_or_game_errors(value):
 THREE = WeightedMajorityGame(2, [1, 1, 1])
 
 
-# A container that is not iterable: a family of coalitions, the groups of a
-# decomposition or one group, a family of games.
+# A container that is not iterable: a coalition, a family of coalitions, the
+# groups of a decomposition or one group, a family of games.
 @pytest.mark.parametrize(
     "call",
     [
+        lambda: THREE.is_winning(5),
+        lambda: Coalition(5),
+        lambda: THREE.coalition_weight(5),
+        lambda: Coalition([0]).issubset(5),
+        lambda: unanimity_game(3, 5),
+        lambda: SimpleGame(3, [5]),
+        lambda: minimal_antichain([5]),
         lambda: SimpleGame(3, 5),
         lambda: minimal_antichain(5),
         lambda: mwc_group_decomposition(THREE, [[0], 1]),
         lambda: mwc_group_decomposition(THREE, 5),
         lambda: wm_union(5),
     ],
-    ids=["simple_game", "minimal_antichain", "group", "groups", "wm_union"],
+    ids=[
+        "is_winning", "coalition", "coalition_weight", "issubset", "unanimity_game",
+        "simple_game_member", "minimal_antichain_member",
+        "simple_game", "minimal_antichain", "group", "groups", "wm_union",
+    ],
 )
 def test_non_iterable_containers_are_parse_errors(call):
     with pytest.raises(ParseError, match="^expected "):
@@ -665,6 +677,32 @@ def test_union_intersection_and_mergeability_match_definitions(pair):
     assert {frozenset(c) for c in simple_union(v, v_prime).mwc} == union
     assert {frozenset(c) for c in simple_intersection(v, v_prime).mwc} == meet
     assert simple_mergeable(v, v_prime) == oracles.mergeable_by_definition(v, v_prime)
+
+
+@given(weighted_and_bare_pairs())
+@example((WeightedMajorityGame(2, [1, 1, 1]), SimpleGame(3, [[0, 1]])))  # a shared mwc
+@example((SimpleGame(3, [[0, 1], [2]]), WeightedMajorityGame(2, [1, 1, 1])))
+@settings(max_examples=100, deadline=None)
+def test_union_and_mergeability_of_a_weighted_and_a_bare_game_match_definitions(pair):
+    # The union keeps an mwc of one game where the other game loses or shares
+    # it, read through the weighted game's own winning test.
+    mwcs, mwcs_prime = (list(oracles.mwcs_by_definition(g)) for g in pair)
+    union = oracles.minimal_by_definition(mwcs + mwcs_prime)
+    assert {frozenset(c) for c in simple_union(*pair).mwc} == union
+    induced = (SimpleGame(g.n_players, m) for g, m in zip(pair, (mwcs, mwcs_prime)))
+    assert simple_mergeable(*pair) == oracles.mergeable_by_definition(*induced)
+
+
+def test_join_of_two_20_player_games():
+    # Each game has thousands of mwcs, so the join cannot afford to test each
+    # pooled mask against every minimal mask kept so far.
+    rng = random.Random(240206298)
+    games = []
+    for _ in range(2):
+        weights = [rng.randint(1, 99) for _ in range(20)]
+        games.append(WeightedMajorityGame(sum(weights) // 2 + 1, weights))
+    assert len(simple_union(*games).masks) == 36_897
+    assert not simple_mergeable(*games)
 
 
 @given(st.one_of(rational_weighted_games(max_players=7), simple_games(max_players=7, max_mwcs=6)))
