@@ -30,7 +30,7 @@ from .errors import NotUnanimityLike, PlayerCountMismatch, SamePlayer, UnknownKi
 from .games import MAX_PLAYERS, Coalition, Game, SimpleGame, WeightedMajorityGame, _Frozen
 from .games import _canonical, _checked_int, _checked_mask, _items, _support_mask
 from .games import minimal_winning_coalitions, mwc_count
-from .indices import PowerIndexVector, _memberships, _swing_tally, _weighted_memberships
+from .indices import PowerIndexVector, _memberships, _weighted_memberships
 from .indices import colomer_martinez, hcm
 from .merging import merged_game
 
@@ -83,7 +83,7 @@ def is_null_player(game: Game, player: int) -> bool:
     """True iff the player belongs to no minimal winning coalition: iff it has no swing."""
     _checked_int(player, 0, game.n_players - 1, "player index")
     if isinstance(game, WeightedMajorityGame):
-        return not _swing_tally(game)[player]
+        return not game._swing_tally[player]
     bit = 1 << player
     return not any(m & bit for m in minimal_winning_coalitions(game).masks)
 
@@ -99,7 +99,7 @@ def are_symmetric(game: Game, i: int, j: int) -> bool:
         # injectively into j's. If i and j are not symmetric, some T without
         # both has T + j winning and T + i losing, and then T + i is a swing
         # of j outside that image.
-        tallies = _swing_tally(game)
+        tallies = game._swing_tally
         return tallies[i].total() == tallies[j].total()
     # The game is monotone, so the swap keeps its winning coalitions iff it
     # keeps their minimal ones: each mwc holding one of i, j swaps into M.
@@ -397,7 +397,16 @@ def mwc_group_decomposition(
             w if support >> i & 1 else Fraction(0)
             for i, w in enumerate(game.weights)
         )
-        components.append(WeightedMajorityGame(game.quota, weights))
+        component = WeightedMajorityGame(game.quota, weights)
+        if len(group) == 1:
+            # Cut from one mwc S, the component's only mwc is S. An mwc T of
+            # it holds no weight-0 player, so lies in S plus the null players.
+            # T wins in the parent too, so holds a parent mwc, which holds no
+            # null player, so lies in S, so is S. Then T = S by minimality.
+            component.__dict__["induced_simple_game"] = SimpleGame._trusted(
+                game.n_players, [masks[group[0]]]
+            )
+        components.append(component)
     return components
 
 

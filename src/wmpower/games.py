@@ -7,8 +7,9 @@ mask, so membership and subset tests are bit operations; the library builds a
 A simple game is stored canonically as the antichain of its minimal winning
 coalitions, so games built by different routes compare equal exactly when
 they have the same winning structure. A weighted majority game keeps its
-quota and weight vector as exact rationals; its integer form and its induced
-simple game are computed on demand and cached.
+quota and weight vector as exact rationals. What is derived from a game is a
+cached property of it: a weighted game's integer form and induced simple game,
+and each game's swing and mwc tallies, which the indices and axioms read.
 
 No floating point is used anywhere: weights and quotas are
 ``fractions.Fraction`` values, and winning tests compare the integers of the
@@ -21,7 +22,8 @@ import itertools
 import math
 import sys
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator
+from collections import Counter, defaultdict
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property
 
@@ -95,7 +97,8 @@ def exact(value: "Fraction | int | str") -> Fraction:
     """An exact rational from a Fraction, an int, or a string like ``'3'`` or ``'2/5'``.
 
     Library calls and game documents both coerce here: a bool, a float, any
-    other type, or a value too long to print raises ``ParseError``.
+    other type, a string holding ``_`` or inner whitespace, or a value too
+    long to print raises ``ParseError``.
     """
     if isinstance(value, Fraction):
         rational = value
@@ -110,6 +113,10 @@ def exact(value: "Fraction | int | str") -> Fraction:
     elif isinstance(value, str):
         text = value.strip()
         _check_exponent(text)
+        # Fraction reads "1_000" from Python 3.11 on and "12 / 6" from 3.12
+        # on; refusing both keeps one grammar on every interpreter.
+        if "_" in text or any(map(str.isspace, text)):
+            raise ParseError(f"malformed rational {value!r}")
         try:
             rational = Fraction(text)
         except (ValueError, ZeroDivisionError) as err:
@@ -261,6 +268,17 @@ class SimpleGame(_Frozen):
         # For membership tests; not a field, so equality ignores it.
         return frozenset(self.masks)
 
+    @cached_property
+    def _swing_tally(self) -> list[Counter]:
+        # Per player i, a Counter of |S| over i's swings S; SS and BZ read
+        # only this. Both game kinds count it on a decision diagram.
+        return _diagram_tally(*_mask_diagram(self.n_players, self.masks))
+
+    @cached_property
+    def _mwc_tally(self) -> list[Counter]:
+        # Per player i, a Counter of (|S|, 0) over the mwcs S that hold i.
+        return _mwc_counts(self.n_players, self.masks, ())
+
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(n_players={self.n_players!r}, mwc={self.mwc!r})"
 
@@ -333,6 +351,19 @@ class WeightedMajorityGame(_Frozen):
         """The simple game of this weighted game: its minimal winning coalitions."""
         weights, quota, _ = self.integer_form
         return SimpleGame._trusted(self.n_players, _diagram_mwc_masks(weights, quota))
+
+    @cached_property
+    def _swing_tally(self) -> list[Counter]:
+        # As a simple game's, on the weight diagram; a weighted game's null
+        # players and symmetric pairs read it too.
+        return _diagram_tally(*_weight_diagram(*self.integer_form[:2])[:3])
+
+    @cached_property
+    def _mwc_tally(self) -> list[Counter]:
+        # Per player i, a Counter of (|S|, w(S)) over the mwcs S that hold i,
+        # w the integer weight.
+        masks = self.induced_simple_game.masks
+        return _mwc_counts(self.n_players, masks, self.integer_form[0])
 
     def __str__(self) -> str:
         return f"[{self.quota}; " + ", ".join(str(w) for w in self.weights) + "]"
@@ -413,6 +444,65 @@ def _diagram_mwc_masks(weights: tuple[int, ...], quota: int) -> list[int]:
 
     walk(len(kids) - 1, 0, 0)
     return found
+
+
+def _mask_diagram(n: int, masks: tuple[int, ...]) -> tuple:
+    # As _weight_diagram, for a bare simple game, players in index order. A
+    # node at level k is the family of mwc remainders M - S, over the mwcs M
+    # whose players before k all lie in S; one that holds the empty mask wins.
+    kids, ids = [(0, 0), (1, 1)], [{} for _ in range(n)] + [{frozenset([0]): 0, frozenset(): 1}]
+
+    def node(level: int, family: frozenset) -> int:
+        family = frozenset([0]) if 0 in family else family
+        if (v := ids[level].get(family)) is None:
+            bit = 1 << level
+            t = node(level + 1, frozenset(m & ~bit for m in family))
+            e = node(level + 1, frozenset(m for m in family if not m & bit))
+            kids.append((t, e))
+            v = ids[level][family] = len(kids) - 1
+        return v
+
+    node(0, frozenset(masks))
+    return range(n), kids, [list(level.values()) for level in ids]
+
+
+def _diagram_tally(order: Sequence[int], kids: list, ids: list[list[int]]) -> list[Counter]:
+    # Children come before parents, the root last. Per node, the paths from
+    # the root (f) and the winning completions (g) by size, one (n + 2)-bit
+    # slot per size in one int: no count reaches 2**n, so no slot carries.
+    n, root = len(order), len(kids) - 1
+    slot = n + 2
+    g = [1, 0]
+    for t, e in kids[2:]:
+        g.append((g[t] << slot) + g[e])
+    f = [0] * root + [1]
+    for v in range(root, 1, -1):
+        f[kids[v][0]] += f[v] << slot
+        f[kids[v][1]] += f[v]
+    # A player's swings by size: the sum of f_v (g_t - g_e) over its level's
+    # nodes v, with no negative slot, since t wins wherever e does.
+    swings = [0] * n
+    for level, player in enumerate(order):
+        swings[player] = sum(f[v] * (g[kids[v][0]] - g[kids[v][1]]) for v in ids[level])
+    full = (1 << slot) - 1
+    return [Counter({s: c for s in range(n) if (c := p >> s * slot & full)}) for p in swings]
+
+
+def _mwc_counts(n: int, masks: tuple[int, ...], weights: tuple[int, ...]) -> list[Counter]:
+    # One pass over the mwc masks: per player i, a Counter c_i of (|S|, w(S))
+    # over the mwcs S that contain i, w the integer weight (0 without weights).
+    # DP, PG, CM and HCM read only this and mwc_count: a counting backend replaces both.
+    groups = defaultdict(list)
+    for mask in masks:
+        weight = _mask_weight(weights, mask) if weights else 0
+        groups[mask.bit_count(), weight].append(mask)
+    tallies = [Counter() for _ in range(n)]
+    for key, group in groups.items():
+        support = _support_mask(group)  # only these players have a nonzero count
+        for i, tally in enumerate(tallies):
+            if support >> i & 1:
+                tally[key] = len([m for m in group if m >> i & 1])
+    return tallies
 
 
 def minimal_winning_coalitions(game: Game) -> SimpleGame:

@@ -17,15 +17,12 @@ from __future__ import annotations
 import io
 import json
 import math
-from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from functools import wraps
 
 from .errors import GameError, WeightsRequired
-from .games import Game, WeightedMajorityGame, _Frozen, _mask_weight, _print_limit
-from .games import _checked_int, _shown, _support_mask, _weight_diagram, exact
-from .games import minimal_winning_coalitions, mwc_count
+from .games import Game, WeightedMajorityGame, _Frozen, _checked_int, _print_limit, _shown
+from .games import exact, mwc_count
 
 
 class PowerIndexVector(_Frozen):
@@ -59,81 +56,17 @@ def _efficient(kind: str, numerators: list[int], denominator: int) -> PowerIndex
     return PowerIndexVector(kind, (Fraction(v, denominator) for v in numerators))
 
 
-def _kept_on_game(build):
-    # build(game) once per game object, kept in the game's own __dict__ as
-    # cached_property keeps integer_form: a tally lives as long as its game.
-    @wraps(build)
-    def tally(game: Game) -> list[Counter]:
-        if build.__name__ not in game.__dict__:
-            game.__dict__[build.__name__] = build(game)
-        return game.__dict__[build.__name__]
-
-    return tally
-
-
-@_kept_on_game
-def _swing_tally(game: Game) -> list[Counter]:
-    # Per player i, a Counter c_i of |S| over i's swings S; SS and BZ read
-    # only this tally, and so do a weighted game's null players and symmetric
-    # pairs. Both game kinds count on one decision diagram.
-    if isinstance(game, WeightedMajorityGame):
-        return _diagram_tally(*_weight_diagram(*game.integer_form[:2])[:3])
-    return _diagram_tally(*_mask_diagram(game.n_players, game.masks))
-
-
-def _mask_diagram(n: int, masks: tuple[int, ...]) -> tuple:
-    # The same diagram for a bare simple game, players in index order. A
-    # node at level k is the family of mwc remainders M - S, over the mwcs M
-    # whose players before k all lie in S; one that holds the empty mask wins.
-    kids, ids = [(0, 0), (1, 1)], [{} for _ in range(n)] + [{frozenset([0]): 0, frozenset(): 1}]
-
-    def node(level: int, family: frozenset) -> int:
-        family = frozenset([0]) if 0 in family else family
-        if (v := ids[level].get(family)) is None:
-            bit = 1 << level
-            t = node(level + 1, frozenset(m & ~bit for m in family))
-            e = node(level + 1, frozenset(m for m in family if not m & bit))
-            kids.append((t, e))
-            v = ids[level][family] = len(kids) - 1
-        return v
-
-    node(0, frozenset(masks))
-    return range(n), kids, [list(level.values()) for level in ids]
-
-
-def _diagram_tally(order: Sequence[int], kids: list, ids: list[list[int]]) -> list[Counter]:
-    # Children come before parents, the root last. Per node, the paths from
-    # the root (f) and the winning completions (g) by size, one (n + 2)-bit
-    # slot per size in one int: no count reaches 2**n, so no slot carries.
-    n, root = len(order), len(kids) - 1
-    slot = n + 2
-    g = [1, 0]
-    for t, e in kids[2:]:
-        g.append((g[t] << slot) + g[e])
-    f = [0] * root + [1]
-    for v in range(root, 1, -1):
-        f[kids[v][0]] += f[v] << slot
-        f[kids[v][1]] += f[v]
-    # A player's swings by size: the sum of f_v (g_t - g_e) over its level's
-    # nodes v, with no negative slot, since t wins wherever e does.
-    swings = [0] * n
-    for level, player in enumerate(order):
-        swings[player] = sum(f[v] * (g[kids[v][0]] - g[kids[v][1]]) for v in ids[level])
-    full = (1 << slot) - 1
-    return [Counter({s: c for s in range(n) if (c := p >> s * slot & full)}) for p in swings]
-
-
 def shapley_shubik(game: Game) -> PowerIndexVector:
     """Shapley-Shubik index: each swing S of player i contributes |S|!(n-|S|-1)!/n!."""
     n = game.n_players
     fact = [math.factorial(k) for k in range(n + 1)]
-    sums = [sum(c * fact[s] * fact[n - s - 1] for s, c in t.items()) for t in _swing_tally(game)]
+    sums = [sum(c * fact[s] * fact[n - s - 1] for s, c in t.items()) for t in game._swing_tally]
     return _efficient("SS", sums, fact[n])
 
 
 def banzhaf(game: Game, normalized: bool = True) -> PowerIndexVector:
     """Banzhaf index: swing counts over 2**(n-1), or normalized to sum 1."""
-    counts = [t.total() for t in _swing_tally(game)]
+    counts = [t.total() for t in game._swing_tally]
     if normalized:
         # Never zero: the empty coalition loses and the grand coalition wins,
         # so some player swings.
@@ -142,28 +75,9 @@ def banzhaf(game: Game, normalized: bool = True) -> PowerIndexVector:
     return PowerIndexVector("BZ", tuple(Fraction(c, denominator) for c in counts))
 
 
-@_kept_on_game
-def _mwc_tally(game: Game) -> list[Counter]:
-    # One pass over the mwc masks: per player i, a Counter c_i of (|S|, w(S))
-    # over the mwcs S that contain i, w the integer weight (0 for a bare simple game).
-    # DP, PG, CM and HCM read only this and mwc_count: a counting backend replaces both.
-    weights = game.integer_form[0] if isinstance(game, WeightedMajorityGame) else ()
-    groups = defaultdict(list)
-    for mask in minimal_winning_coalitions(game).masks:
-        weight = _mask_weight(weights, mask) if weights else 0
-        groups[mask.bit_count(), weight].append(mask)
-    tallies = [Counter() for _ in range(game.n_players)]
-    for key, group in groups.items():
-        support = _support_mask(group)  # only these players have a nonzero count
-        for i, tally in enumerate(tallies):
-            if support >> i & 1:
-                tally[key] = len([m for m in group if m >> i & 1])
-    return tallies
-
-
 def _memberships(game: Game) -> list[int]:
     # c_i, the number of mwcs holding player i; their sum is the theta of PGM.
-    return [t.total() for t in _mwc_tally(game)]
+    return [t.total() for t in game._mwc_tally]
 
 
 def _weighted_memberships(game: WeightedMajorityGame) -> list[int]:
@@ -174,7 +88,7 @@ def _weighted_memberships(game: WeightedMajorityGame) -> list[int]:
 def deegan_packel(game: Game) -> PowerIndexVector:
     """Deegan-Packel index: average over a player's mwcs of the equal split 1/|S|."""
     lcm = math.lcm(*range(1, game.n_players + 1))  # a multiple of every size |S|
-    sums = [sum(c * lcm // s for (s, _), c in t.items()) for t in _mwc_tally(game)]
+    sums = [sum(c * lcm // s for (s, _), c in t.items()) for t in game._mwc_tally]
     return _efficient("DP", sums, lcm * mwc_count(game))
 
 
@@ -197,7 +111,7 @@ def colomer_martinez(game: Game) -> PowerIndexVector:
     """Colomer-Martinez index: average over a player's mwcs of its weight share w_i/w_S."""
     # On the integer form: scaling every weight keeps each ratio w_i/w(S).
     weights, _, _ = _require_weights(game, "colomer_martinez").integer_form
-    m, tallies = mwc_count(game), _mwc_tally(game)
+    m, tallies = mwc_count(game), game._mwc_tally
     # Over a common multiple of the mwc weights t, each c/t is the integer
     # c * (lcm // t); every player shares the quotients.
     totals = {t for tally in tallies for _, t in tally}

@@ -4,10 +4,10 @@ Each case is one JSON file in tests/golden/: the argv after ``wmpower``, the
 exit code, the exact stdout and the exact stderr. The command runs in process,
 with tests/golden as the working directory, so a ``--games`` directory and a
 game document are named relative to it; the documents other than the seeded
-majority games are the benchmark's fixed ones under bench/data. Help and usage
-errors end in argparse's ``SystemExit``, whose code is recorded as the exit;
-``COLUMNS=80`` is set for every run, so argparse wraps its text at 80 columns
-whatever the terminal.
+majority games are the benchmark's fixed ones under bench/data and the refused
+ones under tests/golden/refused. Help and usage errors end in argparse's
+``SystemExit``, whose code is recorded as the exit; ``COLUMNS=80`` is set for
+every run, so argparse wraps its text at 80 columns whatever the terminal.
 
     PYTHONPATH=src python tests/make_golden.py          # report which cases changed
     PYTHONPATH=src python tests/make_golden.py --write  # rewrite cases and documents
@@ -102,6 +102,9 @@ for fmt in ("table", "csv", "json"):
 for refused in ("float_weight", "malformed_rational", "negative_weight", "players_65"):
     for command in ("power", "mwc"):
         CASES[f"{command}_refused_{refused}"] = [command, "--game", f"{DATA}/bad/{refused}.json"]
+# A quota of "1_000", which Fraction reads from Python 3.11 on, is refused on
+# every interpreter.
+CASES["power_refused_underscore_quota"] = ["power", "--game", "refused/underscore_quota.json"]
 # argparse's help and usage errors.
 CASES["help"] = ["--help"]
 for command in ("power", "mwc", "merge", "axioms", "demo"):

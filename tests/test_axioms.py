@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 import random
 from fractions import Fraction
 from unittest import mock
@@ -307,6 +309,54 @@ def test_theorems_hold_on_every_mergeable_group_decomposition():
             assert check_dpmw(colomer_martinez, family).holds
             assert check_hcmw(hcm, family).holds
     assert mergeable >= 20
+
+
+def merging_split(masks: tuple[int, ...], null_mask: int) -> list[list[int]]:
+    """Indices of the mwcs, grouped first-fit so that a group's support holds only its own mwcs.
+
+    A group split keeps the quota and each weight or 0, so it is WM-mergeable
+    iff every mwc lies inside exactly one group's support (its mwcs plus the
+    null players). Each mwc joins the first group whose support, grown by it,
+    holds no other mwc; otherwise it starts a new group.
+    """
+    groups, supports = [], []
+    for k, mask in enumerate(masks):
+        for g, group in enumerate(groups):
+            grown = supports[g] | mask
+            if all(j in group or j == k for j, m in enumerate(masks) if m & grown == m):
+                group.append(k)
+                supports[g] = grown
+                break
+        else:
+            groups.append([k])
+            supports.append(null_mask | mask)
+    return groups
+
+
+def test_theorems_hold_on_splits_built_to_merge():
+    # Theorems 1 and 2 at 16-20 players, where random splits are almost never
+    # mergeable: the splits are built to merge, and the check confirms it.
+    rng = random.Random(0)
+    families = grouped = 0
+    while families < 15:
+        n = rng.randint(16, 20)
+        weights = [rng.randint(0, 20) for _ in range(n)]
+        total = sum(weights)
+        game = wmg(rng.randint(total // 2 + 1, total), *weights)
+        masks = minimal_winning_coalitions(game).masks
+        if not 3 <= len(masks) <= 300:
+            continue
+        null_mask = (1 << n) - 1 & ~functools.reduce(operator.or_, masks)
+        if len(groups := merging_split(masks, null_mask)) < 2:
+            continue
+        families += 1
+        grouped += any(len(group) > 1 for group in groups)
+        family = mwc_group_decomposition(game, groups)
+        assert check_wm_mergeability(family).overall
+        assert check_dpmw(deegan_packel, family).holds
+        assert check_dpmw(colomer_martinez, family).holds
+        assert check_hcmw(hcm, family).holds
+    assert grouped >= 10
 
 
 class TestWitnessIndex:

@@ -142,6 +142,8 @@ SCALARS = st.one_of(
 @example("2/x")
 @example(10**5000)
 @example("1e2000000")
+@example("1_000")
+@example("12 / 6")
 @settings(max_examples=300, deadline=1000)
 def test_outside_scalars_become_fractions_or_game_errors(value):
     # exact() takes a Fraction, an int or a string to Fraction(value), and
@@ -162,6 +164,14 @@ def test_outside_scalars_become_fractions_or_game_errors(value):
     except GameError:
         kept = None
     assert kept is value if isinstance(value, Fraction) else kept == rational
+
+
+@pytest.mark.parametrize("text", ["1_000", "12 / 6", " 1_0/3 ", "1\t/2"])
+def test_underscores_and_inner_whitespace_are_malformed(text):
+    # Fraction reads the first from Python 3.11 on and the second from 3.12
+    # on; every interpreter refuses both here.
+    with pytest.raises(ParseError, match="^malformed rational "):
+        exact(text)
 
 
 INDEX_LIKE = st.one_of(

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import subprocess
@@ -30,7 +31,6 @@ from wmpower import (
     unanimity_game,
 )
 import wmpower
-from wmpower import indices
 from wmpower.errors import GameError, WeightsRequired
 from wmpower.games import mwc_count
 
@@ -384,20 +384,23 @@ def test_mwc_indices_match_definition(index, oracle, game):
 
 
 def counted_builds(monkeypatch, name: str) -> list:
-    """Replace the tally ``indices.<name>`` by one that records each game it is built for.
+    """Wrap the cached property ``<name>`` of both game classes to record each game it is built for.
 
-    The replacement keeps its tallies on the games the same way, under the
-    same name, so a game that already holds a tally records no build.
+    The wrapper is a cached property of the same name, so it keeps its
+    tallies on the games the same way, and a game that already holds a
+    tally records no build.
     """
-    build = getattr(indices, name).__wrapped__
     built = []
+    for cls in (SimpleGame, WeightedMajorityGame):
+        build = cls.__dict__[name].func
 
-    def recorded(game):
-        built.append(game)
-        return build(game)
+        def recorded(game, build=build):
+            built.append(game)
+            return build(game)
 
-    recorded.__name__ = name
-    monkeypatch.setattr(indices, name, indices._kept_on_game(recorded))
+        prop = functools.cached_property(recorded)
+        prop.__set_name__(cls, name)
+        monkeypatch.setattr(cls, name, prop)
     return built
 
 
@@ -504,7 +507,7 @@ def test_mask_diagram_tally_matches_definition(game):
     by_size = [
         Counter(map(len, oracles.swings_by_definition(game, i))) for i in range(game.n_players)
     ]
-    assert indices._swing_tally(game) == by_size
+    assert game._swing_tally == by_size
 
 
 @settings(max_examples=100, deadline=None)
@@ -515,7 +518,7 @@ def test_mask_diagram_tally_matches_definition(game):
 def test_weight_diagram_matches_mask_diagram_of_induced_game(game):
     # Players by weight on one side, by index on the other: one tally.
     induced = game.induced_simple_game
-    assert indices._swing_tally(game) == indices._swing_tally(induced)
+    assert game._swing_tally == induced._swing_tally
     assert shapley_shubik(game).values == shapley_shubik(induced).values
     assert (
         banzhaf(game, normalized=False).values

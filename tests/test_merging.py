@@ -3,10 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import oracles
-from strategies import weighted_game_families, weighted_games
+from strategies import rational_weighted_games, weighted_game_families, weighted_games
 from wmpower import (
     Coalition,
     WeightedMajorityGame,
@@ -183,6 +183,21 @@ def test_single_mwc_decomposition_always_mergeable(game):
     report = check_wm_mergeability(family)
     assert report.overall
     assert wm_union(family) == game
+
+
+# Examples: a null player of weight 1, which every component keeps; zero
+# weights next to rational ones.
+@given(rational_weighted_games())
+@example(wmg(6, 4, 2, 2, 1))
+@example(wmg("5/2", "3/2", 0, "3/2", 1, 1, 0))
+@settings(max_examples=100, deadline=None)
+def test_single_mwc_components_list_what_their_diagram_lists(game):
+    # A single-mwc component is handed the mwc it was cut from, not listed.
+    if len(minimal_winning_coalitions(game).masks) < 2:
+        return
+    for component in single_mwc_decomposition(game):
+        fresh = WeightedMajorityGame(component.quota, component.weights)
+        assert minimal_winning_coalitions(component) == minimal_winning_coalitions(fresh)
 
 
 def test_passing_check_implies_disjoint_union_for_grouped_families():
