@@ -12,10 +12,12 @@ pairs and unanimity games, all worked on the integer masks of the coalitions.
 The weighted suites split a game into one component per mwc, which keeps the
 quota and the weights of that mwc's members and of the null players, and
 zeroes the rest. Such a family is always WM-mergeable, and its union is the
-game again. A sampler is handed its ``random.Random``, never imports
-``random``. ``run_axioms`` calls the checks, decompositions, sampler and
-loaders through the ``cli`` names it is handed, so a name replaced there is
-the one run.
+game again. ``games`` derives each component from the game, re-running none of
+its checks, and hands one cut from a single mwc S that mwc as its listing; the
+proof is in the comment of ``WeightedMajorityGame._restricted``. A sampler is
+handed its ``random.Random``, never imports ``random``. ``run_axioms`` calls
+the checks, decompositions, sampler and loaders through the ``cli`` names it
+is handed, so a name replaced there is the one run.
 """
 
 from __future__ import annotations
@@ -390,24 +392,11 @@ def mwc_group_decomposition(
             f"groups must partition the {len(masks)} minimal winning coalitions"
         )
     null_mask = ((1 << game.n_players) - 1) ^ _support_mask(masks)
-    components = []
-    for group in groups:
-        support = null_mask | _support_mask(masks[k] for k in group)
-        weights = tuple(
-            w if support >> i & 1 else Fraction(0)
-            for i, w in enumerate(game.weights)
-        )
-        component = WeightedMajorityGame(game.quota, weights)
-        if len(group) == 1:
-            # Cut from one mwc S, the component's only mwc is S. An mwc T of
-            # it holds no weight-0 player, so lies in S plus the null players.
-            # T wins in the parent too, so holds a parent mwc, which holds no
-            # null player, so lies in S, so is S. Then T = S by minimality.
-            component.__dict__["induced_simple_game"] = SimpleGame._trusted(
-                game.n_players, [masks[group[0]]]
-            )
-        components.append(component)
-    return components
+    cuts = [[masks[k] for k in group] for group in groups]  # each group's mwc masks
+    return [
+        game._restricted(null_mask | _support_mask(cut), cut[0] if len(cut) == 1 else None)
+        for cut in cuts
+    ]
 
 
 def single_mwc_decomposition(
@@ -485,6 +474,8 @@ def _report_axiom(name: str, outcomes, unit: str) -> tuple[str, bool]:
     if not failures:
         return f"{name:5s} PASS  {passed}/{total} {unit}", True
     subject, _ = failures[0]
+    if isinstance(subject, (list, tuple)):  # a family: the sum of its components
+        subject = " + ".join(map(str, subject))
     return (
         f"{name:5s} FAIL  {passed}/{total} {unit}; first failure on {subject}",
         False,
@@ -492,7 +483,7 @@ def _report_axiom(name: str, outcomes, unit: str) -> tuple[str, bool]:
 
 
 def _report_each(name: str, check, f, games, unit: str) -> tuple[str, bool]:
-    return _report_axiom(name, [(str(g), check(f, g)) for g in games], unit)
+    return _report_axiom(name, [(g, check(f, g)) for g in games], unit)
 
 
 def _run_weighted_suite(cli, f, axiom_name, pair_check, games) -> list[tuple[str, bool]]:
@@ -500,10 +491,7 @@ def _run_weighted_suite(cli, f, axiom_name, pair_check, games) -> list[tuple[str
     families = [cli.single_mwc_decomposition(g) for g, m in zip(games, mwc_counts) if m >= 2]
     single = [g for g, m in zip(games, mwc_counts) if m == 1]
     single.extend(g for family in families for g in family)
-    family_outcomes = [
-        (" + ".join(str(g) for g in family), pair_check(f, family))
-        for family in families
-    ]
+    family_outcomes = [(family, pair_check(f, family)) for family in families]
     return [
         _report_each("SYMw", cli.check_symw, f, single, "single-mwc games"),
         _report_axiom(axiom_name, family_outcomes, "families"),

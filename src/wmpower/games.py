@@ -365,6 +365,20 @@ class WeightedMajorityGame(_Frozen):
         masks = self.induced_simple_game.masks
         return _mwc_counts(self.n_players, masks, self.integer_form[0])
 
+    def _restricted(self, support: int, mwc: int | None = None) -> "WeightedMajorityGame":
+        # This game with every weight outside the mask ``support`` set to 0: the
+        # support holds an mwc, so no check of __init__ can fail. Cut from one
+        # mwc S, with the null players, its only mwc is S: an mwc T of it lies in
+        # S and the null players (it holds no weight-0 player) and wins in the
+        # parent, so holds a parent mwc, which lies in S, so is S; T = S, minimal.
+        zero = Fraction(0)
+        weights = tuple(w if support >> i & 1 else zero for i, w in enumerate(self.weights))
+        game = object.__new__(type(self))
+        game._set(self.quota, weights)
+        if mwc is not None:
+            game.__dict__["induced_simple_game"] = SimpleGame._trusted(self.n_players, [mwc])
+        return game
+
     def __str__(self) -> str:
         return f"[{self.quota}; " + ", ".join(str(w) for w in self.weights) + "]"
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from strategies import rational_weighted_games, weighted_game_families, weighted_games
@@ -26,6 +27,7 @@ from wmpower.errors import (
     PlayerCountMismatch,
     WeightsRequired,
 )
+from wmpower.games import _support_mask
 
 
 def wmg(quota, *weights) -> WeightedMajorityGame:
@@ -187,17 +189,40 @@ def test_single_mwc_decomposition_always_mergeable(game):
 
 # Examples: a null player of weight 1, which every component keeps; zero
 # weights next to rational ones.
-@given(rational_weighted_games())
-@example(wmg(6, 4, 2, 2, 1))
-@example(wmg("5/2", "3/2", 0, "3/2", 1, 1, 0))
+@given(rational_weighted_games(), st.randoms(use_true_random=False))
+@example(wmg(6, 4, 2, 2, 1), random.Random(0))
+@example(wmg("5/2", "3/2", 0, "3/2", 1, 1, 0), random.Random(0))
 @settings(max_examples=100, deadline=None)
-def test_single_mwc_components_list_what_their_diagram_lists(game):
-    # A single-mwc component is handed the mwc it was cut from, not listed.
-    if len(minimal_winning_coalitions(game).masks) < 2:
+def test_single_mwc_components_list_what_their_diagram_lists(game, rng):
+    # A component is derived from its parent without the public constructor's
+    # checks, and one cut from a single mwc is handed that mwc, not listed; a
+    # random partition into groups of 1-3 mwcs lists the larger groups too.
+    masks = minimal_winning_coalitions(game).masks
+    if len(masks) < 2:
         return
-    for component in single_mwc_decomposition(game):
-        fresh = WeightedMajorityGame(component.quota, component.weights)
-        assert minimal_winning_coalitions(component) == minimal_winning_coalitions(fresh)
+    order = list(range(len(masks)))
+    rng.shuffle(order)
+    groups, k = [], 0
+    while k < len(order):  # no group takes every mwc
+        size = rng.randint(1, min(3, len(masks) - 1))
+        groups.append(order[k : k + size])
+        k += size
+    null = ((1 << game.n_players) - 1) ^ _support_mask(masks)
+    singles = [[k] for k in range(len(masks))]
+    for parts, family in (
+        (singles, single_mwc_decomposition(game)),
+        (groups, mwc_group_decomposition(game, groups)),
+    ):
+        for component, part in zip(family, parts, strict=True):
+            support = null | _support_mask(masks[k] for k in part)
+            assert component.weights == tuple(
+                w if support >> i & 1 else 0 for i, w in enumerate(game.weights)
+            )
+            fresh = WeightedMajorityGame(component.quota, component.weights)
+            assert component == fresh and hash(component) == hash(fresh)
+            assert str(component) == str(fresh)
+            assert component.integer_form == fresh.integer_form
+            assert minimal_winning_coalitions(component) == minimal_winning_coalitions(fresh)
 
 
 def test_passing_check_implies_disjoint_union_for_grouped_families():
