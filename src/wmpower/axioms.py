@@ -467,17 +467,14 @@ def _load_games_dir(cli, path: str) -> list:
     return [cli.load_game(os.path.join(path, name)).game() for name in files]
 
 
-def _report_axiom(name: str, outcomes, unit: str) -> tuple[str, bool]:
+def _report_axiom(name: str, outcomes, unit: str, describe=str) -> tuple[str, bool]:
     total = len(outcomes)
     failures = [(subject, verdict) for subject, verdict in outcomes if not verdict.holds]
     passed = total - len(failures)
     if not failures:
         return f"{name:5s} PASS  {passed}/{total} {unit}", True
-    subject, _ = failures[0]
-    if isinstance(subject, (list, tuple)):  # a family: the sum of its components
-        subject = " + ".join(map(str, subject))
     return (
-        f"{name:5s} FAIL  {passed}/{total} {unit}; first failure on {subject}",
+        f"{name:5s} FAIL  {passed}/{total} {unit}; first failure on {describe(failures[0][0])}",
         False,
     )
 
@@ -494,7 +491,9 @@ def _run_weighted_suite(cli, f, axiom_name, pair_check, games) -> list[tuple[str
     family_outcomes = [(family, pair_check(f, family)) for family in families]
     return [
         _report_each("SYMw", cli.check_symw, f, single, "single-mwc games"),
-        _report_axiom(axiom_name, family_outcomes, "families"),
+        _report_axiom(
+            axiom_name, family_outcomes, "families", lambda fam: " + ".join(map(str, fam))
+        ),
     ]
 
 

@@ -10,12 +10,11 @@ A mutant is killed when that run fails (or runs past ``TIMEOUT``).
 
 Run from anywhere, by hand (it is not collected by pytest):
 
-    python tests/mutants.py            # every row
-    python tests/mutants.py 3 13       # rows 3 and 13 only
+    python tests/mutants.py
 
-It prints one line per mutant and exits 1 when a mutant expected to be
-killed survives. A killed "equivalent" mutant is reported, not failed: its
-reason is then wrong, or a test reads more than the outputs.
+It prints one line per mutant and exits 1 when any outcome differs from its
+row: a mutant expected to be killed survives, or an "equivalent" one is
+killed (its reason is then wrong, or a test reads more than the outputs).
 """
 
 from __future__ import annotations
@@ -167,7 +166,7 @@ def mutated(module: str, line: str, replacement: str) -> str:
 
 
 def run(number: int, module: str, line: str, replacement: str, tests, outcome: str) -> bool:
-    """Apply one mutant to a copy of src/ and run its tests; False if it wrongly survived."""
+    """Apply one mutant to a copy of src/ and run its tests; False if not the row's outcome."""
     with tempfile.TemporaryDirectory(prefix="wmpower-mutant-") as scratch:
         copy = Path(scratch) / "src"
         shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
@@ -185,17 +184,16 @@ def run(number: int, module: str, line: str, replacement: str, tests, outcome: s
         seconds = time.perf_counter() - start
     expected = outcome == "killed"
     status = "killed" if killed else "survived"
-    verdict = "ok" if killed == expected else ("FAIL" if expected else "NOTE")
+    verdict = "ok" if killed == expected else "FAIL"
     print(f"{verdict:4s} {number:2d} {module}: {status} in {seconds:.0f} s ({outcome}): "
           f"{line!r} -> {replacement!r}", flush=True)
-    return killed or not expected
+    return killed == expected
 
 
-def main(argv: list[str]) -> int:
-    chosen = [int(a) for a in argv] or range(1, len(MUTANTS) + 1)
-    results = [run(k, *MUTANTS[k - 1]) for k in chosen]
+def main() -> int:
+    results = [run(k, *row) for k, row in enumerate(MUTANTS, 1)]
     return 0 if all(results) else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

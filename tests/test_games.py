@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+import wmpower
 from strategies import bits40_game, prime_reciprocals_game, rational_weighted_games
 from strategies import simple_game_pairs, simple_games, weighted_and_bare_pairs, weighted_games
 from wmpower import (
@@ -470,7 +471,7 @@ class TestSymmetry:
             "game = WeightedMajorityGame(3, [2, 2, 1] + [0] * 61)\n"
             "print(*(are_symmetric(game, i, j) for i, j in ((3, 4), (0, 2), (0, 3))))\n"
         )
-        src = Path(__file__).resolve().parents[1] / "src"
+        src = Path(wmpower.__file__).resolve().parents[1]
         result = subprocess.run(
             [sys.executable, "-c", code],
             env=dict(os.environ, PYTHONPATH=str(src)),
@@ -769,6 +770,6 @@ def test_null_player_check_on_22_players_of_distinct_sums_is_fast():
         "g = WeightedMajorityGame((1 << 22) - 1, [1 << i for i in range(22)])\n"
         "assert check_np(deegan_packel, g).holds\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    env = dict(os.environ, PYTHONPATH=str(Path(wmpower.__file__).resolve().parents[1]))
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=10)
 
