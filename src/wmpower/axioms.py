@@ -23,6 +23,7 @@ is handed, so a name replaced there is the one run.
 from __future__ import annotations
 
 import functools
+import math
 import os
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
@@ -245,11 +246,22 @@ def _averaging_verdict(
     whole: Game,
     parts: Sequence[Game],
 ) -> AxiomVerdict:
-    """f(whole) against the theta-weighted average of f over the parts."""
+    """f(whole) against the theta-weighted average of f over the parts.
+
+    The sum runs on integers over one common denominator of every share and
+    value, and builds one ``Fraction`` per player.
+    """
     left = f(whole).values
     total = theta(whole)
-    shares = [(Fraction(theta(g), total), f(g).values) for g in parts]
-    right = [sum(s * values[i] for s, values in shares) for i in range(whole.n_players)]
+    shares = [Fraction(theta(g), total) for g in parts]
+    vectors = [f(g).values for g in parts]
+    s = math.lcm(*(share.denominator for share in shares))
+    d = math.lcm(*{v.denominator for values in vectors for v in values})
+    scaled = [share.numerator * (s // share.denominator) for share in shares]
+    right = [
+        Fraction(sum(t * v.numerator * (d // v.denominator) for t, v in zip(scaled, column)), s * d)
+        for column in zip(*vectors, strict=True)
+    ]
     return _verdict(
         axiom,
         _vectors_equal(left, right),

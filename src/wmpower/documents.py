@@ -12,7 +12,7 @@ import json
 import os
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import GameError, ParseError
 from .games import WeightedMajorityGame, _Frozen
 from .games import exact as parse_rational
 
@@ -115,7 +115,7 @@ def parse_game(text: str) -> GameDocument:
 
 
 def load_game(path: str | os.PathLike[str]) -> GameDocument:
-    """Load a document from a JSON file (UTF-8 text)."""
+    """Load a document from a JSON file (UTF-8 text); each refusal names the path."""
     try:
         with open(path, encoding="utf-8") as file:
             text = file.read()
@@ -123,4 +123,8 @@ def load_game(path: str | os.PathLike[str]) -> GameDocument:
         raise ParseError(f"{path}: not UTF-8 ({err.reason} at byte {err.start})") from err
     except ValueError as err:  # open() refuses a path holding a NUL
         raise ParseError(f"cannot open {path!r}: {err}") from err
-    return parse_game(text)
+    try:
+        return parse_game(text)
+    except GameError as err:
+        err.args = (f"{path}: {err}",)
+        raise

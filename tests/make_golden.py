@@ -13,11 +13,11 @@ every run, so argparse wraps its text at 80 columns whatever the terminal.
     PYTHONPATH=src python tests/make_golden.py --write  # rewrite cases and documents
 
 Without ``--write`` it exits 1 when any case differs from its file or has none.
-Only ``--write`` touches a file. It also rewrites the seeded documents from
-their fixed seeds: two 10-player majority games in tests/golden/majority10,
-two 14-player ones in tests/golden/majority14, one 16-player majority game in
-tests/golden/majority16, and one 12-player game of 40-bit weights in
-tests/golden/bits40.
+Only ``--write`` touches a file. It also rewrites the seeded documents with
+the builders of tests/ladder.py: two 10-player majority games in
+tests/golden/majority10, two 14-player ones in tests/golden/majority14, one
+16-player majority game in tests/golden/majority16, and one 12-player game of
+40-bit weights in tests/golden/bits40.
 """
 
 from __future__ import annotations
@@ -26,11 +26,11 @@ import contextlib
 import io
 import json
 import os
-import random
 import sys
 from pathlib import Path
 from unittest import mock
 
+import ladder
 from wmpower.cli import main as cli_main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -119,26 +119,6 @@ CASES["usage_axioms_unknown_suite"] = ["axioms", "--index", "ss", "--suite", "zz
 CASES["usage_unknown_command"] = ["frobnicate"]
 
 
-def majority_documents(seed: int, n: int, count: int) -> dict[str, dict]:
-    """``count`` n-player majority games: weights in 1..99, quota half the total plus one."""
-    rng = random.Random(seed)
-    documents = {}
-    for k in range(count):
-        weights = [rng.randint(1, 99) for _ in range(n)]
-        documents[f"majority_{k}.json"] = {
-            "quota": str(sum(weights) // 2 + 1),
-            "weights": [str(w) for w in weights],
-        }
-    return documents
-
-
-def bits40_document(n: int) -> dict:
-    """n weights ``random.Random(n).getrandbits(40) | 1``, quota half the total plus one."""
-    rng = random.Random(n)
-    weights = [rng.getrandbits(40) | 1 for _ in range(n)]
-    return {"quota": str(sum(weights) // 2 + 1), "weights": [str(w) for w in weights]}
-
-
 def run_case(argv: list[str], directory: Path = GOLDEN) -> dict:
     """The case record of one in-process run of the CLI from ``directory``."""
     out, err = io.StringIO(), io.StringIO()
@@ -163,13 +143,8 @@ def main() -> int:
         return 2
     if write:
         for directory, spec in MAJORITY.items():
-            (GOLDEN / directory).mkdir(parents=True, exist_ok=True)
-            for name, document in majority_documents(*spec).items():
-                text = json.dumps(document, indent=2) + "\n"
-                (GOLDEN / directory / name).write_text(text)
-        (GOLDEN / "bits40").mkdir(exist_ok=True)
-        text = json.dumps(bits40_document(12), indent=2) + "\n"
-        (GOLDEN / "bits40" / "bits40_12.json").write_text(text)
+            ladder.majority(*spec)(GOLDEN / directory)
+        ladder.bits40(12)(GOLDEN / "bits40")
     changed = 0
     for name, argv in CASES.items():
         record = run_case(argv)

@@ -147,6 +147,14 @@ MUTANTS = (
         DECOMPOSITION_TESTS,
         "killed",
     ),
+    # The weighted average on integers: a value's scale to the common denominator.
+    (
+        "axioms.py",
+        "Fraction(sum(t * v.numerator * (d // v.denominator) for t, v in zip(scaled, column)), s * d)",
+        "Fraction(sum(t * v.numerator * d for t, v in zip(scaled, column)), s * d)",
+        ("tests/test_axioms.py",),
+        "killed",
+    ),
 )
 
 

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
+import ladder
 from wmpower import (
     Coalition,
     SimpleGame,
@@ -175,13 +175,8 @@ def single_mwc_games(draw, max_players=8):
 
 
 def bits40_game(n: int) -> WeightedMajorityGame:
-    """n weights ``random.Random(n).getrandbits(40) | 1``, quota half the total plus one.
-
-    Coalitions almost never share a weight; at n <= 20 none do.
-    """
-    rng = random.Random(n)
-    weights = [rng.getrandbits(40) | 1 for _ in range(n)]
-    return WeightedMajorityGame(sum(weights) // 2 + 1, weights)
+    """``ladder.bits40_game(n)``: n 40-bit weights, quota half the total plus one."""
+    return WeightedMajorityGame(*ladder.bits40_game(n))
 
 
 def prime_reciprocals_game() -> WeightedMajorityGame:

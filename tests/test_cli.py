@@ -243,7 +243,8 @@ class TestMwc:
         )
         assert result.returncode == 2
         assert result.stdout == b""
-        assert result.stderr.startswith(b"error: names and metadata must be UTF-8 text")
+        message = f"error: {path}: names and metadata must be UTF-8 text"
+        assert result.stderr.startswith(message.encode())
 
     @pytest.mark.parametrize("command", ["mwc", "power"])
     def test_name_stdout_cannot_encode_exits_2(self, tmp_path, command):
@@ -271,7 +272,7 @@ class TestMwc:
     def test_unprintable_total_weight_is_validation_failure(self, tmp_path, capsys):
         path = write_game(tmp_path, "recip.json", 10, reciprocal_weights())
         assert main(["mwc", "--game", path]) == 2
-        assert capsys.readouterr().err.startswith("error: the total weight is below")
+        assert capsys.readouterr().err.startswith(f"error: {path}: the total weight is below")
 
     def test_closed_pipe_ends_quietly_with_exit_1(self, tmp_path):
         # 11,440 mwcs, about 0.5 MB: more than a pipe buffers, so the CLI is
@@ -375,6 +376,12 @@ class TestMerge:
         a = write_game(tmp_path, "a.json", 2, (1, 1))
         assert main(["merge", a]) == 2
         assert "two games" in capsys.readouterr().err
+
+    def test_bad_document_is_named(self, tmp_path, capsys):
+        a = write_game(tmp_path, "a.json", 4, (3, 2, 0))
+        b = write_game(tmp_path, "b.json", 4, (3, -1, 1))
+        assert main(["merge", a, b]) == 2
+        assert capsys.readouterr().err == f"error: {b}: weight of player 1 is negative (-1)\n"
 
 
 class TestAxioms:
@@ -520,6 +527,14 @@ class TestAxioms:
             main(["axioms", "--index", "cm", "--suite", "thm1", "--games", str(tmp_path)])
             == 2
         )
+
+    def test_bad_document_in_games_directory_is_named(self, tmp_path, capsys):
+        for name in ("a.json", "b.json", "d.json"):
+            write_game(tmp_path, name, 4, (3, 2, 0))
+        bad = write_game(tmp_path, "c.json", 4, (3,), players=("A", "B"))
+        argv = ["axioms", "--index", "dp", "--suite", "thm1", "--games", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {bad}: 2 player names for 1 weights\n"
 
     def test_games_file_is_not_a_directory(self, tmp_path, capsys):
         path = write_game(tmp_path, "a.json", 4, (3, 2, 0))

@@ -150,6 +150,19 @@ class TestParseGame:
         path.write_text(doc.to_json())
         assert load_game(path) == doc
 
+    @pytest.mark.parametrize(
+        ("text", "error"),
+        [('{"quota": "0", "weights": ["1"]}', NonPositiveQuota), ("[1]", ParseError)],
+    )
+    def test_load_game_names_the_path_and_keeps_the_class(self, tmp_path, text, error):
+        path = tmp_path / "g.json"
+        path.write_text(text)
+        with pytest.raises(error) as info:
+            load_game(path)
+        assert type(info.value) is error
+        assert str(info.value).startswith(f"{path}: ")
+        assert str(info.value).count(str(path)) == 1
+
 
 class TestEcuadorDatasets:
     def test_all_periods_present(self):

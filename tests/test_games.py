@@ -1,5 +1,4 @@
 import os
-import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ladder
 import oracles
 import wmpower
 from strategies import bits40_game, prime_reciprocals_game, rational_weighted_games
@@ -707,11 +707,7 @@ def test_union_and_mergeability_of_a_weighted_and_a_bare_game_match_definitions(
 def test_join_of_two_20_player_games():
     # Each game has thousands of mwcs, so the join cannot afford to test each
     # pooled mask against every minimal mask kept so far.
-    rng = random.Random(240206298)
-    games = []
-    for _ in range(2):
-        weights = [rng.randint(1, 99) for _ in range(20)]
-        games.append(WeightedMajorityGame(sum(weights) // 2 + 1, weights))
+    games = [WeightedMajorityGame(*game) for game in ladder.majority_games(240206298, 20, 2)]
     assert len(simple_union(*games).masks) == 36_897
     assert not simple_mergeable(*games)
 
@@ -726,15 +722,10 @@ def test_symmetry_matches_definition(game):
             assert are_symmetric(game, i, j) == oracles.symmetric_by_definition(game, i, j)
 
 
-def powers_of_two(n: int) -> WeightedMajorityGame:
-    # Distinct weights whose subsets all weigh differently; at the total,
-    # only the grand coalition wins.
-    return WeightedMajorityGame((1 << n) - 1, [1 << i for i in range(n)])
-
-
 # Examples: tied weights (every pair symmetric); zero weights (null players,
 # symmetric with each other); the quota at the total weight (one mwc, every
-# zero-weight player null); weights above the quota; weights 1/p for the
+# zero-weight player null); weights above the quota; powers of two at their
+# total, where only the grand coalition wins; weights 1/p for the
 # primes p up to 23, whose integer quota is 111,546,435; and 40-bit weights,
 # where every coalition weighs differently. The swing tally's diagram has at
 # most 2**(n/2) + 1 nodes per level, whatever the weights.
@@ -744,7 +735,7 @@ def powers_of_two(n: int) -> WeightedMajorityGame:
 @example(WeightedMajorityGame(6, (3, 2, 0, 1)))
 @example(WeightedMajorityGame("1/2", (1, 1)))
 @example(WeightedMajorityGame(1, (1, 1)))
-@example(powers_of_two(8))
+@example(WeightedMajorityGame(*ladder.powers_of_two_game(8)))
 @example(prime_reciprocals_game())
 @example(bits40_game(8))
 @settings(max_examples=150, deadline=None)
@@ -767,7 +758,7 @@ def test_null_player_check_on_22_players_of_distinct_sums_is_fast():
     # a decision diagram of at most two nodes per level instead.
     code = (
         "from wmpower import WeightedMajorityGame, check_np, deegan_packel\n"
-        "g = WeightedMajorityGame((1 << 22) - 1, [1 << i for i in range(22)])\n"
+        f"g = WeightedMajorityGame(*{ladder.powers_of_two_game(22)})\n"
         "assert check_np(deegan_packel, g).holds\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(wmpower.__file__).resolve().parents[1]))

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ladder
 import oracles
 from strategies import bits40_game, class_weighted_games, prime_reciprocals_game
 from strategies import rational_weighted_games, simple_games, weighted_games
@@ -303,15 +304,10 @@ def test_scaling_quota_and_weights_changes_nothing(game, factor):
         assert index(game).values == index(scaled).values
 
 
-def majority_game(seed: int) -> WeightedMajorityGame:
-    """16 weights drawn from ``random.Random(seed)`` with ``randint(1, 99)``; quota half plus one."""
-    rng = random.Random(seed)
-    weights = [rng.randint(1, 99) for _ in range(16)]
-    return WeightedMajorityGame(sum(weights) // 2 + 1, weights)
-
-
 # Past the n <= 10 reach of the 2**n oracles: 1,763, 3,501 and 2,830 mwcs.
-MAJORITY_16 = [majority_game(seed) for seed in (16001, 16002, 16003)]
+MAJORITY_16 = [
+    WeightedMajorityGame(*ladder.majority_games(seed, 16)[0]) for seed in (16001, 16002, 16003)
+]
 
 
 def index_vectors(game):
