@@ -479,51 +479,47 @@ def _load_games_dir(cli, path: str) -> list:
     return [cli.load_game(os.path.join(path, name)).game() for name in files]
 
 
-def _report_axiom(name: str, outcomes, unit: str, describe=str) -> tuple[str, bool]:
+def _report_axiom(name: str, outcomes, unit: str) -> tuple[str, bool, str]:
+    # Each outcome is a subject (a tuple of games) and its verdict. A line with
+    # no subject reads NONE; it holds only with a subject and no failure.
     total = len(outcomes)
-    failures = [(subject, verdict) for subject, verdict in outcomes if not verdict.holds]
-    passed = total - len(failures)
-    if not failures:
-        return f"{name:5s} PASS  {passed}/{total} {unit}", True
-    return (
-        f"{name:5s} FAIL  {passed}/{total} {unit}; first failure on {describe(failures[0][0])}",
-        False,
-    )
+    failures = [subject for subject, verdict in outcomes if not verdict.holds]
+    mark = "FAIL" if failures else "PASS" if total else "NONE"
+    line = f"{name:5s} {mark}  {total - len(failures)}/{total} {unit}"
+    if failures:
+        line += f"; first failure on {' + '.join(map(str, failures[0]))}"
+    return name, mark == "PASS", line
 
 
-def _report_each(name: str, check, f, games, unit: str) -> tuple[str, bool]:
-    return _report_axiom(name, [(g, check(f, g)) for g in games], unit)
+def _report_each(name: str, check, f, games, unit: str) -> tuple[str, bool, str]:
+    return _report_axiom(name, [((g,), check(f, g)) for g in games], unit)
 
 
-def _run_weighted_suite(cli, f, axiom_name, pair_check, games) -> list[tuple[str, bool]]:
+def _run_weighted_suite(cli, f, axiom_name, pair_check, games) -> list[tuple[str, bool, str]]:
     mwc_counts = [mwc_count(g) for g in games]
     families = [cli.single_mwc_decomposition(g) for g, m in zip(games, mwc_counts) if m >= 2]
     single = [g for g, m in zip(games, mwc_counts) if m == 1]
     single.extend(g for family in families for g in family)
-    family_outcomes = [(family, pair_check(f, family)) for family in families]
     return [
         _report_each("SYMw", cli.check_symw, f, single, "single-mwc games"),
-        _report_axiom(
-            axiom_name, family_outcomes, "families", lambda fam: " + ".join(map(str, fam))
-        ),
+        _report_axiom(axiom_name, [(tuple(fs), pair_check(f, fs)) for fs in families], "families"),
     ]
 
 
-def _run_classic_suite(cli, f, games) -> list[tuple[str, bool]]:
-    lines = [_report_each("SYM", cli.check_sym, f, games, "games")]
+def _run_classic_suite(cli, f, games) -> list[tuple[str, bool, str]]:
+    records = [_report_each("SYM", cli.check_sym, f, games, "games")]
     # Pairs of games of one size; a game lists its mwcs (once, cached on it)
     # only if it is in a pair.
     pairs = [
         (a, b) for k, a in enumerate(games) for b in games[k + 1 :] if a.n_players == b.n_players
     ]
-    tra = [(f"pair {k}", cli.check_tra(f, a, b)) for k, (a, b) in enumerate(pairs)]
-    lines.append(_report_axiom("TRA", tra, "pairs"))
-    mergeable_pairs = [(a, b) for a, b in pairs if cli.simple_mergeable(a, b)]
-    dpm = [(f"pair {k}", cli.check_dpm(f, a, b)) for k, (a, b) in enumerate(mergeable_pairs)]
-    pgm = [(f"pair {k}", cli.check_pgm(f, a, b)) for k, (a, b) in enumerate(mergeable_pairs)]
-    lines.append(_report_axiom("DPM", dpm, "mergeable pairs"))
-    lines.append(_report_axiom("PGM", pgm, "mergeable pairs"))
-    return lines
+    records.append(_report_axiom("TRA", [(p, cli.check_tra(f, *p)) for p in pairs], "pairs"))
+    mergeable = [p for p in pairs if cli.simple_mergeable(*p)]
+    dpm = [(p, cli.check_dpm(f, *p)) for p in mergeable]
+    pgm = [(p, cli.check_pgm(f, *p)) for p in mergeable]
+    records.append(_report_axiom("DPM", dpm, "mergeable pairs"))
+    records.append(_report_axiom("PGM", pgm, "mergeable pairs"))
+    return records
 
 
 def run_axioms(cli, index, args) -> int:
@@ -540,17 +536,17 @@ def run_axioms(cli, index, args) -> int:
         rng = random.Random(args.seed)
         games = games + [cli.random_weighted_game(rng) for _ in range(args.samples)]
     print(f"index: {args.index}  suite: {args.suite}  games: {len(games)}")
-    lines = [
+    records = [
         _report_each("EFF", cli.check_eff, f, games, "games"),
         _report_each("NP", cli.check_np, f, games, "games"),
     ]
     if args.suite == "classic":
-        lines += _run_classic_suite(cli, f, games)
+        records += _run_classic_suite(cli, f, games)
     else:
         pair_axiom = {"thm1": ("DPMw", cli.check_dpmw), "thm2": ("HCMw", cli.check_hcmw)}
-        lines += _run_weighted_suite(cli, f, *pair_axiom[args.suite], games)
-    for text, _ in lines:
-        print(text)
-    satisfied = [text.split()[0] for text, ok in lines if ok]
+        records += _run_weighted_suite(cli, f, *pair_axiom[args.suite], games)
+    for _, _, line in records:
+        print(line)
+    satisfied = [name for name, holds, _ in records if holds]
     print(f"satisfied on this evidence: {', '.join(satisfied) if satisfied else 'none'}")
     return 0

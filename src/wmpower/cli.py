@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import wmpower
 
 from .documents import GameDocument, load_game
-from .errors import GameError
+from .errors import GameError, PlayerCountMismatch
 from .games import minimal_winning_coalitions, mwc_count
 
 # Any name of the package's lazy table is imported on first use, so that a
@@ -146,9 +146,13 @@ def cmd_mwc(args) -> int:
 
 def cmd_merge(args) -> int:
     _bind("check_wm_mergeability")
-    documents = [load_game(path) for path in args.games]
-    games = [doc.game() for doc in documents]
-    report = check_wm_mergeability(games)
+    games = [load_game(path).game() for path in args.games]
+    try:
+        report = check_wm_mergeability(games)
+    except PlayerCountMismatch as err:  # name the first document of another size
+        path = next(p for p, g in zip(args.games, games) if g.n_players != games[0].n_players)
+        err.args = (f"{path}: {err}",)
+        raise
     for line in report.describe():
         print(line)
     if report.overall and not args.check_only:

@@ -105,6 +105,10 @@ for refused in ("float_weight", "malformed_rational", "negative_weight", "player
 # A quota of "1_000", which Fraction reads from Python 3.11 on, is refused on
 # every interpreter.
 CASES["power_refused_underscore_quota"] = ["power", "--game", "refused/underscore_quota.json"]
+# Documents of 3, 3 and 4 players: the third, the first of another size, is named.
+CASES["merge_refused_player_counts"] = [
+    "merge", f"{DATA}/readme_a.json", f"{DATA}/readme_a.json", f"{DATA}/reference_game.json",
+]
 # argparse's help and usage errors.
 CASES["help"] = ["--help"]
 for command in ("power", "mwc", "merge", "axioms", "demo"):

@@ -38,6 +38,7 @@ DIAGRAM_TESTS = (
     "tests/test_axioms.py",
 )
 DECOMPOSITION_TESTS = ("tests/test_merging.py", "tests/test_axioms.py")
+JUDGE_TESTS = ("tests/test_cli.py", "tests/test_golden.py")
 
 # (module, line, replacement, test files, outcome)
 MUTANTS = (
@@ -153,6 +154,21 @@ MUTANTS = (
         "Fraction(sum(t * v.numerator * (d // v.denominator) for t, v in zip(scaled, column)), s * d)",
         "Fraction(sum(t * v.numerator * d for t, v in zip(scaled, column)), s * d)",
         ("tests/test_axioms.py",),
+        "killed",
+    ),
+    # The axioms runner's judge: a line with no subject, and a failure's name.
+    (
+        "axioms.py",
+        'mark = "FAIL" if failures else "PASS" if total else "NONE"',
+        'mark = "FAIL" if failures else "PASS"',
+        JUDGE_TESTS,
+        "killed",
+    ),
+    (
+        "axioms.py",
+        "line += f\"; first failure on {' + '.join(map(str, failures[0]))}\"",
+        "line += f\"; first failure on {str(failures[0])}\"",
+        JUDGE_TESTS,
         "killed",
     ),
 )

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -13,11 +14,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from make_golden import run_case
+from strategies import weighted_games
 from wmpower import (
     INDEX_FUNCTIONS,
     SimpleGame,
@@ -372,6 +374,12 @@ class TestMerge:
         b = write_game(tmp_path, "b.json", 2, (1, 1, 1))
         assert main(["merge", a, b]) == 2
 
+    def test_player_count_mismatch_names_the_document(self, tmp_path, capsys):
+        a2 = write_game(tmp_path, "a2.json", 2, (1, 1))
+        a3 = write_game(tmp_path, "a3.json", 2, (1, 1, 1))
+        assert main(["merge", a2, a2, a3]) == 2
+        assert capsys.readouterr().err == f"error: {a3}: player counts differ: 2 vs 3\n"
+
     def test_single_file_is_validation_failure(self, tmp_path, capsys):
         a = write_game(tmp_path, "a.json", 2, (1, 1))
         assert main(["merge", a]) == 2
@@ -382,6 +390,10 @@ class TestMerge:
         b = write_game(tmp_path, "b.json", 4, (3, -1, 1))
         assert main(["merge", a, b]) == 2
         assert capsys.readouterr().err == f"error: {b}: weight of player 1 is negative (-1)\n"
+
+
+# An axioms line: name, mark, passed/total, unit, and for FAIL the first failure.
+AXIOM_LINE = re.compile(r"(\S+) +(PASS|FAIL|NONE)  (\d+)/(\d+) [^;]+(?:; first failure on (.+))?")
 
 
 class TestAxioms:
@@ -471,13 +483,56 @@ class TestAxioms:
             "EFF   PASS  1/1 games",
             "NP    PASS  1/1 games",
             "SYM   PASS  1/1 games",
-            "TRA   PASS  0/0 pairs",
-            "DPM   PASS  0/0 mergeable pairs",
-            "PGM   PASS  0/0 mergeable pairs",
-            "satisfied on this evidence: EFF, NP, SYM, TRA, DPM, PGM",
+            "TRA   NONE  0/0 pairs",
+            "DPM   NONE  0/0 mergeable pairs",
+            "PGM   NONE  0/0 mergeable pairs",
+            "satisfied on this evidence: EFF, NP, SYM",
         ]
         assert len(games) == 1
         assert "induced_simple_game" not in games[0].__dict__
+
+    @pytest.mark.parametrize("suite", ["classic", "thm1", "thm2"])
+    @given(
+        index=st.sampled_from(list(INDEX_FUNCTIONS)),
+        games=st.lists(weighted_games(max_players=4), min_size=1, max_size=3),
+    )
+    # One game; two of different sizes; a mergeable pair that fails DPM and PGM under BZ.
+    @example(index="dp", games=[WeightedMajorityGame(51, (50, 46, 4, 1))])
+    @example(index="ss", games=[WeightedMajorityGame(*g) for g in ((4, (3, 2)), (4, (3, 2, 0)))])
+    @example(index="bz", games=[WeightedMajorityGame(4, w) for w in ((2, 2, 1), (3, 0, 1))])
+    @settings(max_examples=40, deadline=None)
+    def test_each_line_is_judged_on_its_subjects(self, suite, index, games):
+        # A line with no subject reads NONE and is never satisfied; a pair's
+        # failure names its two games, which have one size.
+        assume(suite != "classic" or index not in ("cm", "hcm"))
+        with tempfile.TemporaryDirectory() as directory:
+            for k, game in enumerate(games):
+                write_game(Path(directory), f"g{k}.json", game.quota, game.weights)
+            argv = ["axioms", "--index", index, "--suite", suite, "--games", directory]
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert main(argv) == 0
+        *lines, summary = out.getvalue().splitlines()[1:]
+        pairs = {
+            f"{a} + {b}"
+            for k, a in enumerate(games)
+            for b in games[k + 1 :]
+            if a.n_players == b.n_players
+        }
+        passed_names = []
+        for line in lines:
+            name, mark, passed, total, failure = AXIOM_LINE.fullmatch(line).groups()
+            passed, total = int(passed), int(total)
+            if total == 0:
+                assert mark == "NONE"
+            elif passed == total:
+                assert mark == "PASS"
+                passed_names.append(name)
+            else:
+                assert mark == "FAIL"
+            assert (failure is not None) == (mark == "FAIL")
+            if mark == "FAIL" and name in ("TRA", "DPM", "PGM"):
+                assert failure in pairs
+        assert summary == f"satisfied on this evidence: {', '.join(passed_names) or 'none'}"
 
     @pytest.mark.parametrize("index", ["ss", "bz", "dp", "pg"])
     def test_classic_suite_reads_weighted_vectors_for_induced_games(

@@ -12,9 +12,12 @@ from pathlib import Path
 
 import pytest
 
+import wmpower
 from ladder import ROWS
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+# The directory that holds the package under test, which need not be this
+# checkout's src/: a mutated copy, or an installed wheel.
+SRC = Path(wmpower.__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("row", ROWS)
