@@ -15,13 +15,15 @@ zeroes the rest. Such a family is always WM-mergeable, and its union is the
 game again. ``games`` derives each component from the game, re-running none of
 its checks, and hands one cut from a single mwc S that mwc as its listing; the
 proof is in the comment of ``WeightedMajorityGame._restricted``. A sampler is
-handed its ``random.Random``, never imports ``random``. ``run_axioms`` calls
-the checks, decompositions, sampler and loaders through the ``cli`` names it
-is handed, so a name replaced there is the one run.
+handed its ``random.Random``, never imports ``random``: its hints name the C
+base class ``_random.Random``, so they resolve all the same. ``run_axioms``
+calls the checks, decompositions, sampler and loaders through the ``cli``
+names it is handed, so a name replaced there is the one run.
 """
 
 from __future__ import annotations
 
+import _random
 import functools
 import math
 import os
@@ -428,7 +430,7 @@ def single_mwc_decomposition(
 
 
 def random_weighted_game(
-    rng: random.Random, max_players: int = 8, max_weight: int = 9
+    rng: _random.Random, max_players: int = 8, max_weight: int = 9
 ) -> WeightedMajorityGame:
     """A weighted game with 2..max_players players and small integer weights.
 
@@ -446,7 +448,7 @@ def random_weighted_game(
 
 
 def random_mergeable_family(
-    rng: random.Random, max_players: int = 8, max_weight: int = 9
+    rng: _random.Random, max_players: int = 8, max_weight: int = 9
 ) -> list[WeightedMajorityGame]:
     """A mergeable family: the per-mwc decomposition of a random multi-mwc game."""
     while True:

@@ -5,7 +5,8 @@ of one of its lines (without indentation), the text to put there, the test
 files to run, and the expected outcome: "killed", or "equivalent" with a
 one-line reason why the mutant changes no output. For each row this script
 copies ``src/`` to a temporary directory, applies the mutant there, and runs
-``pytest -x -q`` on the row's test files with ``PYTHONPATH`` set to the copy.
+``pytest -x -q`` on the row's test files with ``PYTHONPATH`` set to the copy;
+every child process that a test starts runs the copy too (``tests/package.py``).
 A mutant is killed when that run fails (or runs past ``TIMEOUT``).
 
 Run from anywhere, by hand (it is not collected by pytest):
@@ -171,6 +172,8 @@ MUTANTS = (
         JUDGE_TESTS,
         "killed",
     ),
+    # The process's exit code: only a child process that runs the copy sees it.
+    ("cli.py", "sys.exit(code)", "sys.exit(0)", ("tests/test_cli.py",), "killed"),
 )
 
 

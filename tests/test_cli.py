@@ -18,7 +18,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from ladder import DATA
 from make_golden import run_case
+from package import environment, run_cli
 from strategies import weighted_games
 from wmpower import (
     INDEX_FUNCTIONS,
@@ -30,9 +32,6 @@ from wmpower import (
     simple_union,
 )
 from wmpower.cli import main
-
-SRC = Path(__file__).resolve().parent.parent / "src"
-DATA = SRC.parent / "bench" / "data"
 
 
 def write_game(tmp_path, name, quota, weights, players=None):
@@ -49,17 +48,6 @@ def reciprocal_weights():
     # (a denominator of about 6000 digits) does not.
     rng = random.Random(7)
     return [Fraction(1, rng.randrange(10**1499, 10**1500) | 1) for _ in range(4)]
-
-
-def run_cli(*argv, timeout):
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    return subprocess.run(
-        [sys.executable, "-m", "wmpower.cli", *argv],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=timeout,
-    )
 
 
 @pytest.fixture
@@ -237,11 +225,8 @@ class TestMwc:
 
     def test_lone_surrogate_exits_2_with_a_strict_stdout(self, tmp_path):
         path = write_game(tmp_path, "surrogate.json", 1, (1, 1), ("A", "\ud800"))
-        result = subprocess.run(
-            [sys.executable, "-m", "wmpower.cli", "mwc", "--game", path],
-            env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONIOENCODING="utf-8:strict"),
-            capture_output=True,
-            timeout=60,
+        result = run_cli(
+            "mwc", "--game", path, timeout=60, text=False, PYTHONIOENCODING="utf-8:strict"
         )
         assert result.returncode == 2
         assert result.stdout == b""
@@ -253,11 +238,8 @@ class TestMwc:
         # power prints its table in one write, which fails whole; mwc encodes
         # every name before its header lines.
         path = write_game(tmp_path, "umlaut.json", 1, (1, 1), ("A", "\u00c4"))
-        result = subprocess.run(
-            [sys.executable, "-m", "wmpower.cli", command, "--game", path],
-            env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONIOENCODING="ascii:strict"),
-            capture_output=True,
-            timeout=60,
+        result = run_cli(
+            command, "--game", path, timeout=60, text=False, PYTHONIOENCODING="ascii:strict"
         )
         assert result.returncode == 2
         assert result.stderr.startswith(b"error: 'ascii' codec can't encode")
@@ -282,7 +264,7 @@ class TestMwc:
         game = write_game(tmp_path, "g.json", 9, [1] * 16)
         with subprocess.Popen(
             [sys.executable, "-m", "wmpower.cli", "mwc", "--game", game],
-            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            env=environment(),
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
         ) as proc:

@@ -1,8 +1,5 @@
-import os
-import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +7,7 @@ from hypothesis import strategies as st
 
 import ladder
 import oracles
-import wmpower
+from package import run_python
 from strategies import bits40_game, prime_reciprocals_game, rational_weighted_games
 from strategies import simple_game_pairs, simple_games, weighted_and_bare_pairs, weighted_games
 from wmpower import (
@@ -143,6 +140,7 @@ SCALARS = st.one_of(
 @example("2/x")
 @example(10**5000)
 @example("1e2000000")
+@example("1e20000000")  # Fraction() alone would run for about 30 s
 @example("1_000")
 @example("12 / 6")
 @settings(max_examples=300, deadline=1000)
@@ -151,7 +149,7 @@ def test_outside_scalars_become_fractions_or_game_errors(value):
     # refuses the rest at once with a GameError: bools, floats, None,
     # malformed text and unprintable values. PowerIndexVector keeps a
     # Fraction as it is, since the indices compute theirs, and coerces the
-    # rest with exact().
+    # rest with exact(), and so does a game's quota.
     try:
         rational = exact(value)
     except GameError:
@@ -160,6 +158,11 @@ def test_outside_scalars_become_fractions_or_game_errors(value):
         assert type(value) in (int, str, Fraction)
         assert rational == Fraction(value)
         str(rational)  # every accepted value prints
+    if rational is None or rational <= 0:
+        with pytest.raises(GameError):
+            WeightedMajorityGame(value, [1])
+    else:
+        assert WeightedMajorityGame(value, [value]).quota == rational
     try:
         kept = PowerIndexVector("X", [value]).values[0]
     except GameError:
@@ -471,14 +474,7 @@ class TestSymmetry:
             "game = WeightedMajorityGame(3, [2, 2, 1] + [0] * 61)\n"
             "print(*(are_symmetric(game, i, j) for i, j in ((3, 4), (0, 2), (0, 3))))\n"
         )
-        src = Path(wmpower.__file__).resolve().parents[1]
-        result = subprocess.run(
-            [sys.executable, "-c", code],
-            env=dict(os.environ, PYTHONPATH=str(src)),
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
+        result = run_python("-c", code, timeout=10)
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == ["True", "True", "False"]
 
@@ -707,9 +703,14 @@ def test_union_and_mergeability_of_a_weighted_and_a_bare_game_match_definitions(
 def test_join_of_two_20_player_games():
     # Each game has thousands of mwcs, so the join cannot afford to test each
     # pooled mask against every minimal mask kept so far.
-    games = [WeightedMajorityGame(*game) for game in ladder.majority_games(240206298, 20, 2)]
-    assert len(simple_union(*games).masks) == 36_897
-    assert not simple_mergeable(*games)
+    code = (
+        "from wmpower import WeightedMajorityGame, simple_mergeable, simple_union\n"
+        f"games = [WeightedMajorityGame(*game) for game in {ladder.majority_games(240206298, 20, 2)}]\n"
+        "print(len(simple_union(*games).masks), simple_mergeable(*games))\n"
+    )
+    result = run_python("-c", code, timeout=10)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["36897", "False"]
 
 
 @given(st.one_of(rational_weighted_games(max_players=7), simple_games(max_players=7, max_mwcs=6)))
@@ -761,6 +762,6 @@ def test_null_player_check_on_22_players_of_distinct_sums_is_fast():
         f"g = WeightedMajorityGame(*{ladder.powers_of_two_game(22)})\n"
         "assert check_np(deegan_packel, g).holds\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(wmpower.__file__).resolve().parents[1]))
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=10)
+    result = run_python("-c", code, timeout=10)
+    assert result.returncode == 0, result.stderr
 

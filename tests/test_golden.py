@@ -5,8 +5,6 @@ a change of output is intended.
 """
 
 import json
-import os
-import subprocess
 import sys
 from pathlib import Path
 
@@ -14,6 +12,7 @@ import pytest
 
 import make_golden
 from make_golden import CASES, GOLDEN, run_case
+from package import run_python
 
 AXIOMS = sorted(name for name, argv in CASES.items() if argv[0] == "axioms")
 COMMANDS = sorted(name for name, argv in CASES.items() if argv[0] != "axioms")
@@ -67,13 +66,6 @@ def test_golden_corpus_replays_under_other_interpreters(minor):
     pythons = sorted(VERSIONS.glob(f"{minor}.*/bin/python3"))
     if not pythons:
         pytest.skip(f"no Python {minor} in {VERSIONS}")
-    src = Path(make_golden.__file__).resolve().parent.parent / "src"
-    result = subprocess.run(
-        [str(pythons[-1]), make_golden.__file__],
-        env=dict(os.environ, PYTHONPATH=str(src)),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    result = run_python(make_golden.__file__, python=str(pythons[-1]), timeout=120)
     assert result.returncode == 0, result.stdout + result.stderr
     assert len(result.stdout.splitlines()) == len(CASES)

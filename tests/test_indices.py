@@ -1,11 +1,8 @@
 import functools
 import math
 import random
-import subprocess
-import sys
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +10,7 @@ from hypothesis import strategies as st
 
 import ladder
 import oracles
+from package import run_python
 from strategies import bits40_game, class_weighted_games, prime_reciprocals_game
 from strategies import rational_weighted_games, simple_games, weighted_games
 from wmpower import (
@@ -79,14 +77,7 @@ def test_efficiency_check_survives_optimize_flag():
         "else:",
         "    sys.exit('accepted a vector summing to 1/2')",
     ])
-    src = Path(wmpower.__file__).resolve().parents[1]
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": str(src)},
-        timeout=60,
-    )
+    result = run_python("-O", "-c", code, timeout=60)
     assert result.returncode == 0, result.stderr
     assert "X vector must sum to 1, got 1/2" in result.stdout
 

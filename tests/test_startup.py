@@ -2,19 +2,17 @@
 
 import importlib
 import importlib.util
+import inspect
 import json
-import os
-import subprocess
-import sys
+import typing
 from pathlib import Path
 
 import pytest
 
 import wmpower
 from make_golden import GOLDEN
+from package import run_python
 from wmpower import cli
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Loaded by merge and axioms only; argparse, gettext and locale only for help
 # and usage errors; dataclasses and inspect by nothing.
@@ -48,19 +46,14 @@ def test_power_mwc_and_demo_load_only_what_they_run(tmp_path):
     game = tmp_path / "game.json"
     game.write_text(json.dumps({"quota": "51", "weights": ["50", "46", "4", "1"]}))
     # -S: no site hook preloads modules, so every module seen was loaded here.
-    result = subprocess.run(
-        [sys.executable, "-S", "-c", SCRIPT, str(game), *NOT_LOADED],
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    result = run_python("-S", "-c", SCRIPT, str(game), *NOT_LOADED, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[0, 0, 0] []"
 
 
 # Runs the CLI the way `python -m wmpower.cli` does, as __main__, and prints
-# its exit code and the wmpower modules loaded, and argparse if it was.
+# its exit code and the wmpower modules loaded, and argparse and random if
+# they were.
 RUN_AS_MAIN = """
 import io, runpy, sys
 stdout, sys.stdout = sys.stdout, io.StringIO()
@@ -69,7 +62,8 @@ try:
 except SystemExit as exit:
     code = exit.code
 sys.stdout = stdout
-print(code, *sorted(m for m in sys.modules if m.partition(".")[0] in ("wmpower", "argparse")))
+shown = ("wmpower", "argparse", "random")
+print(code, *sorted(m for m in sys.modules if m.partition(".")[0] in shown))
 """
 
 BASE = ("documents", "errors", "games")
@@ -121,12 +115,8 @@ def test_each_command_loads_exactly_its_modules(tmp_path, argv, code, modules):
     ):
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(obj))
-    result = subprocess.run(
-        [sys.executable, "-S", "-c", RUN_AS_MAIN, *(arg.format(**paths) for arg in argv)],
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
-        capture_output=True,
-        text=True,
-        timeout=60,
+    result = run_python(
+        "-S", "-c", RUN_AS_MAIN, *(arg.format(**paths) for arg in argv), timeout=60
     )
     assert result.returncode == 0, result.stderr
     loaded = result.stdout.split()
@@ -135,6 +125,8 @@ def test_each_command_loads_exactly_its_modules(tmp_path, argv, code, modules):
     expected = {"wmpower", *(f"wmpower.{m}" for m in (*BASE, *modules))}
     if "--help" in argv:
         expected.add("argparse")  # only help and usage errors reach argparse
+    if "--samples" in argv:
+        expected.add("random")
     assert loaded[1:] == sorted(expected)
 
 
@@ -147,9 +139,45 @@ def test_every_exported_name_resolves_to_its_home_module():
     assert set(wmpower.__all__) <= set(dir(wmpower))
 
 
+def public_functions():
+    """Each public callable, and each function that a public class defines or inherits."""
+    for name in wmpower.__all__:
+        obj = getattr(wmpower, name)
+        if inspect.isclass(obj):
+            for cls in obj.__mro__:
+                for attr, member in vars(cls).items():
+                    # The function of a property, cached_property, staticmethod or classmethod.
+                    for wrapped in ("fget", "func", "__func__"):
+                        member = getattr(member, wrapped, member)
+                    if inspect.isfunction(member):
+                        yield f"{name}.{attr}", member
+        if callable(obj):
+            yield name, obj
+
+
+def test_type_hints_of_every_public_function_resolve():
+    # The samplers' hints name the C base class of random.Random, so they
+    # resolve although axioms never imports random.
+    unresolved = []
+    for name, obj in public_functions():
+        try:
+            typing.get_type_hints(obj)
+        except NameError as error:
+            unresolved.append(f"{name}: {error}")
+    assert unresolved == []
+
+
+def test_children_import_the_package_under_test():
+    # A child that a test starts runs the code that the tests import, be it
+    # this checkout's src/, a mutated copy or an installed wheel.
+    result = run_python("-c", "import wmpower; print(wmpower.__file__)", timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert Path(result.stdout.strip()).resolve() == Path(wmpower.__file__).resolve()
+
+
 def traced_cli_names() -> set[str]:
     """Every cli attribute that bench/traced_cli.py reads and replaces."""
-    path = SRC.parent / "bench" / "traced_cli.py"
+    path = Path(__file__).resolve().parents[1] / "bench" / "traced_cli.py"
     spec = importlib.util.spec_from_file_location("traced_cli", path)
     traced_cli = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(traced_cli)
@@ -212,14 +240,7 @@ print(code, gc.get_freeze_count())
 def run_golden_argv(script, name):
     """The golden case's record and ``python -S -c script`` run on its argv."""
     expected = json.loads((GOLDEN / f"{name}.json").read_text())
-    result = subprocess.run(
-        [sys.executable, "-S", "-c", script, *expected["argv"]],
-        cwd=GOLDEN,
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    result = run_python("-S", "-c", script, *expected["argv"], cwd=GOLDEN, timeout=60)
     return expected, result
 
 
@@ -239,14 +260,9 @@ def test_axioms_runs_under_the_stdlib_profiler(tmp_path):
     # sys.modules["__main__"] is the profiler's module. cProfile swallows
     # SystemExit, so the exit code says nothing.
     expected = json.loads((GOLDEN / "dp_thm1.json").read_text())
-    result = subprocess.run(
-        [sys.executable, "-m", "cProfile", "-o", str(tmp_path / "profile"),
-         "-m", "wmpower.cli", *expected["argv"]],
-        cwd=GOLDEN,
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
-        capture_output=True,
-        text=True,
-        timeout=60,
+    result = run_python(
+        "-m", "cProfile", "-o", str(tmp_path / "profile"), "-m", "wmpower.cli",
+        *expected["argv"], cwd=GOLDEN, timeout=60,
     )
     assert (result.stdout, result.stderr) == (expected["stdout"], "")
 
