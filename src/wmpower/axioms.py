@@ -17,8 +17,8 @@ its checks, and hands one cut from a single mwc S that mwc as its listing; the
 proof is in the comment of ``WeightedMajorityGame._restricted``. A sampler is
 handed its ``random.Random``, never imports ``random``: its hints name the C
 base class ``_random.Random``, so they resolve all the same. ``run_axioms``
-calls the checks, decompositions, sampler and loaders through the ``cli``
-names it is handed, so a name replaced there is the one run.
+reads its index, checks, decompositions, sampler and loaders through the
+``cli`` accessor it is handed, so a name replaced on ``cli`` is the one run.
 """
 
 from __future__ import annotations
@@ -524,10 +524,15 @@ def _run_classic_suite(cli, f, games) -> list[tuple[str, bool, str]]:
     return records
 
 
-def run_axioms(cli, index, args) -> int:
-    """Print the verdict of each axiom of ``args.suite`` for ``index`` on the chosen games."""
+def run_axioms(cli, args) -> int:
+    """Print the verdict of each axiom of ``args.suite`` for ``args.index`` on the chosen games."""
+    if args.suite == "classic" and args.index in ("cm", "hcm"):
+        raise GameError(
+            "the classic suite evaluates the index on simple games; "
+            "cm and hcm need weights, use suite thm1 or thm2"
+        )
     # Each game's vector is computed once and shared by every axiom line.
-    f = functools.cache(index)
+    f = functools.cache(cli.INDEX_FUNCTIONS[args.index])
     if args.games == "builtin":
         games = _builtin_fixture_games(cli)
     else:

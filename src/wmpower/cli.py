@@ -18,27 +18,29 @@ from .documents import GameDocument, load_game
 from .errors import GameError, PlayerCountMismatch
 from .games import minimal_winning_coalitions, mwc_count
 
-# Any name of the package's lazy table is imported on first use, so that a
-# command compiles only the modules it runs. A name becomes a global when first
-# read as an attribute or bound by a handler; one already bound (a wrapper
-# installed from outside) stays, and the handlers call it.
-def _bind(*names: str) -> None:
-    for name in names:
-        globals().setdefault(name, getattr(wmpower, name))
-
-
-def __getattr__(name: str):
-    if name not in wmpower._HOMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind(name)
-    return globals()[name]
-
 
 class _Names:
-    """This module's globals as attributes; a lazy name is bound on first read."""
+    """This module's globals as attributes; a name of the package is bound on first read.
+
+    A command compiles only the modules it runs, so each handler reads the
+    package's names through ``_names``, the one instance, and the module's
+    ``__getattr__`` is its method. A name already set on this module (a
+    wrapper installed from outside, as a traced run does) wins, and the
+    handlers call it; otherwise the name is imported from the package and
+    kept as a global. It reads ``globals()``, not ``sys.modules``: under
+    ``python -m cProfile``, ``sys.modules["__main__"]`` is the profiler's.
+    """
 
     def __getattr__(self, name):
-        return globals()[name] if name in globals() else __getattr__(name)
+        if name not in globals():
+            if name not in wmpower._HOMES:
+                raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+            globals()[name] = getattr(wmpower, name)
+        return globals()[name]
+
+
+_names = _Names()
+__getattr__ = _names.__getattr__
 
 
 def _usage_error(message: str) -> Exception:
@@ -49,14 +51,13 @@ def _usage_error(message: str) -> Exception:
 
 
 def _index_list(text: str) -> list[str]:
-    _bind("INDEX_FUNCTIONS")
     keys = [part.strip().lower() for part in text.split(",") if part.strip()]
     if not keys:
         raise _usage_error("no index names given")
     for key in keys:
-        if key not in INDEX_FUNCTIONS:
+        if key not in _names.INDEX_FUNCTIONS:
             raise _usage_error(
-                f"unknown index {key!r}; choose from {', '.join(INDEX_FUNCTIONS)}"
+                f"unknown index {key!r}; choose from {', '.join(_names.INDEX_FUNCTIONS)}"
             )
     return keys
 
@@ -84,11 +85,10 @@ def _int_at_least(low: int):
 
 
 def _render_vectors(document: GameDocument, args) -> str:
-    _bind("INDEX_FUNCTIONS", "render_table")
     game = document.game()
     # power's --index defaults to None: every index, in the table's order.
-    vectors = [INDEX_FUNCTIONS[key](game) for key in args.index or INDEX_FUNCTIONS]
-    return render_table(
+    vectors = [_names.INDEX_FUNCTIONS[key](game) for key in args.index or _names.INDEX_FUNCTIONS]
+    return _names.render_table(
         vectors,
         document.players,
         fmt=args.format,
@@ -145,10 +145,9 @@ def cmd_mwc(args) -> int:
 
 
 def cmd_merge(args) -> int:
-    _bind("check_wm_mergeability")
     games = [load_game(path).game() for path in args.games]
     try:
-        report = check_wm_mergeability(games)
+        report = _names.check_wm_mergeability(games)
     except PlayerCountMismatch as err:  # name the first document of another size
         path = next(p for p, g in zip(args.games, games) if g.n_players != games[0].n_players)
         err.args = (f"{path}: {err}",)
@@ -161,26 +160,16 @@ def cmd_merge(args) -> int:
 
 
 def cmd_axioms(args) -> int:
-    if args.suite == "classic" and args.index in ("cm", "hcm"):
-        raise GameError(
-            "the classic suite evaluates the index on simple games; "
-            "cm and hcm need weights, use suite thm1 or thm2"
-        )
     from .axioms import run_axioms
 
-    _bind("INDEX_FUNCTIONS")
-    # The runner calls wmpower through this module's attributes, so a
-    # replacement set on them is the one run. They are read from globals():
-    # sys.modules may hold another __main__, as under python -m cProfile.
-    return run_axioms(_Names(), INDEX_FUNCTIONS[args.index], args)
+    return run_axioms(_names, args)
 
 
 def cmd_demo(args) -> int:
-    _bind("ecuador_document")
-    periods = wmpower.ECUADOR_PERIODS if args.period == "all" else [args.period]
+    periods = _names.ECUADOR_PERIODS if args.period == "all" else [args.period]
     blocks = []
     for period in periods:
-        document = ecuador_document(period)
+        document = _names.ecuador_document(period)
         game = document.game()
         header = f"{document.label}  {game}"
         count = f"minimal winning coalitions: {mwc_count(game)}"
@@ -193,10 +182,10 @@ class _PeriodChoices:
     """demo's --period choices: the period keys, read from datasets on first use, and 'all'."""
 
     def __iter__(self):
-        return iter((*wmpower.ECUADOR_PERIODS, "all"))
+        return iter((*_names.ECUADOR_PERIODS, "all"))
 
     def __contains__(self, value) -> bool:
-        return value == "all" or value in wmpower.ECUADOR_PERIODS
+        return value == "all" or value in _names.ECUADOR_PERIODS
 
 
 _FORMATS = ("table", "csv", "json")

@@ -174,6 +174,8 @@ MUTANTS = (
     ),
     # The process's exit code: only a child process that runs the copy sees it.
     ("cli.py", "sys.exit(code)", "sys.exit(0)", ("tests/test_cli.py",), "killed"),
+    # The accessor to the package's names: a name set on cli from outside wins.
+    ("cli.py", "if name not in globals():", "if True:", ("tests/test_startup.py",), "killed"),
 )
 
 

@@ -174,6 +174,21 @@ def single_mwc_games(draw, max_players=8):
     return WeightedMajorityGame(sum(inside), weights)
 
 
+def wmg(quota, *weights) -> WeightedMajorityGame:
+    """The weighted majority game [quota; weights]."""
+    return WeightedMajorityGame(quota, weights)
+
+
+def sg(n, *coalitions) -> SimpleGame:
+    """The simple game on n players won by the supersets of the given coalitions."""
+    return SimpleGame(n, tuple(Coalition(c) for c in coalitions))
+
+
+def mwc_sets(game) -> set[frozenset[int]]:
+    """The game's minimal winning coalitions, each as a set of players."""
+    return {frozenset(c) for c in minimal_winning_coalitions(game).mwc}
+
+
 def bits40_game(n: int) -> WeightedMajorityGame:
     """``ladder.bits40_game(n)``: n 40-bit weights, quota half the total plus one."""
     return WeightedMajorityGame(*ladder.bits40_game(n))

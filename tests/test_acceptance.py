@@ -15,7 +15,6 @@ from wmpower import (
     Coalition,
     SimpleGame,
     WeightedMajorityGame,
-    banzhaf,
     check_dpmw,
     check_eff,
     check_hcmw,
@@ -27,25 +26,20 @@ from wmpower import (
     deegan_packel,
     ecuador_document,
     hcm,
-    minimal_winning_coalitions,
     public_good,
     random_mergeable_family,
     random_weighted_game,
     render_table,
     shapley_shubik,
     simple_union,
-    single_mwc_decomposition,
     wm_union,
     witness_index,
 )
 import oracles
+from strategies import mwc_sets, wmg
 
 F = Fraction
 DIGITS = 4
-
-
-def wmg(quota, *weights) -> WeightedMajorityGame:
-    return WeightedMajorityGame(quota, weights)
 
 
 def ulp_distance(rendered: str, expected: str) -> int:
@@ -117,10 +111,6 @@ LATER_MWCS = {
     frozenset({1, 2, 3, 5}),
     frozenset({1, 2, 4, 5}),
 }
-
-
-def mwc_sets(game):
-    return {frozenset(c) for c in minimal_winning_coalitions(game).mwc}
 
 
 def test_criterion_1_cm_reference_rendering_and_speed():

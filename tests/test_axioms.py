@@ -11,11 +11,9 @@ from hypothesis import strategies as st
 
 import oracles
 from strategies import rational_weighted_games, simple_game_pairs, simple_games, weighted_games
-from strategies import single_mwc_games, weighted_game_pairs
+from strategies import sg, single_mwc_games, weighted_game_pairs, wmg
 from wmpower import (
-    Coalition,
     PowerIndexVector,
-    SimpleGame,
     WeightedMajorityGame,
     banzhaf,
     check_dpm,
@@ -48,14 +46,6 @@ from wmpower.errors import GameError, NotMergeable, NotUnanimityLike, NotWMMerge
 from wmpower.games import mwc_count
 
 F = Fraction
-
-
-def wmg(quota, *weights) -> WeightedMajorityGame:
-    return WeightedMajorityGame(quota, weights)
-
-
-def sg(n, *coalitions) -> SimpleGame:
-    return SimpleGame(n, tuple(Coalition(c) for c in coalitions))
 
 
 GAME_51 = wmg(51, 50, 46, 4, 1)

@@ -27,7 +27,6 @@ from wmpower import (
     SimpleGame,
     WeightedMajorityGame,
     cli,
-    ecuador_document,
     simple_intersection,
     simple_union,
 )

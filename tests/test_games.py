@@ -9,7 +9,8 @@ import ladder
 import oracles
 from package import run_python
 from strategies import bits40_game, prime_reciprocals_game, rational_weighted_games
-from strategies import simple_game_pairs, simple_games, weighted_and_bare_pairs, weighted_games
+from strategies import mwc_sets, sg, simple_game_pairs, simple_games
+from strategies import weighted_and_bare_pairs, weighted_games
 from wmpower import (
     Coalition,
     PowerIndexVector,
@@ -46,10 +47,6 @@ from wmpower.games import exact
 
 def game_51() -> WeightedMajorityGame:
     return WeightedMajorityGame(51, (50, 46, 4, 1))
-
-
-def mwc_sets(game) -> set[frozenset[int]]:
-    return {frozenset(c) for c in minimal_winning_coalitions(game).mwc}
 
 
 class TestWeightedGameConstruction:
@@ -497,10 +494,6 @@ class TestUnanimity:
     def test_empty_rejected(self):
         with pytest.raises(EmptyCoalition):
             unanimity_game(3, Coalition())
-
-
-def sg(n, *coalitions) -> SimpleGame:
-    return SimpleGame(n, tuple(Coalition(c) for c in coalitions))
 
 
 class TestUnionIntersectionMergeable:

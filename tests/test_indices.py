@@ -12,7 +12,7 @@ import ladder
 import oracles
 from package import run_python
 from strategies import bits40_game, class_weighted_games, prime_reciprocals_game
-from strategies import rational_weighted_games, simple_games, weighted_games
+from strategies import rational_weighted_games, simple_games, weighted_games, wmg
 from wmpower import (
     Coalition,
     PowerIndexVector,
@@ -34,10 +34,6 @@ from wmpower.errors import GameError, WeightsRequired
 from wmpower.games import mwc_count
 
 F = Fraction
-
-
-def wmg(quota, *weights) -> WeightedMajorityGame:
-    return WeightedMajorityGame(quota, weights)
 
 
 GAME_51 = wmg(51, 50, 46, 4, 1)

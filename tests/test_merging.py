@@ -1,13 +1,13 @@
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from strategies import rational_weighted_games, weighted_game_families, weighted_games
+from strategies import mwc_sets, rational_weighted_games, weighted_game_families
+from strategies import weighted_games, wmg
 from wmpower import (
     Coalition,
     WeightedMajorityGame,
@@ -30,16 +30,8 @@ from wmpower.errors import (
 from wmpower.games import _support_mask
 
 
-def wmg(quota, *weights) -> WeightedMajorityGame:
-    return WeightedMajorityGame(quota, weights)
-
-
 PAIR_OK = (wmg(4, 3, 2, 0), wmg(4, 3, 0, 1))
 PAIR_QUOTA_MISMATCH = (wmg(5, 1, 2, 3), wmg(6, 1, 4, 5))
-
-
-def mwc_sets(game):
-    return {frozenset(c) for c in minimal_winning_coalitions(game).mwc}
 
 
 class TestWmUnion:

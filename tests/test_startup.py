@@ -175,13 +175,21 @@ def test_children_import_the_package_under_test():
     assert Path(result.stdout.strip()).resolve() == Path(wmpower.__file__).resolve()
 
 
-def traced_cli_names() -> set[str]:
-    """Every cli attribute that bench/traced_cli.py reads and replaces."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "traced_cli.py"
-    spec = importlib.util.spec_from_file_location("traced_cli", path)
+# The benchmark's traced driver: it replaces cli attributes by spanned ones.
+TRACED_CLI = Path(__file__).resolve().parents[1] / "bench" / "traced_cli.py"
+
+
+def traced_cli_module():
+    spec = importlib.util.spec_from_file_location("traced_cli", TRACED_CLI)
     traced_cli = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(traced_cli)
-    return {*traced_cli.SPANS, "INDEX_FUNCTIONS", "check_wm_mergeability", "render_table"}
+    return traced_cli
+
+
+def traced_cli_names() -> set[str]:
+    """Every cli attribute that bench/traced_cli.py reads and replaces."""
+    names = traced_cli_module().SPANS
+    return {*names, "INDEX_FUNCTIONS", "check_wm_mergeability", "render_table"}
 
 
 def test_lazy_cli_names_are_attributes_and_replacements_are_called(
@@ -216,6 +224,47 @@ def test_lazy_cli_names_are_attributes_and_replacements_are_called(
     assert cli.main(["power", "--game", paths[0]]) == 0
     assert calls[12:] == ["render_table"]
     assert capsys.readouterr().out.startswith("index: ss  suite: classic  games: 11\n")
+
+
+def test_every_span_of_the_traced_driver_fires(tmp_path):
+    # Runs bench/traced_cli.py as the benchmark does, one child per argv, and
+    # collects the names of the spans it wrote.
+    paths = {}
+    for name, obj in (
+        ("game", {"quota": "51", "weights": ["50", "46", "4", "1"]}),
+        ("a", {"quota": "4", "weights": ["3", "2", "0"]}),
+        ("b", {"quota": "4", "weights": ["3", "0", "1"]}),
+        ("c", {"quota": "4", "weights": ["0", "2", "3"]}),
+    ):
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(obj))
+    runs = [
+        # --index=... is not the common form, so argparse parses this argv.
+        ["power", "--game", paths["game"], "--index=ss,bz,dp,pg,cm,hcm"],
+        ["demo", "ecuador"],
+        ["merge", paths["a"], paths["b"]],  # mergeable
+        ["merge", paths["a"], paths["c"]],  # not mergeable
+        ["axioms", "--index", "ss", "--suite", "classic"],
+        ["axioms", "--index", "dp", "--suite", "thm1", "--samples", "2"],
+        ["axioms", "--index", "hcm", "--suite", "thm2"],
+    ]
+    fired = set()
+    for k, argv in enumerate(runs):
+        spans = tmp_path / f"spans{k}.json"
+        result = run_python(str(TRACED_CLI), str(spans), *argv, timeout=60)
+        assert result.returncode == 0, (argv, result.stderr)
+        fired |= {span["name"] for span in json.loads(spans.read_text())}
+    installed = {
+        *traced_cli_module().SPANS.values(),
+        *(f"indices.{key}" for key in wmpower.INDEX_FUNCTIONS),
+        "cli.parse_args",
+        "games.mwc",
+        "merging.check_mergeable",
+        "merging.check_nonmergeable",
+    }
+    # No handler calls wm_union, so its span never fires: the driver's list
+    # is stale there.
+    assert installed - fired == {"merging.wm_union"}
 
 
 # Ends the process through cli.run(), the console script's entry point, with
