@@ -23,9 +23,9 @@ _HOMES = {
         " SwingSet are_symmetric is_null_player minimal_antichain simple_intersection"
         " simple_mergeable simple_union swings unanimity_game",
         "datasets": "ECUADOR_PERIODS ECUADOR_QUOTA ecuador_document ecuador_documents",
-        "documents": "GameDocument format_rational load_game parse_game parse_rational",
-        "games": "MAX_PLAYERS Coalition Game SimpleGame WeightedMajorityGame as_coalition"
-        " minimal_winning_coalitions",
+        "games": "MAX_PLAYERS Coalition Game GameDocument SimpleGame WeightedMajorityGame"
+        " as_coalition format_rational load_game minimal_winning_coalitions parse_game"
+        " parse_rational",
         "indices": "INDEX_FUNCTIONS PowerIndexVector banzhaf colomer_martinez deegan_packel"
         " decimal_string hcm public_good render_table shapley_shubik",
         "merging": "MergeabilityReport check_wm_mergeability merged_game wm_union",

@@ -33,8 +33,8 @@ from fractions import Fraction
 from .errors import EmptyCoalition, FewerThanTwoGames, GameError, NotMergeable
 from .errors import NotUnanimityLike, PlayerCountMismatch, SamePlayer, UnknownKind
 from .games import MAX_PLAYERS, Coalition, Game, SimpleGame, WeightedMajorityGame, _Frozen
-from .games import _canonical, _checked_int, _checked_mask, _items, _support_mask
-from .games import minimal_winning_coalitions, mwc_count
+from .games import _canonical, _checked_int, _checked_mask, _items, _minimal_masks
+from .games import _support_mask, minimal_winning_coalitions, mwc_count
 from .indices import PowerIndexVector, _memberships, _weighted_memberships
 from .indices import colomer_martinez, hcm
 from .merging import merged_game
@@ -53,16 +53,6 @@ class SwingSet(_Frozen):
 
     def __iter__(self):
         return iter(self.swings)
-
-
-def _minimal_masks(masks: Iterable[int]) -> list[int]:
-    # In (popcount, mask) order every proper subset of a mask comes before
-    # it, so a mask is minimal iff no mask kept so far lies inside it.
-    kept: list[int] = []
-    for m in _canonical(set(masks)):
-        if all(k & m != k for k in kept):
-            kept.append(m)
-    return kept
 
 
 def minimal_antichain(coalitions: Iterable[Coalition | Iterable[int]]) -> tuple[Coalition, ...]:

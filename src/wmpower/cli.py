@@ -14,9 +14,8 @@ from types import SimpleNamespace
 
 import wmpower
 
-from .documents import GameDocument, load_game
 from .errors import GameError, PlayerCountMismatch
-from .games import minimal_winning_coalitions, mwc_count
+from .games import GameDocument, load_game, minimal_winning_coalitions, mwc_count
 
 
 class _Names:

@@ -8,10 +8,8 @@ are aggregated into the single IND bloc their period's totals report.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .documents import GameDocument
 from .errors import GameError
+from .games import GameDocument
 
 ECUADOR_QUOTA = 70
 
@@ -39,8 +37,8 @@ def ecuador_document(period: str) -> GameDocument:
             f"unknown period {period!r}; expected one of {', '.join(ECUADOR_PERIODS)}"
         ) from None
     return GameDocument(
-        quota=Fraction(ECUADOR_QUOTA),
-        weights=tuple(Fraction(s) for s in seats),
+        quota=ECUADOR_QUOTA,
+        weights=seats,
         players=players,
         label=f"National Assembly of Ecuador, {label}",
         date=date,

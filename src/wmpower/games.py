@@ -1,4 +1,4 @@
-"""Coalitions, simple games and weighted majority games, and their mwc enumeration.
+"""Coalitions, simple and weighted majority games, mwc enumeration and game documents.
 
 A coalition of the players 0..n-1 (n at most ``MAX_PLAYERS``) is an int bit
 mask, so membership and subset tests are bit operations; the library builds a
@@ -18,8 +18,9 @@ game's integer form, so every comparison is exact.
 
 from __future__ import annotations
 
-import itertools
+import json
 import math
+import os
 import sys
 from bisect import bisect_right
 from collections import Counter, defaultdict
@@ -241,13 +242,14 @@ class SimpleGame(_Frozen):
             raise GameError("a simple game needs at least one minimal winning coalition")
         if masks[0] == 0:  # (popcount, mask) order puts the empty mask first
             raise EmptyCoalition("the empty coalition cannot be minimal winning")
-        # Sorted by size: no mask holds a later one.
-        for a, b in itertools.combinations(masks, 2):
-            if a & b == a:
-                raise GameError(
-                    "minimal winning coalitions must form an antichain; "
-                    f"{Coalition.from_mask(a)} vs {Coalition.from_mask(b)}"
-                )
+        kept = _minimal_masks(masks)
+        if len(kept) < len(masks):
+            dropped = next(m for m in masks if m not in kept)
+            inside = next(k for k in kept if k & dropped == k)
+            raise GameError(
+                "minimal winning coalitions must form an antichain; "
+                f"{Coalition.from_mask(inside)} vs {Coalition.from_mask(dropped)}"
+            )
         self._set(n_players, tuple(masks))
 
     @classmethod
@@ -391,6 +393,19 @@ def _canonical(masks: Iterable[int]) -> list[int]:
     return sorted(sorted(masks), key=int.bit_count)
 
 
+def _minimal_masks(masks: Iterable[int]) -> list[int]:
+    # In (popcount, mask) order every proper subset of a mask comes before
+    # it, so a mask is minimal iff no mask kept so far lies inside it.
+    kept: list[int] = []
+    for m in _canonical(set(masks)):
+        for k in kept:  # a loop: all() over a generator takes 1.5 times as long
+            if k & m == k:
+                break
+        else:
+            kept.append(m)
+    return kept
+
+
 def _mask_weight(weights: tuple[int, ...], mask: int) -> int:
     total = 0
     while mask:
@@ -530,3 +545,128 @@ def mwc_count(game: Game) -> int:
     """|M|, the number of minimal winning coalitions; every count-only reader asks here."""
     return len(minimal_winning_coalitions(game).masks)
 
+
+
+# Game documents: a small JSON wire format. A document carries player display
+# names, the quota and the weights. Quota and weights travel as strings (or
+# plain JSON integers) so no binary float can sneak into the exact arithmetic;
+# "1/2" and "0.5" both parse to the exact rational one half, while JSON floats
+# are rejected.
+parse_rational = exact
+
+
+def format_rational(value: Fraction) -> str:
+    """Render a rational compactly: ``'3'`` for integers, else ``'p/q'``."""
+    return str(value)
+
+
+class GameDocument(_Frozen):
+    """A named weighted majority game as it appears on disk."""
+
+    _fields = ("quota", "weights", "players", "label", "date")
+
+    def __init__(
+        self, quota: Fraction | int | str, weights: Iterable, players: Iterable[str],
+        label: str | None = None, date: str | None = None,
+    ) -> None:
+        players, weights = tuple(players), tuple(weights)
+        if not all(isinstance(p, str) for p in players):
+            raise ParseError("'players' must be a list of strings")
+        if len(players) != len(weights):
+            raise ParseError(f"{len(players)} player names for {len(weights)} weights")
+        # Build the game now, so construction errors (bad quota, negative
+        # weight, ...) surface here, and later calls share its cached mwcs.
+        game = WeightedMajorityGame(quota, weights)
+        self._set(game.quota, game.weights, players, label, date)
+        object.__setattr__(self, "_game", game)
+
+    def game(self) -> WeightedMajorityGame:
+        """The validated game this document describes, built once."""
+        return self._game
+
+    def to_json_obj(self) -> dict:
+        obj: dict = {
+            "players": list(self.players),
+            "quota": format_rational(self.quota),
+            "weights": [format_rational(w) for w in self.weights],
+        }
+        metadata = {}
+        if self.label is not None:
+            metadata["label"] = self.label
+        if self.date is not None:
+            metadata["date"] = self.date
+        if metadata:
+            obj["metadata"] = metadata
+        return obj
+
+    def to_json(self, indent: int = 2) -> str:
+        return json.dumps(self.to_json_obj(), indent=indent)
+
+    @classmethod
+    def from_json_obj(cls, obj: dict) -> "GameDocument":
+        if not isinstance(obj, dict):
+            raise ParseError(f"expected an object, got {type(obj).__name__}")
+        if "quota" not in obj:
+            raise ParseError("document is missing 'quota'")
+        if "weights" not in obj or not isinstance(obj["weights"], list):
+            raise ParseError("document needs a 'weights' list")
+        quota = parse_rational(obj["quota"])
+        weights = tuple(parse_rational(w) for w in obj["weights"])
+        players = obj.get("players")
+        if players is None:
+            players = tuple(f"P{k + 1}" for k in range(len(weights)))
+        elif isinstance(players, list) and all(isinstance(p, str) for p in players):
+            players = tuple(players)
+        else:
+            raise ParseError("'players' must be a list of strings")
+        metadata = {} if obj.get("metadata") is None else obj["metadata"]
+        if not isinstance(metadata, dict):
+            raise ParseError("'metadata' must be an object")
+        for field in ("label", "date"):
+            if not isinstance(metadata.get(field), (str, type(None))):
+                raise ParseError(f"'metadata.{field}' must be a string")
+        # Valid JSON may hold a lone surrogate, which no output can encode.
+        texts = [*players, metadata.get("label") or "", metadata.get("date") or ""]
+        try:
+            "".join(texts).encode("utf-8")
+        except UnicodeEncodeError as err:
+            bad = err.object[err.start : err.end]
+            raise ParseError(f"names and metadata must be UTF-8 text, not {bad!r}") from err
+        return cls(
+            quota=quota,
+            weights=weights,
+            players=players,
+            label=metadata.get("label"),
+            date=metadata.get("date"),
+        )
+
+    @classmethod
+    def from_json(cls, text: str) -> "GameDocument":
+        try:
+            obj = json.loads(text)
+        except ValueError as err:  # JSONDecodeError, or an int literal too long
+            raise ParseError(f"invalid JSON: {err}") from err
+        except RecursionError as err:
+            raise ParseError("invalid JSON: nested too deeply") from err
+        return cls.from_json_obj(obj)
+
+
+def parse_game(text: str) -> GameDocument:
+    """Parse a document from JSON text."""
+    return GameDocument.from_json(text)
+
+
+def load_game(path: str | os.PathLike[str]) -> GameDocument:
+    """Load a document from a JSON file (UTF-8 text); each refusal names the path."""
+    try:
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: not UTF-8 ({err.reason} at byte {err.start})") from err
+    except ValueError as err:  # open() refuses a path holding a NUL
+        raise ParseError(f"cannot open {path!r}: {err}") from err
+    try:
+        return parse_game(text)
+    except GameError as err:
+        err.args = (f"{path}: {err}",)
+        raise

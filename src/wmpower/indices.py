@@ -138,8 +138,9 @@ INDEX_FUNCTIONS = {
 }
 
 
-def decimal_string(value: Fraction, digits: int = 4) -> str:
+def decimal_string(value: Fraction | int | str, digits: int = 4) -> str:
     """Fixed-point decimal expansion of an exact rational, round-half-even."""
+    value = value if isinstance(value, Fraction) else exact(value)
     if _checked_int(digits, -math.inf, math.inf, "digits", GameError) < 1:
         raise GameError(f"digits must be at least 1, got {digits}")
     # More digits could not be printed; refuse them before the long division.

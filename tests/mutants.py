@@ -149,6 +149,24 @@ MUTANTS = (
         DECOMPOSITION_TESTS,
         "killed",
     ),
+    # The validating constructor's antichain test.
+    ("games.py", "if len(kept) < len(masks):", "if False:", ("tests/test_games.py",), "killed"),
+    # A document keeps its game's coerced values, not the caller's.
+    (
+        "games.py",
+        "self._set(game.quota, game.weights, players, label, date)",
+        "self._set(quota, weights, players, label, date)",
+        ("tests/test_documents.py",),
+        "killed",
+    ),
+    # decimal_string coerces an outside value as exact() does.
+    (
+        "indices.py",
+        "value = value if isinstance(value, Fraction) else exact(value)",
+        "value = value",
+        ("tests/test_games.py",),
+        "killed",
+    ),
     # The weighted average on integers: a value's scale to the common denominator.
     (
         "axioms.py",

@@ -113,6 +113,16 @@ class TestParseGame:
         again = parse_game(doc.to_json())
         assert again == doc
 
+    def test_constructor_keeps_the_games_values(self):
+        # The constructor coerces as the game does, so a document built from
+        # outside values equals its own round trip and hashes.
+        doc = GameDocument("1/2", ("1", 2), ["A", "B"])
+        assert (doc.quota, doc.weights, doc.players) == (F(1, 2), (F(1), F(2)), ("A", "B"))
+        assert doc == parse_game(doc.to_json())
+        assert hash(doc) == hash(parse_game(doc.to_json()))
+        with pytest.raises(ParseError, match="^'players' must be a list of strings$"):
+            GameDocument(1, (1, 1), ("A", 2))
+
     def test_metadata_fields_must_be_strings(self):
         for metadata in ({"label": {"x": [1, 2]}}, {"date": 5}):
             with pytest.raises(ParseError, match="must be a string"):

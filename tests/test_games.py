@@ -1,3 +1,4 @@
+import re
 import sys
 from fractions import Fraction
 
@@ -144,9 +145,9 @@ SCALARS = st.one_of(
 def test_outside_scalars_become_fractions_or_game_errors(value):
     # exact() takes a Fraction, an int or a string to Fraction(value), and
     # refuses the rest at once with a GameError: bools, floats, None,
-    # malformed text and unprintable values. PowerIndexVector keeps a
-    # Fraction as it is, since the indices compute theirs, and coerces the
-    # rest with exact(), and so does a game's quota.
+    # malformed text and unprintable values. PowerIndexVector and
+    # decimal_string keep a Fraction as it is, since the indices compute
+    # theirs, and coerce the rest with exact(), and so does a game's quota.
     try:
         rational = exact(value)
     except GameError:
@@ -165,6 +166,11 @@ def test_outside_scalars_become_fractions_or_game_errors(value):
     except GameError:
         kept = None
     assert kept is value if isinstance(value, Fraction) else kept == rational
+    if rational is not None:
+        assert decimal_string(value, 2) == decimal_string(Fraction(value), 2)
+    elif not isinstance(value, Fraction):
+        with pytest.raises(GameError):
+            decimal_string(value, 2)
 
 
 @pytest.mark.parametrize("text", ["1_000", "12 / 6", " 1_0/3 ", "1\t/2"])
@@ -292,6 +298,10 @@ class TestSimpleGameConstruction:
     def test_antichain_enforced(self):
         with pytest.raises(GameError):
             SimpleGame(3, (Coalition([0]), Coalition([0, 1])))
+        # The refusal names the first coalition, in (size, mask) order, that
+        # holds a kept one, and the first kept one inside it; {0, 3} comes later.
+        with pytest.raises(GameError, match=re.escape("antichain; {1} vs {1, 2}")):
+            SimpleGame(4, [[0], [1], [1, 2], [0, 3]])
 
     def test_empty_mwc_family_rejected(self):
         with pytest.raises(GameError):
@@ -309,6 +319,40 @@ class TestSimpleGameConstruction:
     def test_player_count_outside_the_cap_rejected(self, n_players):
         with pytest.raises(TooManyPlayers, match=f"player count {n_players} outside 1..64"):
             SimpleGame(n_players, [[0]])
+
+
+@st.composite
+def mask_families(draw):
+    """A player count n <= 8 and a list of masks over its players, the empty one included."""
+    n = draw(st.integers(1, 8))
+    return n, draw(st.lists(st.integers(0, (1 << n) - 1), max_size=10))
+
+
+@given(mask_families())
+@example((4, [0b0001, 0b0010, 0b0110, 0b1001]))
+@example((3, [0b011, 0b011, 0b100]))  # duplicates
+@example((2, [0, 0b11]))
+def test_simple_game_accepts_exactly_the_antichains(n_masks):
+    n, masks = n_masks
+    family = {frozenset(Coalition.from_mask(m)) for m in masks}
+    antichain = (
+        bool(family)
+        and frozenset() not in family
+        and oracles.minimal_by_definition(family) == family
+    )
+    try:
+        game = SimpleGame(n, map(Coalition.from_mask, masks))
+    except GameError as err:
+        assert not antichain
+        if family and frozenset() not in family:
+            # The refusal names two coalitions of the family, the first
+            # a proper subset of the second.
+            named = re.fullmatch(r".*; (\{[\d, ]*\}) vs (\{[\d, ]*\})", str(err)).groups()
+            inside, outside = (frozenset(map(int, re.findall(r"\d+", s))) for s in named)
+            assert inside in family and outside in family and inside < outside
+    else:
+        assert antichain
+        assert {frozenset(c) for c in game.mwc} == family
 
 
 class TestCoalitionWeight:

@@ -66,7 +66,7 @@ shown = ("wmpower", "argparse", "random")
 print(code, *sorted(m for m in sys.modules if m.partition(".")[0] in shown))
 """
 
-BASE = ("documents", "errors", "games")
+BASE = ("errors", "games")
 RENDER = ("indices",)
 SUITE = ("axioms", "indices", "merging")
 
