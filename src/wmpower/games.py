@@ -303,7 +303,7 @@ class WeightedMajorityGame(_Frozen):
 
     def __init__(self, quota: Fraction | int | str, weights: Iterable) -> None:
         quota = exact(quota)
-        weights = tuple(exact(w) for w in weights)
+        weights = tuple(exact(w) for w in _items(weights, "weights"))
         self._set(quota, weights)
         if quota <= 0:
             raise NonPositiveQuota(f"quota {quota} must be positive")
@@ -557,11 +557,18 @@ parse_rational = exact
 
 def format_rational(value: Fraction) -> str:
     """Render a rational compactly: ``'3'`` for integers, else ``'p/q'``."""
-    return str(value)
+    try:
+        return str(value)
+    except ValueError as err:  # a computed value past sys.get_int_max_str_digits()
+        raise GameError(f"value too long to print: {err}") from err
 
 
 class GameDocument(_Frozen):
-    """A named weighted majority game as it appears on disk."""
+    """A named weighted majority game as it appears on disk.
+
+    The constructor checks every field, for documents built in code and read
+    from JSON alike; the JSON reader checks only the JSON shape.
+    """
 
     _fields = ("quota", "weights", "players", "label", "date")
 
@@ -569,15 +576,25 @@ class GameDocument(_Frozen):
         self, quota: Fraction | int | str, weights: Iterable, players: Iterable[str],
         label: str | None = None, date: str | None = None,
     ) -> None:
-        players, weights = tuple(players), tuple(weights)
-        if not all(isinstance(p, str) for p in players):
+        quota, weights = exact(quota), tuple(exact(w) for w in _items(weights, "weights"))
+        names = _items(players, "player names")
+        if isinstance(players, (str, dict)) or not all(isinstance(p, str) for p in names):
             raise ParseError("'players' must be a list of strings")
-        if len(players) != len(weights):
-            raise ParseError(f"{len(players)} player names for {len(weights)} weights")
+        for field, value in (("label", label), ("date", date)):
+            if not isinstance(value, (str, type(None))):
+                raise ParseError(f"'metadata.{field}' must be a string")
+        # A str may hold a lone surrogate (valid JSON can), which no output can encode.
+        try:
+            "".join([*names, label or "", date or ""]).encode("utf-8")
+        except UnicodeEncodeError as err:
+            bad = err.object[err.start : err.end]
+            raise ParseError(f"names and metadata must be UTF-8 text, not {bad!r}") from err
+        if len(names) != len(weights):
+            raise ParseError(f"{len(names)} player names for {len(weights)} weights")
         # Build the game now, so construction errors (bad quota, negative
         # weight, ...) surface here, and later calls share its cached mwcs.
         game = WeightedMajorityGame(quota, weights)
-        self._set(game.quota, game.weights, players, label, date)
+        self._set(quota, weights, names, label, date)
         object.__setattr__(self, "_game", game)
 
     def game(self) -> WeightedMajorityGame:
@@ -608,37 +625,16 @@ class GameDocument(_Frozen):
             raise ParseError(f"expected an object, got {type(obj).__name__}")
         if "quota" not in obj:
             raise ParseError("document is missing 'quota'")
-        if "weights" not in obj or not isinstance(obj["weights"], list):
+        if not isinstance(obj.get("weights"), list):
             raise ParseError("document needs a 'weights' list")
-        quota = parse_rational(obj["quota"])
-        weights = tuple(parse_rational(w) for w in obj["weights"])
         players = obj.get("players")
         if players is None:
-            players = tuple(f"P{k + 1}" for k in range(len(weights)))
-        elif isinstance(players, list) and all(isinstance(p, str) for p in players):
-            players = tuple(players)
-        else:
-            raise ParseError("'players' must be a list of strings")
+            players = [f"P{k + 1}" for k in range(len(obj["weights"]))]
         metadata = {} if obj.get("metadata") is None else obj["metadata"]
         if not isinstance(metadata, dict):
             raise ParseError("'metadata' must be an object")
-        for field in ("label", "date"):
-            if not isinstance(metadata.get(field), (str, type(None))):
-                raise ParseError(f"'metadata.{field}' must be a string")
-        # Valid JSON may hold a lone surrogate, which no output can encode.
-        texts = [*players, metadata.get("label") or "", metadata.get("date") or ""]
-        try:
-            "".join(texts).encode("utf-8")
-        except UnicodeEncodeError as err:
-            bad = err.object[err.start : err.end]
-            raise ParseError(f"names and metadata must be UTF-8 text, not {bad!r}") from err
-        return cls(
-            quota=quota,
-            weights=weights,
-            players=players,
-            label=metadata.get("label"),
-            date=metadata.get("date"),
-        )
+        label, date = metadata.get("label"), metadata.get("date")
+        return cls(obj["quota"], obj["weights"], players, label, date)
 
     @classmethod
     def from_json(cls, text: str) -> "GameDocument":

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .errors import GameError, WeightsRequired
 from .games import Game, WeightedMajorityGame, _Frozen, _checked_int, _print_limit, _shown
-from .games import exact, mwc_count
+from .games import _items, exact, format_rational, mwc_count
 
 
 class PowerIndexVector(_Frozen):
@@ -33,6 +33,7 @@ class PowerIndexVector(_Frozen):
     def __init__(self, kind: str, values: Iterable) -> None:
         # A Fraction is kept as it is: the indices compute theirs, and only
         # rendering needs one short enough to print.
+        values = _items(values, "values")
         self._set(kind, tuple(v if isinstance(v, Fraction) else exact(v) for v in values))
 
     def __iter__(self) -> Iterator[Fraction]:
@@ -151,7 +152,7 @@ def decimal_string(value: Fraction | int | str, digits: int = 4) -> str:
     scale = 10**digits
     # round() of a Fraction is exact, and rounds half to even.
     whole, frac = divmod(round(abs(value) * scale), scale)
-    return f"{sign}{whole}.{frac:0{digits}d}"
+    return f"{sign}{format_rational(whole)}.{frac:0{digits}d}"
 
 
 def render_table(
@@ -168,20 +169,14 @@ def render_table(
     """
     if fmt not in ("table", "csv", "json"):
         raise GameError(f"unknown format {fmt!r}; use table, csv, or json")
+    vectors, names = _items(vectors, "index vectors"), _items(names, "player names")
     if any(len(vector) != len(names) for vector in vectors):
         raise GameError(f"{len(names)} player names, but a vector of another length")
-    try:
-        model = [
-            (vector.kind, [decimal_string(v, digits) for v in vector],
-             [str(v) for v in vector] if exact else None)
-            for vector in vectors
-        ]
-    except GameError:
-        raise
-    except ValueError as err:
-        # An integer past Python's printable digits (sys.get_int_max_str_digits),
-        # from an exact value or a large ``digits``: bad input, not a fault.
-        raise GameError(f"value too long to print: {err}") from err
+    model = [
+        (vector.kind, [decimal_string(v, digits) for v in vector],
+         [format_rational(v) for v in vector] if exact else None)
+        for vector in vectors
+    ]
     if fmt == "json":
         entries = []
         for kind, decimals, forms in model:

@@ -151,11 +151,27 @@ MUTANTS = (
     ),
     # The validating constructor's antichain test.
     ("games.py", "if len(kept) < len(masks):", "if False:", ("tests/test_games.py",), "killed"),
-    # A document keeps its game's coerced values, not the caller's.
+    # A document keeps the coerced quota and weights, not the caller's.
     (
         "games.py",
-        "self._set(game.quota, game.weights, players, label, date)",
-        "self._set(quota, weights, players, label, date)",
+        'quota, weights = exact(quota), tuple(exact(w) for w in _items(weights, "weights"))',
+        'quota, weights = quota, _items(weights, "weights")',
+        ("tests/test_documents.py",),
+        "killed",
+    ),
+    # A document built in code follows the rules of a JSON one: no bare str of
+    # names, and all of its text encodes as UTF-8.
+    (
+        "games.py",
+        "if isinstance(players, (str, dict)) or not all(isinstance(p, str) for p in names):",
+        "if isinstance(players, dict) or not all(isinstance(p, str) for p in names):",
+        ("tests/test_documents.py",),
+        "killed",
+    ),
+    (
+        "games.py",
+        '"".join([*names, label or "", date or ""]).encode("utf-8")',
+        '"".join([*names, label or "", date or ""])',
         ("tests/test_documents.py",),
         "killed",
     ),

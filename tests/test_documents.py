@@ -4,7 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -120,8 +120,24 @@ class TestParseGame:
         assert (doc.quota, doc.weights, doc.players) == (F(1, 2), (F(1), F(2)), ("A", "B"))
         assert doc == parse_game(doc.to_json())
         assert hash(doc) == hash(parse_game(doc.to_json()))
-        with pytest.raises(ParseError, match="^'players' must be a list of strings$"):
-            GameDocument(1, (1, 1), ("A", 2))
+
+    @pytest.mark.parametrize(
+        ("fields", "message"),
+        [
+            ({"players": ("A", 2)}, "^'players' must be a list of strings$"),
+            ({"players": "AB"}, "^'players' must be a list of strings$"),
+            ({"players": {"A": 1, "B": 2}}, "^'players' must be a list of strings$"),
+            ({"label": 5}, "^'metadata.label' must be a string$"),
+            ({"date": b"2021"}, "^'metadata.date' must be a string$"),
+            ({"players": ("A", "\ud800")}, "^names and metadata must be UTF-8 text"),
+            ({"label": "EU \udcff"}, "^names and metadata must be UTF-8 text"),
+            ({"players": ("A",)}, "^1 player names for 2 weights$"),
+        ],
+    )
+    def test_the_constructor_checks_every_field(self, fields, message):
+        # A document built in code follows the rules of a JSON document.
+        with pytest.raises(ParseError, match=message):
+            GameDocument(**{"quota": 1, "weights": (1, 1), "players": ("A", "B"), **fields})
 
     def test_metadata_fields_must_be_strings(self):
         for metadata in ({"label": {"x": [1, 2]}}, {"date": 5}):
@@ -243,6 +259,10 @@ class TestDecimalString:
         # Refused at once: the long division alone would run for seconds.
         with pytest.raises(GameError, match="at most"):
             decimal_string(F(1, 3), 10**7)
+        # A computed value whose integer part str() cannot print, refused as
+        # render_table refuses it.
+        with pytest.raises(GameError, match="^value too long to print: "):
+            decimal_string(F(10**5000, 3), 2)
 
     @given(st.fractions() | st.integers(), st.integers(1, 12))
     @example(F(5, 32), 4)
@@ -346,6 +366,30 @@ games = st.builds(
     lambda g: {"quota": str(g.quota), "weights": [str(w) for w in g.weights]},
     rational_weighted_games(max_players=6),
 )
+
+
+@given(documents)
+@settings(max_examples=200, deadline=None)
+def test_code_and_json_documents_agree(obj):
+    # The same fields, built in code and read from JSON: equal documents, or
+    # the same refusal. Only a metadata value that is no object is JSON's own.
+    metadata = {} if obj.get("metadata") is None else obj["metadata"]
+    assume(isinstance(metadata, dict))
+    players = obj.get("players")
+    if players is None:
+        players = [f"P{k + 1}" for k in range(len(obj["weights"]))]
+
+    def outcome(build):
+        try:
+            return build()
+        except GameError as err:
+            return type(err), str(err)
+
+    read = outcome(lambda: GameDocument.from_json_obj(obj))
+    built = outcome(lambda: GameDocument(
+        obj["quota"], obj["weights"], players, metadata.get("label"), metadata.get("date")
+    ))
+    assert read == built
 
 
 @given(st.one_of(json_values, documents, games))
