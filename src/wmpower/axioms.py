@@ -315,20 +315,18 @@ def check_symw(f: IndexFunction, game: WeightedMajorityGame) -> AxiomVerdict:
     return _verdict("SYMw", True)
 
 
-def check_dpmw(
-    f: IndexFunction, games: Sequence[WeightedMajorityGame]
-) -> AxiomVerdict:
+def check_dpmw(f: IndexFunction, games: Iterable[WeightedMajorityGame]) -> AxiomVerdict:
     """Weighted DP-mergeability: f(union) is the mwc-count weighted average."""
+    games = _items(games, "games")
     return _averaging_verdict("DPMw", f, mwc_count, merged_game(games), games)
 
 
-def check_hcmw(
-    f: IndexFunction, games: Sequence[WeightedMajorityGame]
-) -> AxiomVerdict:
+def check_hcmw(f: IndexFunction, games: Iterable[WeightedMajorityGame]) -> AxiomVerdict:
     """Weighted HCM-mergeability: f(union) is the sum-|M_i|w_i weighted average."""
     def theta(g: WeightedMajorityGame) -> Fraction:  # on the integer form, over its scale
         return Fraction(sum(_weighted_memberships(g)), g.integer_form[2])
 
+    games = _items(games, "games")
     return _averaging_verdict("HCMw", f, theta, merged_game(games), games)
 
 
@@ -427,7 +425,8 @@ def random_weighted_game(
     Zero weights are allowed, so null players occur; the quota is drawn from
     1..total so the grand coalition always wins.
     """
-    n = rng.randint(2, max_players)
+    n = rng.randint(2, _checked_int(max_players, 2, MAX_PLAYERS, "max_players", GameError))
+    max_weight = _checked_int(max_weight, 1, math.inf, "max_weight", GameError)
     while True:
         weights = [rng.randint(0, max_weight) for _ in range(n)]
         total = sum(weights)

@@ -24,7 +24,7 @@ import os
 import sys
 from bisect import bisect_right
 from collections import Counter, defaultdict
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
 
@@ -169,20 +169,27 @@ def _shown(value) -> str:
 
 
 def _items(container, what: str) -> tuple:
-    # The members of an outside container; one that is not iterable is refused.
-    if not isinstance(container, Iterable):
+    # The one rule for every outside container: its members, as a tuple. Text,
+    # bytes and mappings iterate as characters, bytes or keys, never the items meant.
+    text_or_keys = isinstance(container, (str, bytes, bytearray, Mapping))
+    if text_or_keys or not isinstance(container, Iterable):
         raise ParseError(f"expected an iterable of {what}, got {type(container).__name__}")
     return tuple(container)
+
+
+def _names(players) -> tuple[str, ...]:  # the player names of a document or a table
+    names = _items(players, "player names")
+    if not all(isinstance(p, str) for p in names):
+        raise ParseError("'players' must be a list of strings")
+    return names
 
 
 def _checked_mask(coalition, n_players: int) -> int:
     # The mask of a Coalition or any iterable of player indices in 0..n-1.
     if isinstance(coalition, Coalition) and not coalition._mask >> n_players:
         return coalition._mask  # its members were checked as it was built
-    if not isinstance(coalition, Iterable):
-        raise ParseError(f"expected a coalition, got {type(coalition).__name__}")
     mask = 0
-    for player in coalition:
+    for player in _items(coalition, "player indices"):
         mask |= 1 << _checked_int(player, 0, n_players - 1, "player index")
     return mask
 
@@ -577,9 +584,7 @@ class GameDocument(_Frozen):
         label: str | None = None, date: str | None = None,
     ) -> None:
         quota, weights = exact(quota), tuple(exact(w) for w in _items(weights, "weights"))
-        names = _items(players, "player names")
-        if isinstance(players, (str, dict)) or not all(isinstance(p, str) for p in names):
-            raise ParseError("'players' must be a list of strings")
+        names = _names(players)
         for field, value in (("label", label), ("date", date)):
             if not isinstance(value, (str, type(None))):
                 raise ParseError(f"'metadata.{field}' must be a string")

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .errors import GameError, WeightsRequired
 from .games import Game, WeightedMajorityGame, _Frozen, _checked_int, _print_limit, _shown
-from .games import _items, exact, format_rational, mwc_count
+from .games import _items, _names, exact, format_rational, mwc_count
 
 
 class PowerIndexVector(_Frozen):
@@ -169,7 +169,7 @@ def render_table(
     """
     if fmt not in ("table", "csv", "json"):
         raise GameError(f"unknown format {fmt!r}; use table, csv, or json")
-    vectors, names = _items(vectors, "index vectors"), _items(names, "player names")
+    vectors, names = _items(vectors, "index vectors"), _names(names)
     if any(len(vector) != len(names) for vector in vectors):
         raise GameError(f"{len(names)} player names, but a vector of another length")
     model = [

@@ -10,11 +10,10 @@ are exactly the disjoint union of the components'.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
-from .errors import FewerThanTwoGames, NotWMMergeable, ParseError, PlayerCountMismatch
-from .errors import WeightsRequired
-from .games import Coalition, WeightedMajorityGame, _Frozen, minimal_winning_coalitions
+from .errors import FewerThanTwoGames, NotWMMergeable, PlayerCountMismatch, WeightsRequired
+from .games import Coalition, WeightedMajorityGame, _Frozen, _items, minimal_winning_coalitions
 
 
 class MergeabilityReport(_Frozen):
@@ -77,9 +76,8 @@ class MergeabilityReport(_Frozen):
         return lines
 
 
-def _validated_family(games: Sequence[WeightedMajorityGame]) -> int:
-    if not isinstance(games, Sequence):
-        raise ParseError(f"expected a sequence of games, got {type(games).__name__}")
+def _validated_family(games: Iterable[WeightedMajorityGame]) -> tuple[WeightedMajorityGame, ...]:
+    games = _items(games, "games")
     if len(games) < 2:
         raise FewerThanTwoGames(f"merging needs at least two games, got {len(games)}")
     for g in games:
@@ -87,15 +85,14 @@ def _validated_family(games: Sequence[WeightedMajorityGame]) -> int:
             raise WeightsRequired(f"merging needs weighted games, got a {type(g).__name__}")
         if g.n_players != (n := games[0].n_players):
             raise PlayerCountMismatch(f"player counts differ: {n} vs {g.n_players}")
-    return n
+    return games
 
 
-def wm_union(games: Sequence[WeightedMajorityGame]) -> WeightedMajorityGame:
+def wm_union(games: Iterable[WeightedMajorityGame]) -> WeightedMajorityGame:
     """Union game: minimum of the quotas, componentwise maximum of the weights."""
-    n = _validated_family(games)
+    games = _validated_family(games)
     quota = min(g.quota for g in games)
-    weights = tuple(max(g.weights[i] for g in games) for i in range(n))
-    return WeightedMajorityGame(quota, weights)
+    return WeightedMajorityGame(quota, tuple(map(max, zip(*(g.weights for g in games)))))
 
 
 def _losing_counterexample(
@@ -116,9 +113,7 @@ def _losing_counterexample(
     return None
 
 
-def check_wm_mergeability(
-    games: Sequence[WeightedMajorityGame],
-) -> MergeabilityReport:
+def check_wm_mergeability(games: Iterable[WeightedMajorityGame]) -> MergeabilityReport:
     """Evaluate all four mergeability conditions, unconditionally.
 
     1. every game has the union's quota, the least of them;
@@ -132,7 +127,8 @@ def check_wm_mergeability(
     4. the union has exactly as many minimal winning coalitions as the
        components combined.
     """
-    union = wm_union(games)  # validates the family
+    games = _validated_family(games)
+    union = wm_union(games)
     equal_quotas = all(g.quota == union.quota for g in games)
     offending = tuple(
         i for i, top in enumerate(union.weights) if any(g.weights[i] not in (0, top) for g in games)
@@ -154,7 +150,7 @@ def check_wm_mergeability(
     )
 
 
-def merged_game(games: Sequence[WeightedMajorityGame]) -> WeightedMajorityGame:
+def merged_game(games: Iterable[WeightedMajorityGame]) -> WeightedMajorityGame:
     """The union game, but only if the family is mergeable.
 
     On success the union's minimal winning coalitions are guaranteed to be

@@ -30,6 +30,7 @@ from wmpower import (
     deegan_packel,
     ecuador_document,
     hcm,
+    merged_game,
     minimal_winning_coalitions,
     mwc_group_decomposition,
     public_good,
@@ -40,6 +41,7 @@ from wmpower import (
     simple_union,
     single_mwc_decomposition,
     witness_index,
+    wm_union,
 )
 from wmpower import axioms
 from wmpower.errors import GameError, NotMergeable, NotUnanimityLike, NotWMMergeable, UnknownKind
@@ -238,6 +240,34 @@ class TestDpmw:
         with pytest.raises(NotWMMergeable) as exc_info:
             check_dpmw(colomer_martinez, (wmg(5, 1, 2, 3), wmg(6, 1, 4, 5)))
         assert not exc_info.value.report.equal_quotas
+
+
+@pytest.mark.parametrize(
+    "family",
+    [FAMILY, single_mwc_decomposition(GAME_51), (wmg(5, 1, 2, 3), wmg(6, 1, 4, 5))],
+    ids=["pair", "decomposition", "not_mergeable"],
+)
+@pytest.mark.parametrize(
+    "check",
+    [
+        wm_union,
+        check_wm_mergeability,
+        merged_game,
+        functools.partial(check_dpmw, hcm),
+        functools.partial(check_hcmw, hcm),
+    ],
+    ids=["wm_union", "check_wm_mergeability", "merged_game", "check_dpmw", "check_hcmw"],
+)
+def test_a_generator_of_games_is_answered_as_its_list(family, check):
+    # The family is read once, as a tuple, so a generator is not used up
+    # before the weighted average reads it.
+    def answer(games):
+        try:
+            return check(games)
+        except NotWMMergeable as err:
+            return err.report
+
+    assert answer(game for game in family) == answer(list(family))
 
 
 class TestHcmw:

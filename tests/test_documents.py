@@ -125,8 +125,8 @@ class TestParseGame:
         ("fields", "message"),
         [
             ({"players": ("A", 2)}, "^'players' must be a list of strings$"),
-            ({"players": "AB"}, "^'players' must be a list of strings$"),
-            ({"players": {"A": 1, "B": 2}}, "^'players' must be a list of strings$"),
+            ({"players": "AB"}, "^expected an iterable of player names, got str$"),
+            ({"players": {"A": 1, "B": 2}}, "^expected an iterable of player names, got dict$"),
             ({"label": 5}, "^'metadata.label' must be a string$"),
             ({"date": b"2021"}, "^'metadata.date' must be a string$"),
             ({"players": ("A", "\ud800")}, "^names and metadata must be UTF-8 text"),
@@ -331,6 +331,9 @@ class TestRenderTable:
         for names in (self.NAMES[:2], (*self.NAMES, "D")):
             with pytest.raises(GameError, match="player names"):
                 render_table(self.VECTORS, names, fmt=fmt)
+        # Each name is a str, as in a game document.
+        with pytest.raises(ParseError, match="^'players' must be a list of strings$"):
+            render_table(self.VECTORS, [1, 2, 3], fmt=fmt)
 
     def test_digits_must_be_an_int(self):
         # Refused as bad digits, before any value is rendered.

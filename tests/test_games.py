@@ -1,6 +1,10 @@
+import ast
+import functools
+import random
 import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +12,7 @@ from hypothesis import strategies as st
 
 import ladder
 import oracles
+import wmpower
 from package import run_python
 from strategies import bits40_game, prime_reciprocals_game, rational_weighted_games
 from strategies import mwc_sets, sg, simple_game_pairs, simple_games
@@ -25,6 +30,7 @@ from wmpower import (
     minimal_antichain,
     minimal_winning_coalitions,
     mwc_group_decomposition,
+    random_weighted_game,
     render_table,
     simple_intersection,
     simple_mergeable,
@@ -207,6 +213,7 @@ INDEX_LIKE = st.one_of(
 @example(1.5)  # no member
 @example(1.0)  # no mwc index
 @example([1, 2])  # a coalition to test a subset against
+@example(2**80)  # a largest weight to draw
 @example(10**5000)  # an int too long to print, as an index, a count or digits
 @example([10**5000])  # and as a member of a coalition
 @settings(max_examples=300, deadline=1000)
@@ -233,9 +240,15 @@ def test_outside_indices_and_counts_are_ints_or_game_errors(value):
     assert accepted(lambda: mwc_group_decomposition(game, groups)) == (is_int and value == 1)
     digits = is_int and 1 <= value <= sys.get_int_max_str_digits()
     assert accepted(lambda: decimal_string(Fraction(1, 3), value)) == digits
+    rng = random.Random(0)
+    assert accepted(lambda: random_weighted_game(rng, value)) == (is_int and 2 <= value <= 64)
+    # Weights drawn up to 10**5000 are too long to print, so the game refuses
+    # them; the drawn ints stop at 2**80.
+    max_weight = is_int and 1 <= value <= 2**80
+    assert accepted(lambda: random_weighted_game(rng, 3, value)) == max_weight
 
-    def members_within(n: int) -> bool:  # an iterable of player indices below n
-        return isinstance(value, (list, str)) and all(
+    def members_within(n: int) -> bool:  # a list of player indices below n
+        return isinstance(value, list) and all(
             type(p) is int and 0 <= p < n for p in value
         )
 
@@ -254,12 +267,32 @@ def test_outside_indices_and_counts_are_ints_or_game_errors(value):
 
 
 THREE = WeightedMajorityGame(2, [1, 1, 1])
+VECTOR = PowerIndexVector("X", [1, 0])
+
+# Text, bytes and a mapping are iterable, but as characters, byte values or
+# keys: each is refused wherever a container of outside items belongs.
+TEXT_OR_KEYS = {"str": "01", "bytes": b"\x00\x01", "bytearray": bytearray(2), "dict": {0: 1, 1: 1}}
+CONTAINERS = {
+    "coalition": Coalition,
+    "is_winning": THREE.is_winning,
+    "simple_game": lambda items: SimpleGame(2, items),
+    "minimal_antichain": minimal_antichain,
+    "groups": lambda items: mwc_group_decomposition(THREE, items),
+    "group": lambda items: mwc_group_decomposition(THREE, [[0], items]),
+    "wm_union": wm_union,
+    "weights": lambda items: WeightedMajorityGame(1, items),
+    "document_weights": lambda items: GameDocument(1, items, ["A", "B"]),
+    "document_players": lambda items: GameDocument(1, [1, 1], items),
+    "vector_values": lambda items: PowerIndexVector("X", items),
+    "table_vectors": lambda items: render_table(items, ["A", "B"]),
+    "table_names": lambda items: render_table([VECTOR], items),
+}
 
 
 # A container that is not iterable: a coalition, a family of coalitions, the
 # groups of a decomposition or one group, a family of games, a game's or a
 # document's weights, a document's names, a vector's values, and the vectors
-# and names of a table.
+# and names of a table; then each of these as text, bytes or a mapping.
 @pytest.mark.parametrize(
     "call",
     [
@@ -281,6 +314,11 @@ THREE = WeightedMajorityGame(2, [1, 1, 1])
         lambda: PowerIndexVector("X", 5),
         lambda: render_table(5, ["A"]),
         lambda: render_table([PowerIndexVector("X", [1])], 5),
+        *(
+            functools.partial(check, items)
+            for check in CONTAINERS.values()
+            for items in TEXT_OR_KEYS.values()
+        ),
     ],
     ids=[
         "is_winning", "coalition", "coalition_weight", "issubset", "unanimity_game",
@@ -288,11 +326,45 @@ THREE = WeightedMajorityGame(2, [1, 1, 1])
         "simple_game", "minimal_antichain", "group", "groups", "wm_union",
         "weights", "document_weights", "document_players", "vector_values",
         "table_vectors", "table_names",
+        *(f"{name}_{kind}" for name in CONTAINERS for kind in TEXT_OR_KEYS),
     ],
 )
 def test_non_iterable_containers_are_parse_errors(call):
-    with pytest.raises(ParseError, match="^expected "):
+    with pytest.raises(ParseError, match=r"^expected an iterable of [a-z ]+, got \w+$"):
         call()
+
+
+# One function per kind of outside input: containers are checked only in
+# games._items, and only the scalar and the integer rule test for a bool.
+ONE_RULE = {
+    ("games._items", "Iterable"),
+    ("games._items", "Mapping"),
+    ("games._checked_int", "bool"),
+    ("games.exact", "bool"),
+}
+
+
+def isinstance_classes(node: ast.AST, where: str):
+    # (function, class name) for each class an isinstance call under node
+    # names; the function is the innermost around the call, as module.name.
+    if isinstance(node, ast.FunctionDef):
+        where = f"{where.partition('.')[0]}.{node.name}"
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+        for named in ast.walk(node.args[-1]):
+            if isinstance(named, (ast.Name, ast.Attribute)):
+                yield where, getattr(named, "id", None) or named.attr
+    for child in ast.iter_child_nodes(node):
+        yield from isinstance_classes(child, where)
+
+
+def test_containers_and_bools_are_tested_in_one_place():
+    found = {
+        pair
+        for path in Path(wmpower.__file__).parent.glob("*.py")
+        for pair in isinstance_classes(ast.parse(path.read_text()), path.stem)
+        if pair[1] in {"Iterable", "Sequence", "Mapping", "bool"}
+    }
+    assert found == ONE_RULE
 
 
 def test_minimal_antichain_takes_plain_iterables_of_player_indices():
