@@ -31,10 +31,10 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 
 from .errors import EmptyCoalition, FewerThanTwoGames, GameError, NotMergeable
-from .errors import NotUnanimityLike, PlayerCountMismatch, SamePlayer, UnknownKind
+from .errors import NotUnanimityLike, SamePlayer, UnknownKind
 from .games import MAX_PLAYERS, Coalition, Game, SimpleGame, WeightedMajorityGame, _Frozen
 from .games import _canonical, _checked_int, _checked_mask, _items, _minimal_masks
-from .games import _support_mask, minimal_winning_coalitions, mwc_count
+from .games import _same_players, _support_mask, _weighted, minimal_winning_coalitions, mwc_count
 from .indices import PowerIndexVector, _memberships, _weighted_memberships
 from .indices import colomer_martinez, hcm
 from .merging import merged_game
@@ -112,10 +112,7 @@ def unanimity_game(n_players: int, coalition) -> SimpleGame:
 
 def _simple_pair(v: Game, v_prime: Game) -> tuple[SimpleGame, SimpleGame]:
     # A weighted game stands for its induced simple game.
-    if v.n_players != v_prime.n_players:
-        raise PlayerCountMismatch(
-            f"player counts differ: {v.n_players} vs {v_prime.n_players}"
-        )
+    _same_players((v, v_prime))
     return minimal_winning_coalitions(v), minimal_winning_coalitions(v_prime)
 
 
@@ -291,7 +288,7 @@ def check_symw(f: IndexFunction, game: WeightedMajorityGame) -> AxiomVerdict:
     ordered pairs with f_j != 0 tries this j first and fails on some pair iff
     it fails on one with this j, so its first failure is this one's.
     """
-    masks = minimal_winning_coalitions(game).masks
+    masks = minimal_winning_coalitions(_weighted(game, "SYMw")).masks
     if len(masks) != 1:
         raise NotUnanimityLike(
             f"weighted symmetry needs exactly one minimal winning coalition, "
@@ -384,10 +381,13 @@ def mwc_group_decomposition(
     everywhere); all other weights drop to zero. Groups must partition the
     indices of the game's canonical mwc tuple.
     """
-    masks = minimal_winning_coalitions(game).masks
+    masks = minimal_winning_coalitions(_weighted(game, "a decomposition")).masks
     groups = [_items(g, "mwc indices") for g in _items(groups, "groups of mwc indices")]
     if len(groups) < 2:
-        raise FewerThanTwoGames("a decomposition needs at least two groups")
+        raise FewerThanTwoGames(
+            "a decomposition needs at least two groups of minimal winning coalitions, "
+            f"got {len(groups)}"
+        )
     seen = [_checked_int(k, 0, len(masks) - 1, "mwc index", GameError) for g in groups for k in g]
     if sorted(seen) != list(range(len(masks))) or any(not group for group in groups):
         raise GameError(
@@ -409,12 +409,7 @@ def single_mwc_decomposition(
     Requires at least two minimal winning coalitions. Merging the result
     recovers the original game.
     """
-    count = mwc_count(game)
-    if count < 2:
-        raise GameError(
-            "decomposition needs a game with at least two minimal winning coalitions"
-        )
-    return mwc_group_decomposition(game, [[k] for k in range(count)])
+    return mwc_group_decomposition(game, [[k] for k in range(mwc_count(game))])
 
 
 def random_weighted_game(

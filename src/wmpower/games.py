@@ -24,12 +24,13 @@ import os
 import sys
 from bisect import bisect_right
 from collections import Counter, defaultdict
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence, Set
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import EmptyCoalition, GameError, GrandCoalitionLoses, NegativeWeight
-from .errors import NonPositiveQuota, ParseError, PlayerOutOfRange, TooManyPlayers
+from .errors import NonPositiveQuota, ParseError, PlayerCountMismatch, PlayerOutOfRange
+from .errors import TooManyPlayers, WeightsRequired
 
 MAX_PLAYERS = 64
 _FULL_MASK = (1 << MAX_PLAYERS) - 1
@@ -177,8 +178,16 @@ def _items(container, what: str) -> tuple:
     return tuple(container)
 
 
+def _ordered(container, what: str) -> tuple:
+    # The container rule where the order is the meaning (weights, values, names,
+    # table rows): a set iterates in hash order, so it is refused too.
+    if isinstance(container, Set):
+        raise ParseError(f"expected an iterable of {what} in order, got {type(container).__name__}")
+    return _items(container, what)
+
+
 def _names(players) -> tuple[str, ...]:  # the player names of a document or a table
-    names = _items(players, "player names")
+    names = _ordered(players, "player names")
     if not all(isinstance(p, str) for p in names):
         raise ParseError("'players' must be a list of strings")
     return names
@@ -310,7 +319,7 @@ class WeightedMajorityGame(_Frozen):
 
     def __init__(self, quota: Fraction | int | str, weights: Iterable) -> None:
         quota = exact(quota)
-        weights = tuple(exact(w) for w in _items(weights, "weights"))
+        weights = tuple(exact(w) for w in _ordered(weights, "weights"))
         self._set(quota, weights)
         if quota <= 0:
             raise NonPositiveQuota(f"quota {quota} must be positive")
@@ -548,6 +557,20 @@ def minimal_winning_coalitions(game: Game) -> SimpleGame:
     return game.induced_simple_game
 
 
+def _weighted(game, what: str) -> WeightedMajorityGame:
+    # The one rule for what is defined on weights (CM, HCM, merging, SYMw, decompositions).
+    if not isinstance(game, WeightedMajorityGame):
+        raise WeightsRequired(f"{what} needs a weighted game, got a {type(game).__name__}")
+    return game
+
+
+def _same_players(games: Sequence[Game]) -> None:
+    # The one rule for games combined in one operation: one player count.
+    for g in games:
+        if g.n_players != (n := games[0].n_players):
+            raise PlayerCountMismatch(f"player counts differ: {n} vs {g.n_players}")
+
+
 def mwc_count(game: Game) -> int:
     """|M|, the number of minimal winning coalitions; every count-only reader asks here."""
     return len(minimal_winning_coalitions(game).masks)
@@ -583,7 +606,7 @@ class GameDocument(_Frozen):
         self, quota: Fraction | int | str, weights: Iterable, players: Iterable[str],
         label: str | None = None, date: str | None = None,
     ) -> None:
-        quota, weights = exact(quota), tuple(exact(w) for w in _items(weights, "weights"))
+        quota, weights = exact(quota), tuple(exact(w) for w in _ordered(weights, "weights"))
         names = _names(players)
         for field, value in (("label", label), ("date", date)):
             if not isinstance(value, (str, type(None))):
@@ -659,6 +682,9 @@ def parse_game(text: str) -> GameDocument:
 
 def load_game(path: str | os.PathLike[str]) -> GameDocument:
     """Load a document from a JSON file (UTF-8 text); each refusal names the path."""
+    # open() takes an int as a file descriptor, which it reads and then closes.
+    if not isinstance(path, (str, os.PathLike)):
+        raise ParseError(f"expected a path as a str or os.PathLike, got {type(path).__name__}")
     try:
         with open(path, encoding="utf-8") as file:
             text = file.read()

@@ -20,9 +20,9 @@ import math
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 
-from .errors import GameError, WeightsRequired
+from .errors import GameError, ParseError
 from .games import Game, WeightedMajorityGame, _Frozen, _checked_int, _print_limit, _shown
-from .games import _items, _names, exact, format_rational, mwc_count
+from .games import _names, _ordered, _weighted, exact, format_rational, mwc_count
 
 
 class PowerIndexVector(_Frozen):
@@ -31,9 +31,11 @@ class PowerIndexVector(_Frozen):
     _fields = ("kind", "values")
 
     def __init__(self, kind: str, values: Iterable) -> None:
+        if not isinstance(kind, str):
+            raise ParseError(f"expected an index kind as a str, got {type(kind).__name__}")
         # A Fraction is kept as it is: the indices compute theirs, and only
         # rendering needs one short enough to print.
-        values = _items(values, "values")
+        values = _ordered(values, "values")
         self._set(kind, tuple(v if isinstance(v, Fraction) else exact(v) for v in values))
 
     def __iter__(self) -> Iterator[Fraction]:
@@ -99,19 +101,10 @@ def public_good(game: Game) -> PowerIndexVector:
     return _efficient("PG", counts, sum(counts))
 
 
-def _require_weights(game: Game, index_name: str) -> WeightedMajorityGame:
-    if not isinstance(game, WeightedMajorityGame):
-        raise WeightsRequired(
-            f"{index_name} is defined on the weighted representation; "
-            "got a bare simple game"
-        )
-    return game
-
-
 def colomer_martinez(game: Game) -> PowerIndexVector:
     """Colomer-Martinez index: average over a player's mwcs of its weight share w_i/w_S."""
     # On the integer form: scaling every weight keeps each ratio w_i/w(S).
-    weights, _, _ = _require_weights(game, "colomer_martinez").integer_form
+    weights, _, _ = _weighted(game, "colomer_martinez").integer_form
     m, tallies = mwc_count(game), game._mwc_tally
     # Over a common multiple of the mwc weights t, each c/t is the integer
     # c * (lcm // t); every player shares the quotients.
@@ -125,7 +118,7 @@ def colomer_martinez(game: Game) -> PowerIndexVector:
 def hcm(game: Game) -> PowerIndexVector:
     """HCM index: power proportional to (own mwc count) times (own weight)."""
     # On the integer form, as in colomer_martinez: the scale cancels.
-    numerators = _weighted_memberships(_require_weights(game, "hcm"))
+    numerators = _weighted_memberships(_weighted(game, "hcm"))
     return _efficient("HCM", numerators, sum(numerators))
 
 
@@ -139,15 +132,19 @@ INDEX_FUNCTIONS = {
 }
 
 
-def decimal_string(value: Fraction | int | str, digits: int = 4) -> str:
-    """Fixed-point decimal expansion of an exact rational, round-half-even."""
-    value = value if isinstance(value, Fraction) else exact(value)
+def _checked_digits(digits) -> None:  # decimal places: 1 up to what str() prints
     if _checked_int(digits, -math.inf, math.inf, "digits", GameError) < 1:
         raise GameError(f"digits must be at least 1, got {digits}")
     # More digits could not be printed; refuse them before the long division.
     limit = _print_limit()
     if limit and digits > limit:
         raise GameError(f"digits must be at most {limit}, got {_shown(digits)}")
+
+
+def decimal_string(value: Fraction | int | str, digits: int = 4) -> str:
+    """Fixed-point decimal expansion of an exact rational, round-half-even."""
+    value = value if isinstance(value, Fraction) else exact(value)
+    _checked_digits(digits)
     sign = "-" if value < 0 else ""
     scale = 10**digits
     # round() of a Fraction is exact, and rounds half to even.
@@ -169,7 +166,8 @@ def render_table(
     """
     if fmt not in ("table", "csv", "json"):
         raise GameError(f"unknown format {fmt!r}; use table, csv, or json")
-    vectors, names = _items(vectors, "index vectors"), _names(names)
+    _checked_digits(digits)
+    vectors, names = _ordered(vectors, "index vectors"), _names(names)
     if any(len(vector) != len(names) for vector in vectors):
         raise GameError(f"{len(names)} player names, but a vector of another length")
     model = [

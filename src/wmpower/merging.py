@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from .errors import FewerThanTwoGames, NotWMMergeable, PlayerCountMismatch, WeightsRequired
-from .games import Coalition, WeightedMajorityGame, _Frozen, _items, minimal_winning_coalitions
+from .errors import FewerThanTwoGames, NotWMMergeable
+from .games import Coalition, WeightedMajorityGame, _Frozen, _items, _same_players, _weighted
+from .games import minimal_winning_coalitions
 
 
 class MergeabilityReport(_Frozen):
@@ -77,14 +78,10 @@ class MergeabilityReport(_Frozen):
 
 
 def _validated_family(games: Iterable[WeightedMajorityGame]) -> tuple[WeightedMajorityGame, ...]:
-    games = _items(games, "games")
+    games = tuple(_weighted(g, "merging") for g in _items(games, "games"))
     if len(games) < 2:
         raise FewerThanTwoGames(f"merging needs at least two games, got {len(games)}")
-    for g in games:
-        if not isinstance(g, WeightedMajorityGame):
-            raise WeightsRequired(f"merging needs weighted games, got a {type(g).__name__}")
-        if g.n_players != (n := games[0].n_players):
-            raise PlayerCountMismatch(f"player counts differ: {n} vs {g.n_players}")
+    _same_players(games)
     return games
 
 

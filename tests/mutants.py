@@ -154,8 +154,8 @@ MUTANTS = (
     # A document keeps the coerced quota and weights, not the caller's.
     (
         "games.py",
-        'quota, weights = exact(quota), tuple(exact(w) for w in _items(weights, "weights"))',
-        'quota, weights = quota, _items(weights, "weights")',
+        'quota, weights = exact(quota), tuple(exact(w) for w in _ordered(weights, "weights"))',
+        'quota, weights = quota, _ordered(weights, "weights")',
         ("tests/test_documents.py",),
         "killed",
     ),
@@ -166,6 +166,29 @@ MUTANTS = (
         "text_or_keys = isinstance(container, (str, bytes, bytearray, Mapping))",
         "text_or_keys = isinstance(container, (str, dict))",
         ("tests/test_games.py", "tests/test_documents.py"),
+        "killed",
+    ),
+    # Where the order is the meaning, a set is refused too.
+    (
+        "games.py",
+        "if isinstance(container, Set):",
+        "if False:",
+        ("tests/test_games.py",),
+        "killed",
+    ),
+    # The one rule for what needs weights, and for games combined in one operation.
+    (
+        "games.py",
+        "if not isinstance(game, WeightedMajorityGame):",
+        "if False:",
+        ("tests/test_games.py",),
+        "killed",
+    ),
+    (
+        "games.py",
+        "if g.n_players != (n := games[0].n_players):",
+        "if False:",
+        ("tests/test_games.py", "tests/test_merging.py"),
         "killed",
     ),
     # A document's text encodes as UTF-8.

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from package import run_python
 from strategies import rational_weighted_games
 from wmpower import (
     ECUADOR_PERIODS,
@@ -188,6 +190,35 @@ class TestParseGame:
         assert type(info.value) is error
         assert str(info.value).startswith(f"{path}: ")
         assert str(info.value).count(str(path)) == 1
+
+    @pytest.mark.parametrize("path", [None, 1.5, b"g.json", ["g.json"]])
+    def test_load_game_takes_a_str_or_a_path_like(self, path):
+        with pytest.raises(ParseError, match=r"^expected a path as a str or os\.PathLike, got"):
+            load_game(path)
+
+    def test_load_game_leaves_a_file_descriptor_open(self):
+        # open() would read an int as a descriptor, then close it.
+        read, write = os.pipe()
+        os.write(write, ecuador_document("may21").to_json().encode())
+        os.close(write)
+        try:
+            with pytest.raises(ParseError, match="got int$"):
+                load_game(read)
+            os.fstat(read)  # raises OSError once closed
+        finally:
+            with contextlib.suppress(OSError):
+                os.close(read)
+
+    def test_load_game_leaves_stdout_open(self):
+        # True is descriptor 1 to open(); in a child, so a fault cannot close ours.
+        script = (
+            "from wmpower import load_game\n"
+            "from wmpower.errors import ParseError\n"
+            "try:\n    load_game(True)\nexcept ParseError as err:\n    print(err)\n"
+        )
+        result = run_python("-c", script, timeout=60)
+        refusal = "expected a path as a str or os.PathLike, got bool\n"
+        assert (result.returncode, result.stdout) == (0, refusal)
 
 
 class TestEcuadorDatasets:

@@ -50,6 +50,7 @@ from wmpower.errors import (
     PlayerOutOfRange,
     SamePlayer,
     TooManyPlayers,
+    WeightsRequired,
 )
 from wmpower.games import exact
 
@@ -240,6 +241,7 @@ def test_outside_indices_and_counts_are_ints_or_game_errors(value):
     assert accepted(lambda: mwc_group_decomposition(game, groups)) == (is_int and value == 1)
     digits = is_int and 1 <= value <= sys.get_int_max_str_digits()
     assert accepted(lambda: decimal_string(Fraction(1, 3), value)) == digits
+    assert accepted(lambda: render_table([], [], "json", value)) == digits  # with no value
     rng = random.Random(0)
     assert accepted(lambda: random_weighted_game(rng, value)) == (is_int and 2 <= value <= 64)
     # Weights drawn up to 10**5000 are too long to print, so the game refuses
@@ -272,6 +274,12 @@ VECTOR = PowerIndexVector("X", [1, 0])
 # Text, bytes and a mapping are iterable, but as characters, byte values or
 # keys: each is refused wherever a container of outside items belongs.
 TEXT_OR_KEYS = {"str": "01", "bytes": b"\x00\x01", "bytearray": bytearray(2), "dict": {0: 1, 1: 1}}
+# A set iterates in hash order: it is refused where the order is the meaning.
+UNORDERED = {"set": {0, 1}, "frozenset": frozenset({0, 1})}
+ORDERED = (
+    "weights", "document_weights", "document_players", "vector_values",
+    "table_vectors", "table_names",
+)
 CONTAINERS = {
     "coalition": Coalition,
     "is_winning": THREE.is_winning,
@@ -292,7 +300,8 @@ CONTAINERS = {
 # A container that is not iterable: a coalition, a family of coalitions, the
 # groups of a decomposition or one group, a family of games, a game's or a
 # document's weights, a document's names, a vector's values, and the vectors
-# and names of a table; then each of these as text, bytes or a mapping.
+# and names of a table; then each of these as text, bytes or a mapping, and
+# each whose order is its meaning as a set.
 @pytest.mark.parametrize(
     "call",
     [
@@ -319,6 +328,11 @@ CONTAINERS = {
             for check in CONTAINERS.values()
             for items in TEXT_OR_KEYS.values()
         ),
+        *(
+            functools.partial(CONTAINERS[name], items)
+            for name in ORDERED
+            for items in UNORDERED.values()
+        ),
     ],
     ids=[
         "is_winning", "coalition", "coalition_weight", "issubset", "unanimity_game",
@@ -327,6 +341,7 @@ CONTAINERS = {
         "weights", "document_weights", "document_players", "vector_values",
         "table_vectors", "table_names",
         *(f"{name}_{kind}" for name in CONTAINERS for kind in TEXT_OR_KEYS),
+        *(f"{name}_{kind}" for name in ORDERED for kind in UNORDERED),
     ],
 )
 def test_non_iterable_containers_are_parse_errors(call):
@@ -334,37 +349,104 @@ def test_non_iterable_containers_are_parse_errors(call):
         call()
 
 
+def test_unordered_containers_are_taken_where_order_means_nothing():
+    # A coalition, an mwc family, the groups of a decomposition and a family
+    # of games are sets already.
+    assert Coalition({0, 1}) == Coalition(frozenset({1, 0}))
+    game = SimpleGame(2, {Coalition([0]), Coalition([1])})
+    assert game == SimpleGame(2, frozenset({frozenset({1}), frozenset({0})}))
+    assert minimal_antichain({frozenset({0, 1}), frozenset({0})}) == (Coalition([0]),)
+    parts = mwc_group_decomposition(THREE, {frozenset({0}), frozenset({1, 2})})
+    assert wm_union(set(parts)) == THREE
+
+
 # One function per kind of outside input: containers are checked only in
-# games._items, and only the scalar and the integer rule test for a bool.
+# games._items, sets where the order is the meaning in games._ordered, and
+# only the scalar and the integer rule test for a bool.
 ONE_RULE = {
     ("games._items", "Iterable"),
     ("games._items", "Mapping"),
+    ("games._ordered", "Set"),
     ("games._checked_int", "bool"),
     ("games.exact", "bool"),
 }
 
 
-def isinstance_classes(node: ast.AST, where: str):
-    # (function, class name) for each class an isinstance call under node
-    # names; the function is the innermost around the call, as module.name.
+def located_nodes(node: ast.AST, where: str):
+    # (function, node) for node and each node under it; the function is the
+    # innermost around the node, as module.name.
     if isinstance(node, ast.FunctionDef):
         where = f"{where.partition('.')[0]}.{node.name}"
-    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
-        for named in ast.walk(node.args[-1]):
-            if isinstance(named, (ast.Name, ast.Attribute)):
-                yield where, getattr(named, "id", None) or named.attr
+    yield where, node
     for child in ast.iter_child_nodes(node):
-        yield from isinstance_classes(child, where)
+        yield from located_nodes(child, where)
+
+
+def source_nodes():
+    # (function, node) for every node of every module of the package.
+    for path in Path(wmpower.__file__).parent.glob("*.py"):
+        yield from located_nodes(ast.parse(path.read_text()), path.stem)
+
+
+def named(node: ast.AST) -> str | None:
+    return getattr(node, "id", None) or getattr(node, "attr", None)
 
 
 def test_containers_and_bools_are_tested_in_one_place():
+    # (function, class name) for each class an isinstance call names.
     found = {
-        pair
-        for path in Path(wmpower.__file__).parent.glob("*.py")
-        for pair in isinstance_classes(ast.parse(path.read_text()), path.stem)
-        if pair[1] in {"Iterable", "Sequence", "Mapping", "bool"}
+        (where, named(cls))
+        for where, node in source_nodes()
+        if isinstance(node, ast.Call) and named(node.func) == "isinstance"
+        for cls in ast.walk(node.args[-1])
+        if named(cls) in {"Iterable", "Sequence", "Mapping", "Set", "bool"}
     }
     assert found == ONE_RULE
+
+
+def test_weights_and_player_counts_are_refused_in_one_place():
+    # (function, error) for each raise of the two game rules' errors; a bare
+    # raise names no error.
+    found = {
+        (where, named(getattr(node.exc, "func", node.exc)))
+        for where, node in source_nodes()
+        if isinstance(node, ast.Raise) and node.exc is not None
+    }
+    assert {pair for pair in found if pair[1] in {"WeightsRequired", "PlayerCountMismatch"}} == {
+        ("games._weighted", "WeightsRequired"),
+        ("games._same_players", "PlayerCountMismatch"),
+    }
+
+
+BARE = SimpleGame(3, [[0, 1], [1, 2]])
+BARE_FAMILY = [THREE, BARE]  # a weighted game first: each member is checked
+
+
+# Every operation defined on weights refuses a bare simple game, alone or in
+# a family: the indices CM and HCM, merging, the weighted axioms and the
+# decompositions. SYMw gets a game with one mwc, so only the weights are missing.
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: wmpower.colomer_martinez(BARE),
+        lambda: wmpower.hcm(BARE),
+        lambda: wmpower.wm_union(BARE_FAMILY),
+        lambda: wmpower.check_wm_mergeability(BARE_FAMILY),
+        lambda: wmpower.merged_game(BARE_FAMILY),
+        lambda: wmpower.check_symw(wmpower.shapley_shubik, SimpleGame(2, [[0, 1]])),
+        lambda: wmpower.check_dpmw(wmpower.deegan_packel, BARE_FAMILY),
+        lambda: wmpower.check_hcmw(wmpower.public_good, BARE_FAMILY),
+        lambda: wmpower.mwc_group_decomposition(BARE, [[0], [1]]),
+        lambda: wmpower.single_mwc_decomposition(BARE),
+    ],
+    ids=[
+        "cm", "hcm", "wm_union", "check_wm_mergeability", "merged_game", "check_symw",
+        "check_dpmw", "check_hcmw", "mwc_group_decomposition", "single_mwc_decomposition",
+    ],
+)
+def test_weighted_only_operations_refuse_a_bare_game(call):
+    with pytest.raises(WeightsRequired, match=r"^[\w ]+ needs a weighted game, got a SimpleGame$"):
+        call()
 
 
 def test_minimal_antichain_takes_plain_iterables_of_player_indices():

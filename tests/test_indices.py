@@ -30,7 +30,7 @@ from wmpower import (
     unanimity_game,
 )
 import wmpower
-from wmpower.errors import GameError, WeightsRequired
+from wmpower.errors import GameError, ParseError, WeightsRequired
 from wmpower.games import mwc_count
 
 F = Fraction
@@ -54,6 +54,13 @@ def test_power_index_vector_refuses_floats():
     with pytest.raises(GameError, match="float"):
         PowerIndexVector("X", [0.1, 0.9])
     assert PowerIndexVector("X", [1, "1/2", F(-1, 2)]).values == (1, F(1, 2), F(-1, 2))
+
+
+@pytest.mark.parametrize("kind", [5, None, b"X", ("X",)])
+def test_power_index_vector_kind_is_a_str(kind):
+    # render_table prints the kind as a row label or a JSON string.
+    with pytest.raises(ParseError, match="^expected an index kind as a str, got"):
+        PowerIndexVector(kind, [1])
 
 
 def test_efficiency_check_survives_optimize_flag():

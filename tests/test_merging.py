@@ -155,7 +155,8 @@ class TestDecomposition:
         assert parts[1].weights == (4, 0, 2, 1)
 
     def test_needs_multiple_mwcs(self):
-        with pytest.raises(GameError):
+        # The one group of the one mwc is refused as any single group is.
+        with pytest.raises(FewerThanTwoGames, match="groups of minimal winning coalitions, got 1"):
             single_mwc_decomposition(wmg(4, 2, 2, 1))
 
     def test_groups_must_partition(self):
