@@ -332,7 +332,7 @@ _PATCH_FIXTURE = WeightedMajorityGame(Fraction(4), (Fraction(2), Fraction(2), Fr
 
 def _scaled(base: IndexFunction, kind: str) -> IndexFunction:
     def index(game: Game) -> PowerIndexVector:
-        return PowerIndexVector(kind, tuple(2 * v for v in base(game).values))
+        return PowerIndexVector._of(kind, tuple(2 * v for v in base(game).values))
 
     return index
 
@@ -342,7 +342,7 @@ def _patched(
 ) -> IndexFunction:
     def index(game: Game) -> PowerIndexVector:
         if game == _PATCH_FIXTURE:
-            return PowerIndexVector(kind, patch_values)
+            return PowerIndexVector._of(kind, patch_values)
         return base(game)
 
     return index

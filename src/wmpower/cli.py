@@ -148,8 +148,7 @@ def cmd_merge(args) -> int:
     try:
         report = _names.check_wm_mergeability(games)
     except PlayerCountMismatch as err:  # name the first document of another size
-        path = next(p for p, g in zip(args.games, games) if g.n_players != games[0].n_players)
-        err.args = (f"{path}: {err}",)
+        err.args = (f"{args.games[err.index]}: {err}",)
         raise
     for line in report.describe():
         print(line)

@@ -34,7 +34,14 @@ class EmptyCoalition(GameError):
 
 
 class PlayerCountMismatch(GameError):
-    """Games combined in one operation must share the player count."""
+    """Games combined in one operation must share the player count.
+
+    Carries ``index``, the position of the first game of another size.
+    """
+
+    def __init__(self, message, index):
+        super().__init__(message)
+        self.index = index
 
 
 class FewerThanTwoGames(GameError):

@@ -214,6 +214,12 @@ class _Frozen:
 
     _fields: tuple[str, ...] = ()
 
+    @classmethod
+    def _of(cls, *values):  # values the library derived and checked: no __init__
+        record = object.__new__(cls)
+        record._set(*values)
+        return record
+
     def _set(self, *values) -> None:
         self.__dict__.update(zip(self._fields, values, strict=True))
 
@@ -272,9 +278,7 @@ class SimpleGame(_Frozen):
     def _trusted(cls, n_players: int, masks: Iterable[int]) -> "SimpleGame":
         # For masks the library itself produced as an antichain of non-empty
         # coalitions within 0..n-1: sort canonically, skip the O(m**2) checks.
-        game = object.__new__(cls)
-        game._set(n_players, tuple(_canonical(masks)))
-        return game
+        return cls._of(n_players, tuple(_canonical(masks)))
 
     @cached_property
     def mwc(self) -> tuple[Coalition, ...]:
@@ -391,8 +395,7 @@ class WeightedMajorityGame(_Frozen):
         # parent, so holds a parent mwc, which lies in S, so is S; T = S, minimal.
         zero = Fraction(0)
         weights = tuple(w if support >> i & 1 else zero for i, w in enumerate(self.weights))
-        game = object.__new__(type(self))
-        game._set(self.quota, weights)
+        game = self._of(self.quota, weights)
         if mwc is not None:
             game.__dict__["induced_simple_game"] = SimpleGame._trusted(self.n_players, [mwc])
         return game
@@ -565,10 +568,11 @@ def _weighted(game, what: str) -> WeightedMajorityGame:
 
 
 def _same_players(games: Sequence[Game]) -> None:
-    # The one rule for games combined in one operation: one player count.
-    for g in games:
+    # The one rule for games combined in one operation: one player count. The
+    # error carries the position of the first game of another size.
+    for k, g in enumerate(games):
         if g.n_players != (n := games[0].n_players):
-            raise PlayerCountMismatch(f"player counts differ: {n} vs {g.n_players}")
+            raise PlayerCountMismatch(f"player counts differ: {n} vs {g.n_players}", k)
 
 
 def mwc_count(game: Game) -> int:

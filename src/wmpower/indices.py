@@ -56,7 +56,7 @@ def _efficient(kind: str, numerators: list[int], denominator: int) -> PowerIndex
     if (total := sum(numerators)) != denominator:
         # A broken invariant, not bad input: callers map it to an internal error.
         raise AssertionError(f"{kind} vector must sum to 1, got {Fraction(total, denominator)}")
-    return PowerIndexVector(kind, (Fraction(v, denominator) for v in numerators))
+    return PowerIndexVector._of(kind, tuple(Fraction(v, denominator) for v in numerators))
 
 
 def shapley_shubik(game: Game) -> PowerIndexVector:
@@ -75,7 +75,7 @@ def banzhaf(game: Game, normalized: bool = True) -> PowerIndexVector:
         # so some player swings.
         return _efficient("BZ", counts, sum(counts))
     denominator = 1 << (game.n_players - 1)
-    return PowerIndexVector("BZ", tuple(Fraction(c, denominator) for c in counts))
+    return PowerIndexVector._of("BZ", tuple(Fraction(c, denominator) for c in counts))
 
 
 def _memberships(game: Game) -> list[int]:
@@ -145,6 +145,10 @@ def decimal_string(value: Fraction | int | str, digits: int = 4) -> str:
     """Fixed-point decimal expansion of an exact rational, round-half-even."""
     value = value if isinstance(value, Fraction) else exact(value)
     _checked_digits(digits)
+    return _decimal(value, digits)
+
+
+def _decimal(value: Fraction, digits: int) -> str:  # decimal_string on checked input
     sign = "-" if value < 0 else ""
     scale = 10**digits
     # round() of a Fraction is exact, and rounds half to even.
@@ -171,7 +175,7 @@ def render_table(
     if any(len(vector) != len(names) for vector in vectors):
         raise GameError(f"{len(names)} player names, but a vector of another length")
     model = [
-        (vector.kind, [decimal_string(v, digits) for v in vector],
+        (vector.kind, [_decimal(v, digits) for v in vector],
          [format_rational(v) for v in vector] if exact else None)
         for vector in vectors
     ]

@@ -88,8 +88,11 @@ def _validated_family(games: Iterable[WeightedMajorityGame]) -> tuple[WeightedMa
 def wm_union(games: Iterable[WeightedMajorityGame]) -> WeightedMajorityGame:
     """Union game: minimum of the quotas, componentwise maximum of the weights."""
     games = _validated_family(games)
+    # No check of __init__ can fail on a checked family: the least quota is
+    # positive, the greatest weights are not negative, and the grand coalition
+    # weighs no less than in any game, at no higher quota, so it wins.
     quota = min(g.quota for g in games)
-    return WeightedMajorityGame(quota, tuple(map(max, zip(*(g.weights for g in games)))))
+    return WeightedMajorityGame._of(quota, tuple(map(max, zip(*(g.weights for g in games)))))
 
 
 def _losing_counterexample(

@@ -149,6 +149,16 @@ MUTANTS = (
         DECOMPOSITION_TESTS,
         "killed",
     ),
+    # A record built from checked values, and the union built that way.
+    ("games.py", "record._set(*values)", "record._set(*reversed(values))", ("tests/test_games.py",),
+     "killed"),
+    (
+        "merging.py",
+        "return WeightedMajorityGame._of(quota, tuple(map(max, zip(*(g.weights for g in games)))))",
+        "return WeightedMajorityGame._of(quota, tuple(map(min, zip(*(g.weights for g in games)))))",
+        ("tests/test_merging.py",),
+        "killed",
+    ),
     # The validating constructor's antichain test.
     ("games.py", "if len(kept) < len(masks):", "if False:", ("tests/test_games.py",), "killed"),
     # A document keeps the coerced quota and weights, not the caller's.

@@ -25,6 +25,7 @@ from wmpower import (
     parse_rational,
     render_table,
 )
+from wmpower import indices
 from wmpower.cli import main
 from wmpower.errors import GameError, NonPositiveQuota, ParseError
 from wmpower.games import exact as library_exact
@@ -365,6 +366,23 @@ class TestRenderTable:
         # Each name is a str, as in a game document.
         with pytest.raises(ParseError, match="^'players' must be a list of strings$"):
             render_table(self.VECTORS, [1, 2, 3], fmt=fmt)
+
+    @given(st.lists(st.fractions() | st.integers(), min_size=1, max_size=4), st.integers(1, 12))
+    @example([F(5, 32), F(-7, 32), F(1, 2), F(-1, 10**9)], 4)
+    @example([3, -3, 1, 5], 2)
+    def test_decimals_match_half_even_by_definition(self, values, digits):
+        # An int stands for an exact tie when it is odd, as in decimal_string's test.
+        values = [F(v, 2 * 10**digits) if isinstance(v, int) else v for v in values]
+        table = render_table([PowerIndexVector("X", values)], [""] * len(values), "json", digits)
+        expected = [oracles.decimal_by_definition(v, digits) for v in values]
+        assert json.loads(table)["indices"][0]["decimal"] == expected
+
+    def test_digits_are_checked_once_per_table(self, monkeypatch):
+        calls = []
+        check = indices._checked_digits
+        monkeypatch.setattr(indices, "_checked_digits", lambda d: calls.append(d) or check(d))
+        render_table(self.VECTORS, self.NAMES, exact=True)
+        assert calls == [4]
 
     def test_digits_must_be_an_int(self):
         # Refused as bad digits, before any value is rendered.

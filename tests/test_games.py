@@ -16,14 +16,16 @@ import wmpower
 from package import run_python
 from strategies import bits40_game, prime_reciprocals_game, rational_weighted_games
 from strategies import mwc_sets, sg, simple_game_pairs, simple_games
-from strategies import weighted_and_bare_pairs, weighted_games
+from strategies import weighted_and_bare_pairs, weighted_game_families, weighted_games
 from wmpower import (
+    INDEX_FUNCTIONS,
     Coalition,
     GameDocument,
     PowerIndexVector,
     SimpleGame,
     WeightedMajorityGame,
     are_symmetric,
+    banzhaf,
     decimal_string,
     ecuador_document,
     is_null_player,
@@ -35,8 +37,10 @@ from wmpower import (
     simple_intersection,
     simple_mergeable,
     simple_union,
+    single_mwc_decomposition,
     swings,
     unanimity_game,
+    witness_index,
     wm_union,
 )
 from wmpower.errors import (
@@ -52,7 +56,7 @@ from wmpower.errors import (
     TooManyPlayers,
     WeightsRequired,
 )
-from wmpower.games import exact
+from wmpower.games import exact, mwc_count
 
 
 def game_51() -> WeightedMajorityGame:
@@ -416,6 +420,70 @@ def test_weights_and_player_counts_are_refused_in_one_place():
         ("games._weighted", "WeightsRequired"),
         ("games._same_players", "PlayerCountMismatch"),
     }
+
+
+def test_only_of_builds_a_record_without_its_constructor():
+    # Every record the library derives from checked values (a component, a
+    # union, an induced or combined simple game, an index vector) is built by
+    # _Frozen._of, the one function that skips __init__.
+    found = {
+        where
+        for where, node in source_nodes()
+        if isinstance(node, ast.Call) and named(node.func) == "__new__"
+        and named(getattr(node.func, "value", None)) == "object"
+    }
+    assert found == {"games._of"}
+
+
+# Each record built by _Frozen._of equals the validating constructor's build
+# on the same values, with integer, rational and zero weights.
+def same_game(trusted: WeightedMajorityGame, checked: WeightedMajorityGame) -> None:
+    assert trusted == checked and hash(trusted) == hash(checked)
+    assert str(trusted) == str(checked)
+    assert trusted.integer_form == checked.integer_form
+    induced = trusted.induced_simple_game
+    assert induced == checked.induced_simple_game
+    assert induced == SimpleGame(induced.n_players, induced.mwc)
+
+
+MULTI_MWC = st.one_of(weighted_games(), rational_weighted_games(min_players=2)).filter(
+    lambda game: mwc_count(game) >= 2
+)
+WITNESS_KINDS = ("scaled_cm", "scaled_hcm", "np_patch_cm", "np_patch_hcm", "symw_patch_hcm")
+
+
+@given(st.one_of(weighted_game_families(), MULTI_MWC.map(single_mwc_decomposition)))
+@settings(max_examples=80, deadline=None)
+def test_a_union_equals_the_checked_game(family):
+    weights = [max(g.weights[i] for g in family) for i in range(family[0].n_players)]
+    same_game(wm_union(family), WeightedMajorityGame(min(g.quota for g in family), weights))
+
+
+@given(st.one_of(weighted_games(), rational_weighted_games()))
+@example(WeightedMajorityGame(4, [2, 2, 1]))  # the fixture the witnesses patch
+@settings(max_examples=60, deadline=None)
+def test_an_index_vector_equals_the_checked_vector(game):
+    functions = [*INDEX_FUNCTIONS.values(), functools.partial(banzhaf, normalized=False)]
+    functions += map(witness_index, WITNESS_KINDS)
+    for f in functions:
+        vector = f(game)
+        checked = PowerIndexVector(vector.kind, vector.values)
+        assert vector == checked and hash(vector) == hash(checked)
+        assert repr(vector) == repr(checked)  # a Fraction, not an int equal to it
+
+
+@given(MULTI_MWC, st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_component_equals_the_checked_game(game, data):
+    masks = minimal_winning_coalitions(game).masks
+    order = data.draw(st.permutations(range(len(masks))))
+    cut = data.draw(st.integers(1, len(masks) - 1))
+    null = [not any(m >> i & 1 for m in masks) for i in range(game.n_players)]
+    for groups in ([[k] for k in range(len(masks))], [order[:cut], order[cut:]]):
+        for group, component in zip(groups, mwc_group_decomposition(game, groups)):
+            kept = [null[i] or any(masks[k] >> i & 1 for k in group) for i in range(len(null))]
+            zeroed = [w if keep else 0 for w, keep in zip(game.weights, kept)]
+            same_game(component, WeightedMajorityGame(game.quota, zeroed))
 
 
 BARE = SimpleGame(3, [[0, 1], [1, 2]])

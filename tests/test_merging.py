@@ -53,6 +53,11 @@ class TestWmUnion:
         with pytest.raises(PlayerCountMismatch):
             wm_union((wmg(2, 1, 1), wmg(2, 1, 1, 1)))
 
+    def test_player_count_mismatch_names_the_first_game_of_another_size(self):
+        with pytest.raises(PlayerCountMismatch, match="^player counts differ: 2 vs 3$") as err:
+            wm_union((wmg(2, 1, 1), wmg(2, 1, 1), wmg(2, 1, 1, 1), wmg(1, 1)))
+        assert err.value.index == 2
+
     def test_order_insensitive(self):
         family = single_mwc_decomposition(wmg(51, 50, 46, 4, 1))
         expected = wm_union(family)
