@@ -35,7 +35,7 @@ from .errors import NotUnanimityLike, SamePlayer, UnknownKind
 from .games import MAX_PLAYERS, Coalition, Game, SimpleGame, WeightedMajorityGame, _Frozen
 from .games import _canonical, _checked_int, _checked_mask, _items, _minimal_masks
 from .games import _same_players, _support_mask, _weighted, minimal_winning_coalitions, mwc_count
-from .indices import PowerIndexVector, _memberships, _weighted_memberships
+from .indices import PowerIndexVector, _memberships, _sums, _weighted_memberships
 from .indices import colomer_martinez, hcm
 from .merging import merged_game
 
@@ -69,8 +69,8 @@ def minimal_antichain(coalitions: Iterable[Coalition | Iterable[int]]) -> tuple[
 def swings(game: Game, player: int) -> SwingSet:
     """Losing coalitions S (excluding the player) such that S plus the player wins."""
     bit = 1 << _checked_int(player, 0, game.n_players - 1, "player index")
-    wins = [game._wins(s) for s in range(1 << game.n_players)]
-    masks = (s for s, won in enumerate(wins) if not s & bit and wins[s | bit] and not won)
+    wins = game._wins  # asked of each mask in turn: no table of all 2**n
+    masks = (s for s in range(1 << game.n_players) if not s & bit and wins(s | bit) and not wins(s))
     return SwingSet(player, tuple(map(Coalition.from_mask, _canonical(masks))))
 
 
@@ -78,7 +78,7 @@ def is_null_player(game: Game, player: int) -> bool:
     """True iff the player belongs to no minimal winning coalition: iff it has no swing."""
     _checked_int(player, 0, game.n_players - 1, "player index")
     if isinstance(game, WeightedMajorityGame):
-        return not game._swing_tally[player]
+        return not _sums(game.n_players, game._swing_tally, lambda s: 1)[player]
     bit = 1 << player
     return not any(m & bit for m in minimal_winning_coalitions(game).masks)
 
@@ -94,8 +94,8 @@ def are_symmetric(game: Game, i: int, j: int) -> bool:
         # injectively into j's. If i and j are not symmetric, some T without
         # both has T + j winning and T + i losing, and then T + i is a swing
         # of j outside that image.
-        tallies = game._swing_tally
-        return tallies[i].total() == tallies[j].total()
+        counts = _sums(game.n_players, game._swing_tally, lambda s: 1)
+        return counts[i] == counts[j]
     # The game is monotone, so the swap keeps its winning coalitions iff it
     # keeps their minimal ones: each mwc holding one of i, j swaps into M.
     masks = minimal_winning_coalitions(game)._mask_set

@@ -23,7 +23,7 @@ import math
 import os
 import sys
 from bisect import bisect_right
-from collections import Counter, defaultdict
+from collections import defaultdict
 from collections.abc import Iterable, Iterator, Mapping, Sequence, Set
 from fractions import Fraction
 from functools import cached_property
@@ -291,14 +291,14 @@ class SimpleGame(_Frozen):
         return frozenset(self.masks)
 
     @cached_property
-    def _swing_tally(self) -> list[Counter]:
-        # Per player i, a Counter of |S| over i's swings S; SS and BZ read
-        # only this. Both game kinds count it on a decision diagram.
+    def _swing_tally(self) -> dict[int, list[int]]:
+        # Per size s, each player's number of swings S with |S| = s; SS and BZ
+        # read only this. Both game kinds count it on a decision diagram.
         return _diagram_tally(*_mask_diagram(self.n_players, self.masks))
 
     @cached_property
-    def _mwc_tally(self) -> list[Counter]:
-        # Per player i, a Counter of (|S|, 0) over the mwcs S that hold i.
+    def _mwc_tally(self) -> dict[tuple[int, int], list[int]]:
+        # Per key (|S|, 0), how many of the mwcs S with that key hold each player.
         return _mwc_counts(self.n_players, self.masks, ())
 
     def __repr__(self) -> str:
@@ -375,15 +375,15 @@ class WeightedMajorityGame(_Frozen):
         return SimpleGame._trusted(self.n_players, _diagram_mwc_masks(weights, quota))
 
     @cached_property
-    def _swing_tally(self) -> list[Counter]:
+    def _swing_tally(self) -> dict[int, list[int]]:
         # As a simple game's, on the weight diagram; a weighted game's null
         # players and symmetric pairs read it too.
         return _diagram_tally(*_weight_diagram(*self.integer_form[:2])[:3])
 
     @cached_property
-    def _mwc_tally(self) -> list[Counter]:
-        # Per player i, a Counter of (|S|, w(S)) over the mwcs S that hold i,
-        # w the integer weight.
+    def _mwc_tally(self) -> dict[tuple[int, int], list[int]]:
+        # Per key (|S|, w(S)), w the integer weight, how many of the mwcs S
+        # with that key hold each player.
         masks = self.induced_simple_game.masks
         return _mwc_counts(self.n_players, masks, self.integer_form[0])
 
@@ -514,7 +514,7 @@ def _mask_diagram(n: int, masks: tuple[int, ...]) -> tuple:
     return range(n), kids, [list(level.values()) for level in ids]
 
 
-def _diagram_tally(order: Sequence[int], kids: list, ids: list[list[int]]) -> list[Counter]:
+def _diagram_tally(order: Sequence[int], kids: list, ids: list[list[int]]) -> dict:
     # Children come before parents, the root last. Per node, the paths from
     # the root (f) and the winning completions (g) by size, one (n + 2)-bit
     # slot per size in one int: no count reaches 2**n, so no slot carries.
@@ -533,24 +533,19 @@ def _diagram_tally(order: Sequence[int], kids: list, ids: list[list[int]]) -> li
     for level, player in enumerate(order):
         swings[player] = sum(f[v] * (g[kids[v][0]] - g[kids[v][1]]) for v in ids[level])
     full = (1 << slot) - 1
-    return [Counter({s: c for s in range(n) if (c := p >> s * slot & full)}) for p in swings]
+    return {s: [p >> s * slot & full for p in swings] for s in range(n)}
 
 
-def _mwc_counts(n: int, masks: tuple[int, ...], weights: tuple[int, ...]) -> list[Counter]:
-    # One pass over the mwc masks: per player i, a Counter c_i of (|S|, w(S))
-    # over the mwcs S that contain i, w the integer weight (0 without weights).
+def _mwc_counts(n: int, masks: tuple[int, ...], weights: tuple[int, ...]) -> dict:
+    # One pass over the mwc masks: per key (|S|, w(S)), w the integer weight (0
+    # without weights), how many of the mwcs S with that key hold each player.
     # DP, PG, CM and HCM read only this and mwc_count: a counting backend replaces both.
     groups = defaultdict(list)
     for mask in masks:
         weight = _mask_weight(weights, mask) if weights else 0
         groups[mask.bit_count(), weight].append(mask)
-    tallies = [Counter() for _ in range(n)]
-    for key, group in groups.items():
-        support = _support_mask(group)  # only these players have a nonzero count
-        for i, tally in enumerate(tallies):
-            if support >> i & 1:
-                tally[key] = len([m for m in group if m >> i & 1])
-    return tallies
+    return {key: [len([m for m in group if m >> i & 1]) for i in range(n)]
+            for key, group in groups.items()}
 
 
 def minimal_winning_coalitions(game: Game) -> SimpleGame:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 
 from .errors import GameError, ParseError
@@ -59,17 +59,29 @@ def _efficient(kind: str, numerators: list[int], denominator: int) -> PowerIndex
     return PowerIndexVector._of(kind, tuple(Fraction(v, denominator) for v in numerators))
 
 
+def _sums(n: int, tally: dict, value: Callable) -> list[int]:
+    # Per player i, the sum over the keys k of value(k) times i's count at k:
+    # every index is one such weighted count. A zero count adds no product.
+    sums = [0] * n
+    for key, counts in tally.items():
+        v = value(key)
+        for i, c in enumerate(counts):
+            if c:
+                sums[i] += c * v
+    return sums
+
+
 def shapley_shubik(game: Game) -> PowerIndexVector:
     """Shapley-Shubik index: each swing S of player i contributes |S|!(n-|S|-1)!/n!."""
     n = game.n_players
     fact = [math.factorial(k) for k in range(n + 1)]
-    sums = [sum(c * fact[s] * fact[n - s - 1] for s, c in t.items()) for t in game._swing_tally]
+    sums = _sums(n, game._swing_tally, lambda s: fact[s] * fact[n - s - 1])
     return _efficient("SS", sums, fact[n])
 
 
 def banzhaf(game: Game, normalized: bool = True) -> PowerIndexVector:
     """Banzhaf index: swing counts over 2**(n-1), or normalized to sum 1."""
-    counts = [t.total() for t in game._swing_tally]
+    counts = _sums(game.n_players, game._swing_tally, lambda s: 1)
     if normalized:
         # Never zero: the empty coalition loses and the grand coalition wins,
         # so some player swings.
@@ -80,7 +92,7 @@ def banzhaf(game: Game, normalized: bool = True) -> PowerIndexVector:
 
 def _memberships(game: Game) -> list[int]:
     # c_i, the number of mwcs holding player i; their sum is the theta of PGM.
-    return [t.total() for t in game._mwc_tally]
+    return _sums(game.n_players, game._mwc_tally, lambda k: 1)
 
 
 def _weighted_memberships(game: WeightedMajorityGame) -> list[int]:
@@ -91,7 +103,7 @@ def _weighted_memberships(game: WeightedMajorityGame) -> list[int]:
 def deegan_packel(game: Game) -> PowerIndexVector:
     """Deegan-Packel index: average over a player's mwcs of the equal split 1/|S|."""
     lcm = math.lcm(*range(1, game.n_players + 1))  # a multiple of every size |S|
-    sums = [sum(c * lcm // s for (s, _), c in t.items()) for t in game._mwc_tally]
+    sums = _sums(game.n_players, game._mwc_tally, lambda k: lcm // k[0])
     return _efficient("DP", sums, lcm * mwc_count(game))
 
 
@@ -105,14 +117,11 @@ def colomer_martinez(game: Game) -> PowerIndexVector:
     """Colomer-Martinez index: average over a player's mwcs of its weight share w_i/w_S."""
     # On the integer form: scaling every weight keeps each ratio w_i/w(S).
     weights, _, _ = _weighted(game, "colomer_martinez").integer_form
-    m, tallies = mwc_count(game), game._mwc_tally
     # Over a common multiple of the mwc weights t, each c/t is the integer
-    # c * (lcm // t); every player shares the quotients.
-    totals = {t for tally in tallies for _, t in tally}
-    lcm = math.lcm(*totals)
-    quotients = {t: lcm // t for t in totals}
-    sums = (sum(c * quotients[t] for (_, t), c in tally.items()) for tally in tallies)
-    return _efficient("CM", [w * v for w, v in zip(weights, sums)], lcm * m)
+    # c * (lcm // t); each quotient is computed once, for its key, and dropped.
+    lcm = math.lcm(*(t for _, t in game._mwc_tally))
+    sums = _sums(len(weights), game._mwc_tally, lambda k: lcm // k[1])
+    return _efficient("CM", [w * v for w, v in zip(weights, sums)], lcm * mwc_count(game))
 
 
 def hcm(game: Game) -> PowerIndexVector:

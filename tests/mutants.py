@@ -127,12 +127,13 @@ MUTANTS = (
     ),
     (
         "games.py",
-        "if support >> i & 1:",
-        "if True:",
+        "return {key: [len([m for m in group if m >> i & 1]) for i in range(n)]",
+        "return {key: [len([m for m in group if m >> i & 1]) for i in range(1, n)]",
         DIAGRAM_TESTS,
-        "equivalent: a zero count for a player outside the group's support changes "
-        "no total, lookup or Counter equality",
+        "killed",
     ),
+    # Every index is one weighted count: a count times its key's value.
+    ("indices.py", "sums[i] += c * v", "sums[i] += v", DIAGRAM_TESTS, "killed"),
     # A decomposition component derived from its parent.
     (
         "games.py",

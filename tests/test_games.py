@@ -3,6 +3,7 @@ import functools
 import random
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -701,6 +702,19 @@ class TestSwings:
     def test_out_of_range(self):
         with pytest.raises(PlayerOutOfRange):
             swings(game_51(), 4)
+
+    def test_keeps_no_table_of_every_coalition(self):
+        # Unanimity of 16 players: one swing among 2**16 coalitions. A list
+        # of every coalition's winning test alone takes 0.5 MB.
+        game = WeightedMajorityGame(16, (1,) * 16)
+        tracemalloc.start()
+        try:
+            result = swings(game, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [set(c) for c in result] == [set(range(1, 16))]
+        assert peak < 64 << 10
 
 
 class TestNullPlayers:

@@ -1,7 +1,7 @@
 import functools
 import math
 import random
-from collections import Counter
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -494,10 +494,47 @@ def test_swing_indices_match_definition_on_simple_games(game):
 @example(game=SimpleGame(4, [[0], [1, 2, 3]]))
 @example(game=SimpleGame(10, [[0, 9], [1, 2, 3], [2, 4, 5, 7], [3, 7, 8], [0, 4, 8]]))
 def test_mask_diagram_tally_matches_definition(game):
-    by_size = [
-        Counter(map(len, oracles.swings_by_definition(game, i))) for i in range(game.n_players)
-    ]
+    n = game.n_players
+    swings = [oracles.swings_by_definition(game, i) for i in range(n)]
+    by_size = {s: [len([c for c in own if len(c) == s]) for own in swings] for s in range(n)}
     assert game._swing_tally == by_size
+
+
+# The mwc tally against the listing by definition, keyed (|S|, w(S)) on the
+# integer form of a weighted game and (|S|, 0) for a bare one. Examples: zero
+# weights among rational ones; a bare game with a player in no mwc.
+@settings(max_examples=80, deadline=None)
+@given(game=st.one_of(rational_weighted_games(max_players=7), simple_games(max_players=7)))
+@example(game=wmg("5/2", "3/2", 0, 1, "1/2", 0, "1/3"))
+@example(game=SimpleGame(4, [[0, 1], [1, 2]]))
+def test_mwc_tally_matches_definition(game):
+    n = game.n_players
+    weights = [0] * n
+    if isinstance(game, WeightedMajorityGame):
+        scale = math.lcm(game.quota.denominator, *(w.denominator for w in game.weights))
+        weights = [int(w * scale) for w in game.weights]
+    expected = {}
+    for mwc in oracles.mwcs_by_definition(game):
+        counts = expected.setdefault((len(mwc), sum(weights[i] for i in mwc)), [0] * n)
+        for i in mwc:
+            counts[i] += 1
+    assert game._mwc_tally == expected
+
+
+def test_cm_keeps_no_table_of_quotients():
+    # 40-bit weights: almost every mwc has a weight t of its own, and each
+    # lcm // t is about as long as the common multiple. A table of every
+    # quotient at once peaks at about 11 MB here.
+    game = bits40_game(16)
+    game.induced_simple_game  # listed first: the bound is on the sum, not the listing
+    tracemalloc.start()
+    try:
+        vector = colomer_martinez(game)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(vector) == 16
+    assert peak < 4 << 20
 
 
 @settings(max_examples=100, deadline=None)
