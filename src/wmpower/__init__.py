@@ -4,7 +4,7 @@ Coalition and game structure, a union operation with a four-condition
 mergeability check, six power indices (Shapley-Shubik, Banzhaf,
 Deegan-Packel, Public Good, Colomer-Martinez, HCM), machine-checkable
 axioms with independence witnesses, and a small document/CLI layer with
-bundled parliamentary datasets.
+bundled parliamentary game documents.
 """
 
 from importlib import import_module
@@ -22,10 +22,9 @@ _HOMES = {
         " random_mergeable_family random_weighted_game single_mwc_decomposition witness_index"
         " SwingSet are_symmetric is_null_player minimal_antichain simple_intersection"
         " simple_mergeable simple_union swings unanimity_game",
-        "datasets": "ECUADOR_PERIODS ECUADOR_QUOTA ecuador_document ecuador_documents",
         "games": "MAX_PLAYERS Coalition Game GameDocument SimpleGame WeightedMajorityGame"
         " as_coalition format_rational load_game minimal_winning_coalitions parse_game"
-        " parse_rational",
+        " parse_rational ECUADOR_PERIODS ECUADOR_QUOTA ecuador_document ecuador_documents",
         "indices": "INDEX_FUNCTIONS PowerIndexVector banzhaf colomer_martinez deegan_packel"
         " decimal_string hcm public_good render_table shapley_shubik",
         "merging": "MergeabilityReport check_wm_mergeability merged_game wm_union",

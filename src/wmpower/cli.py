@@ -15,14 +15,15 @@ from types import SimpleNamespace
 import wmpower
 
 from .errors import GameError, PlayerCountMismatch
-from .games import GameDocument, load_game, minimal_winning_coalitions, mwc_count
+from .games import ECUADOR_PERIODS, GameDocument, ecuador_document, load_game
+from .games import minimal_winning_coalitions, mwc_count
 
 
 class _Names:
     """This module's globals as attributes; a name of the package is bound on first read.
 
     A command compiles only the modules it runs, so each handler reads the
-    package's names through ``_names``, the one instance, and the module's
+    names outside ``games`` through ``_names``, the one instance, and the module's
     ``__getattr__`` is its method. A name already set on this module (a
     wrapper installed from outside, as a traced run does) wins, and the
     handlers call it; otherwise the name is imported from the package and
@@ -164,26 +165,16 @@ def cmd_axioms(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    periods = _names.ECUADOR_PERIODS if args.period == "all" else [args.period]
+    periods = ECUADOR_PERIODS if args.period == "all" else [args.period]
     blocks = []
     for period in periods:
-        document = _names.ecuador_document(period)
+        document = ecuador_document(period)
         game = document.game()
         header = f"{document.label}  {game}"
         count = f"minimal winning coalitions: {mwc_count(game)}"
         blocks.append("\n".join([header, count, _render_vectors(document, args)]))
     print("\n\n".join(blocks))
     return 0
-
-
-class _PeriodChoices:
-    """demo's --period choices: the period keys, read from datasets on first use, and 'all'."""
-
-    def __iter__(self):
-        return iter((*_names.ECUADOR_PERIODS, "all"))
-
-    def __contains__(self, value) -> bool:
-        return value == "all" or value in _names.ECUADOR_PERIODS
 
 
 _FORMATS = ("table", "csv", "json")
@@ -214,7 +205,7 @@ COMMANDS = {
     )),
     "demo": (cmd_demo, "reproduce the bundled parliament tables", (
         ("topic", dict(choices=("ecuador",))),
-        ("--period", dict(choices=_PeriodChoices(), default="all")),
+        ("--period", dict(choices=(*ECUADOR_PERIODS, "all"), default="all")),
         ("--index", dict(
             type=_index_list, default=["ss", "dp", "pg", "cm", "hcm"],
             help="comma-separated index names",

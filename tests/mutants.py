@@ -37,8 +37,9 @@ DIAGRAM_TESTS = (
     "tests/test_indices.py",
     "tests/test_merging.py",
     "tests/test_axioms.py",
+    "tests/test_corpus.py",
 )
-DECOMPOSITION_TESTS = ("tests/test_merging.py", "tests/test_axioms.py")
+DECOMPOSITION_TESTS = ("tests/test_merging.py", "tests/test_axioms.py", "tests/test_corpus.py")
 JUDGE_TESTS = ("tests/test_cli.py", "tests/test_golden.py")
 
 # (module, line, replacement, test files, outcome)

@@ -79,19 +79,10 @@ SUITE = ("axioms", "indices", "merging")
         (["mwc", "--game", "{game}"], 0, ()),
         (["mwc", "--game", "{refused}"], 2, ()),
         (["merge", "{a}", "{b}"], 0, ("merging",)),
-        (["demo", "ecuador"], 0, (*RENDER, "datasets")),
-        (
-            ["axioms", "--index", "dp", "--suite", "thm1"],
-            0,
-            (*SUITE, "datasets"),
-        ),
-        (
-            ["axioms", "--index", "ss", "--suite", "classic", "--samples", "2"],
-            0,
-            (*SUITE, "datasets"),
-        ),
-        # demo's --period choices are in the help, so argparse loads datasets.
-        (["power", "--help"], 0, ("datasets",)),
+        (["demo", "ecuador"], 0, RENDER),
+        (["axioms", "--index", "dp", "--suite", "thm1"], 0, SUITE),
+        (["axioms", "--index", "ss", "--suite", "classic", "--samples", "2"], 0, SUITE),
+        (["power", "--help"], 0, ()),
     ],
     ids=[
         "power",
